@@ -9,9 +9,13 @@ declares its own scheduling-structure injectors on its core class
 them discoverable here, so an unmodeled paradigm fails loudly instead
 of running a campaign as all-masked.  Injection rides
 the core's ``fault_hook`` (installed by :class:`FaultSession`), which
-fires once per cycle *before* the cycle's stages, so the flip is visible
-to every stage of the injection cycle; with no hook installed the fast
-``_run_until`` loop is untouched and the run is bit-identical to HEAD.
+fires *before* the stages of every executed cycle, so the flip is visible
+to every stage of the injection cycle.  The session publishes its
+injection cycle as the core's ``fault_cycle``: the run loop never skips
+past it and single-steps from it on, scanning every issue window, so the
+injector sees every cycle from the injection cycle on (some injectors
+draw from the RNG on cycles where they find nothing to flip) and a
+corrupted structure runs exactly as it would on the ticked loop.
 
 Two rules keep runs independent and deterministic:
 
@@ -218,8 +222,8 @@ class FaultSession:
 
     The hook fires from ``inject_cycle`` onward and retries each cycle
     until the target structure holds live state; once the flip lands the
-    hook detaches itself, so the remainder of the run pays only the
-    instrumented-loop overhead, never extra work per cycle.
+    hook detaches itself.  The run before ``inject_cycle`` event-skips;
+    from it on the core single-steps (``TimingCore.fault_cycle``).
     """
 
     def __init__(
@@ -251,6 +255,7 @@ class FaultSession:
             )
         self._injector = injectors_for(kind)[self.structure]
         core.fault_hook = self._hook
+        core.fault_cycle = self.inject_cycle
         return self
 
     def _hook(self, core: TimingCore, cycle: int) -> None:

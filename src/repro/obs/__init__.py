@@ -1,9 +1,10 @@
 """Observability layer: tracing, CPI stall attribution, harness telemetry.
 
-Everything here is opt-in and rides on the per-cycle hook mechanism of
-:class:`~repro.sim.core.TimingCore` (``trace_hook``, next to
-``invariant_hook`` and ``fault_hook``); with every knob off the timing
-loop takes the unhooked fast path and is bit-identical to the seed.
+Everything here is opt-in and rides on the hook mechanism of
+:class:`~repro.sim.core.TimingCore` (``trace_hook`` on executed cycles and
+``span_hook`` on skipped spans, next to ``invariant_hook`` and
+``fault_hook``); with every knob off the timing loop calls no hook and is
+bit-identical to the seed.
 """
 
 from .cpi import STALL_CAUSES, classify_cycle, classify_stall, empty_stack

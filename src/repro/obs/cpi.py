@@ -79,7 +79,7 @@ def classify_cycle(
     they split "head is executing" into the structural back-pressure cases
     (ROB full, LSQ full, scheduler/FIFO full) that an executing head
     otherwise hides.  Pass zero (the default) for state-only
-    classification — correct for idle-skip gap cycles, where no stage ran
+    classification — correct for skipped idle cycles, where no stage ran
     and therefore no dispatch stall was charged.
     """
     rob = core._rob
@@ -113,7 +113,7 @@ def classify_cycle(
 def classify_stall(core, cycle: int) -> str:
     """State-only classification (no per-cycle stall deltas).
 
-    Used for idle-skip gaps and for :class:`~repro.sim.core.SimulationHang`
+    Used for :class:`~repro.sim.core.SimulationHang`
     diagnostics, where the machine state is frozen and a single label
     covers every cycle of the window.
     """

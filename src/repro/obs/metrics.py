@@ -3,7 +3,7 @@
 A :class:`BoundedHistogram` keeps one integer bucket per value up to a
 fixed bound (structure occupancies are naturally bounded by capacity), an
 overflow bucket for anything beyond, and enough moments for mean/max.
-Weights let idle-skip gaps contribute their whole width in one call.
+Weights let a skipped span contribute all its cycles in one call.
 :class:`MetricsRegistry` is the named bag of both that the observer fills
 and :class:`~repro.sim.results.SimResult` carries as plain dictionaries.
 

@@ -1,10 +1,10 @@
 """The observability front door: one object wiring all three layers.
 
 ``Observer`` attaches to a :class:`~repro.sim.core.TimingCore` through the
-same per-cycle hook mechanism the invariant checker and fault injector use
-(``core.trace_hook``), so observability is a pure add-on: with no observer
-attached the timing loop takes the unhooked fast path and is bit-identical
-to the seed simulator.
+same hook mechanism the invariant checker and fault injector use
+(``core.trace_hook`` and ``core.span_hook``), so observability is a pure
+add-on: attached or not, the run is bit-identical to the seed
+simulator.
 
 Layers (independently switchable):
 
@@ -19,14 +19,15 @@ Layers (independently switchable):
   scheduler) and issue-slot utilization via
   :class:`~repro.obs.metrics.MetricsRegistry`.
 
-Idle-skip interaction: none in practice — an attached per-cycle hook
-reroutes the run to the single-stepping loop
-(:meth:`~repro.sim.core.TimingCore._run_until_checked`), so the observer
-sees every architectural cycle first-hand and the hot path never pays for
-gap reconstruction.  A defensive gap branch remains (charging skipped
-cycles to the state-only classification captured at the last resync)
-should a future loop ever skip under hooks, but no per-cycle work is
-spent keeping it fresh.
+Event-skip interaction: hooked runs event-skip like unhooked ones.
+``_on_cycle`` fires after every executed cycle; before each skipped span
+the core calls ``_on_span`` (``core.span_hook``) with the span's first
+cycle, its length and the stall counter each of its cycles charged (a
+dispatch refusing the same head, or None for an idle span).  The machine
+is frozen across the span and nothing retires or issues, so one
+classification (two if the span crosses the fetch-resume cycle) and one
+set of gauge readings, weighted by the span length, charge exactly what
+single-stepping would have charged.
 
 Sampling interaction: :func:`~repro.sim.sampling.simulate_sampled` calls
 :meth:`Observer.skip_to` after each fast-forward to resynchronize counter
@@ -63,14 +64,10 @@ class Observer:
         self.slots: Dict[str, float] = empty_stack()
         self.metrics = MetricsRegistry()
         self._width = 1
-        self._last_cycle = -1
         self._last_retired = 0
         self._last_issued = 0
         self._last_rob_cap = 0
         self._last_struct = 0
-        self._gap_cause = "fetch_limited"
-        #: end-of-previous-cycle gauge readings, charged to idle-skip gaps
-        self._pending: Dict[str, int] = {}
         #: pre-resolved ``Histogram.add`` bound methods, avoiding the
         #: name-keyed registry lookups on the per-cycle path
         self._hist_add: Dict[str, object] = {}
@@ -81,6 +78,7 @@ class Observer:
         self.core = core
         self._width = max(1, core.config.issue_width)
         core.trace_hook = self._on_cycle
+        core.span_hook = self._on_span
         if self.trace:
             self.ring = RingLog(self.trace_capacity)
             core.trace_log = self.ring
@@ -99,18 +97,15 @@ class Observer:
                 name: histogram.add
                 for name, histogram in self.metrics.histograms.items()
             }
-        self._resync(0)
+        self._resync()
 
-    def _resync(self, cycle: int) -> None:
+    def _resync(self) -> None:
         """Align counter snapshots with the core's current state."""
         core = self.core
-        self._last_cycle = cycle - 1
         self._last_retired = core._retired_count
         self._last_issued = core._issued_count
         self._last_rob_cap = core.stalls.in_flight_cap
         self._last_struct = core.stalls.structure_full
-        self._gap_cause = classify_cycle(core, cycle)
-        self._pending = self._readings(issued_delta=0)
 
     def skip_to(self, cycle: int) -> None:
         """Resynchronize after a sampling drain + fast-forward.
@@ -119,7 +114,7 @@ class Observer:
         state wholesale; neither belongs to a measured window, so the
         observer simply realigns its snapshots at the next window's start.
         """
-        self._resync(cycle)
+        self._resync()
 
     # -------------------------------------------------------------- collection
     def _readings(self, issued_delta: int) -> Dict[str, int]:
@@ -133,29 +128,12 @@ class Observer:
         }
 
     def _on_cycle(self, core, cycle: int) -> None:
-        """Per-cycle hook: charge the preceding gap, then this cycle.
+        """Per-cycle hook: charge one executed cycle.
 
-        Hooked runs single-step (an installed ``trace_hook`` routes the
-        core to ``_run_until_checked``), so the gap branch is dead on the
-        hot path — kept only as a defensive fallback, charged to the
-        classification captured at the last resync.  The hook fires once
-        per simulated cycle, so everything here is written for that
-        path: snapshot loads hoisted once, no dict built per cycle, and
-        ``classify_cycle`` invoked only for cycles with empty slots.
+        Fires once per executed cycle, so everything here is written for
+        that path: snapshot loads hoisted once, no dict built per cycle,
+        and ``classify_cycle`` invoked only for cycles with empty slots.
         """
-        gap = cycle - self._last_cycle - 1
-        if gap > 0:
-            # Skipped cycles: state frozen, zero retirement — the full
-            # width of every gap cycle goes to the cause the frozen
-            # state exhibited at the last resync.
-            if self.cpi:
-                self.slots[self._gap_cause] += gap
-            if self.metrics_enabled:
-                for name, value in self._pending.items():
-                    if name == "issue_slots":
-                        value = 0
-                    self._hist_add[name](value, gap)
-
         retired = core._retired_count
         issued = core._issued_count
         stalls = core.stalls
@@ -179,13 +157,46 @@ class Observer:
             hist_add = self._hist_add
             for name, value in readings.items():
                 hist_add[name](value, 1)
-            self._pending = readings
 
-        self._last_cycle = cycle
         self._last_retired = retired
         self._last_issued = issued
         self._last_rob_cap = rob_cap
         self._last_struct = struct
+
+    def _on_span(self, core, first: int, length: int,
+                 stall: Optional[str]) -> None:
+        """Span hook: charge ``length`` skipped cycles from ``first`` on.
+
+        Every cycle of the span retires and issues nothing, so its full
+        width goes to one cause and its gauges read the frozen state.
+        ``classify_cycle`` depends on the cycle only through the
+        fetch-resume comparison, so at most two classifications (before
+        and from ``_fetch_resume``) cover the span.  The span's stall
+        charges (one ``stall`` per cycle) were already added to the
+        core's counters; the snapshots absorb them so the next executed
+        cycle sees only its own.
+        """
+        end = first + length
+        stalls = core.stalls
+        if self.cpi:
+            rob_cap = 1 if stall == "in_flight_cap" else 0
+            struct = 1 if stall == "structure_full" else 0
+            slots = self.slots
+            split = min(max(core._fetch_resume, first), end)
+            if split > first:
+                slots[classify_cycle(core, first, rob_cap, struct)] += (
+                    split - first
+                )
+            if split < end:
+                slots[classify_cycle(core, split, rob_cap, struct)] += (
+                    end - split
+                )
+        if self.metrics_enabled:
+            hist_add = self._hist_add
+            for name, value in self._readings(0).items():
+                hist_add[name](value, length)
+        self._last_rob_cap = stalls.in_flight_cap
+        self._last_struct = stalls.structure_full
 
     # --------------------------------------------------------------- reporting
     def cpi_totals(self) -> Dict[str, float]:

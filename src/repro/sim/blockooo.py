@@ -13,8 +13,9 @@ entries per window while most of the window is a cheap FIFO RAM.
 
 The entire paradigm is this one file: the timing model composes the
 shared kernel helpers (:meth:`~repro.sim.core.TimingCore.issue_skipahead`
-with a global budget, :meth:`~repro.sim.core.TimingCore.head_issue_horizon`
-over the examined entries, the shared FIFO invariants), the config
+with a global budget over the due windows of the kernel's active-window
+index, :meth:`~repro.sim.core.TimingCore.window_issue_horizon`, the
+shared FIFO invariants), the config
 factory derives from the conventional machine, the fault injector and
 complexity/energy declarations ride the class, and the registry entry at
 the bottom makes validation, fault campaigns, observability, and both
@@ -99,6 +100,7 @@ class BlockOoOCore(TimingCore):
         #: window receiving the currently open block (-1 between blocks)
         self._open_window = -1
         self._block_len = 0
+        self.init_window_index(config.clusters)
 
     # -------------------------------------------------------------- dispatch
     def accept(self, winst: WInst, cycle: int) -> bool:
@@ -167,31 +169,30 @@ class BlockOoOCore(TimingCore):
         yield from self.occupancy_sum_invariant("block window", total)
 
     # ------------------------------------------------------------------ issue
-    def issue_horizon(self, cycle):
-        # Each window examines its first ``beu_window`` entries; the
-        # shared head-scan certification applies to exactly those.
-        cap = self.config.beu_window
-        return self.head_issue_horizon(
-            cycle,
-            (
-                window[i]
-                for window in self._windows
-                for i in range(min(len(window), cap))
-            ),
-        )
+    on_ready = TimingCore.window_ready
+    issue_horizon = TimingCore.window_issue_horizon
 
     def issue_stage(self, cycle: int) -> None:
+        # Oldest-window-first over the due windows; windows the budget
+        # does not reach stay due for the next cycle.
         budget = self.config.issue_width
         cap = self.config.beu_window
         fus = self.fus
+        windows = self._windows
         issue_skipahead = self.issue_skipahead
-        for window in self._windows:
+        due = self.due_windows(cycle)
+        while due:
             if budget == 0:
+                self._windows_due |= due
                 break
+            low = due & -due
+            due ^= low
+            index = low.bit_length() - 1
+            window = windows[index]
             if not window:
                 continue
             budget -= issue_skipahead(
-                window, cycle, min(cap, len(window)), fus,
+                window, index, cycle, min(cap, len(window)), fus,
                 max_issues=budget,
             )
 

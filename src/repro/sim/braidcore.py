@@ -18,9 +18,9 @@ exactly as in the paper:
 The issue mechanics compose the shared kernel helpers: strict windows use
 :meth:`~repro.sim.core.TimingCore.issue_in_order`, the default
 windowed-out-of-order mode uses
-:meth:`~repro.sim.core.TimingCore.issue_skipahead`, and the horizon is
-:meth:`~repro.sim.core.TimingCore.head_issue_horizon` over the examined
-window entries.
+:meth:`~repro.sim.core.TimingCore.issue_skipahead`, each BEU is one window
+of the kernel's active-window index, and the horizon is read off that
+index (:meth:`~repro.sim.core.TimingCore.window_issue_horizon`).
 """
 
 from __future__ import annotations
@@ -119,6 +119,7 @@ class BraidCore(TimingCore):
         self._issue_notes: List[Callable[[WInst], None]] = [
             self._make_issue_note(beu) for beu in self.beus
         ]
+        self.init_window_index(len(self.beus))
 
     def _make_issue_note(self, beu: BraidExecutionUnit):
         def note(winst: WInst) -> None:
@@ -163,6 +164,9 @@ class BraidCore(TimingCore):
     def scheduler_occupancy(self) -> int:
         return sum(len(beu.fifo) for beu in self.beus)
 
+    def charge_accept_stalls(self, cycles: int) -> None:
+        self.distribute_stalls += cycles  # one per refusal, on every path
+
     def accept(self, winst: WInst, cycle: int) -> bool:
         if self.config.beu_exception_mode:
             # Exception processing (paper section 3.4): all but one BEU are
@@ -199,35 +203,8 @@ class BraidCore(TimingCore):
         return True
 
     # ------------------------------------------------------------------ issue
-    def _window_depth_cap(self) -> int:
-        """Entries examined per BEU FIFO this cycle (1 in strict or
-        exception mode, the configured window otherwise)."""
-        config = self.config
-        if config.beu_exception_mode:
-            return 1
-        window = config.beu_window
-        if not config.beu_window_ooo:
-            return min(window, 1)
-        return window
-
-    def issue_horizon(self, cycle):
-        # Each BEU examines its scheduling window (the FIFO head in strict
-        # or exception mode); the shared head-scan certification applies
-        # verbatim to the examined entries.
-        if self.config.beu_exception_mode:
-            fifo = self.beus[0].fifo
-            return self.head_issue_horizon(
-                cycle, (fifo[0],) if fifo else ()
-            )
-        cap = self._window_depth_cap()
-        return self.head_issue_horizon(
-            cycle,
-            (
-                beu.fifo[i]
-                for beu in self.beus
-                for i in range(min(len(beu.fifo), cap))
-            ),
-        )
+    on_ready = TimingCore.window_ready
+    issue_horizon = TimingCore.window_issue_horizon
 
     def issue_stage(self, cycle: int) -> None:
         window_size = self.config.beu_window
@@ -236,23 +213,29 @@ class BraidCore(TimingCore):
             window_size = 1  # strictly in-order during exception handling
             strict = True
         notes = self._issue_notes
-        for beu in self.beus:
+        beus = self.beus
+        due = self.due_windows(cycle)
+        while due:
+            low = due & -due
+            due ^= low
+            index = low.bit_length() - 1
+            beu = beus[index]
             fifo = beu.fifo
             if not fifo:
                 continue
             if strict:
                 self.issue_in_order(
-                    fifo, cycle, beu.fus, window_size,
+                    fifo, index, cycle, beu.fus, window_size,
                     internal_reads=beu.internal_reads,
                     internal_writes=beu.internal_writes,
-                    on_issue=notes[beu.beu_id],
+                    on_issue=notes[index],
                 )
             else:
                 self.issue_skipahead(
-                    fifo, cycle, min(window_size, len(fifo)), beu.fus,
+                    fifo, index, cycle, min(window_size, len(fifo)), beu.fus,
                     internal_reads=beu.internal_reads,
                     internal_writes=beu.internal_writes,
-                    on_issue=notes[beu.beu_id],
+                    on_issue=notes[index],
                 )
 
     def core_invariants(self, cycle: int):

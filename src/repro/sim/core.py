@@ -12,9 +12,10 @@ drain / fast-forward seams the sampled and interval engines compose.
 Subclasses supply only the execution-core behaviour the paper varies:
 where a dispatched instruction waits (:meth:`TimingCore.accept`) and how
 ready instructions are selected for issue (:meth:`TimingCore.issue_stage`)
-— usually by composing the shared head-scan helpers
-(:meth:`TimingCore.issue_in_order`, :meth:`TimingCore.issue_skipahead`,
-:meth:`TimingCore.head_issue_horizon`) rather than re-implementing the
+— usually by composing the shared FIFO-window helpers
+(:meth:`TimingCore.issue_in_order`, :meth:`TimingCore.issue_skipahead`
+and the active-window index behind
+:meth:`TimingCore.window_issue_horizon`) rather than re-implementing the
 scan — and declare their cross-layer contract (fault structures and
 injectors, complexity-model terms) as class attributes the registry
 (:mod:`repro.sim.registry`), fault layer, and analyses consume.
@@ -359,43 +360,76 @@ class TimingCore:
         #: dispatched-but-unissued instructions whose operands are all ready;
         #: while zero, issue_stage provably cannot act (see _skip_idle)
         self._ready_unissued = 0
+        #: the last cycle whose dispatch stalled at the fetch-buffer head
+        #: with nothing dispatched, the StallCounters field it charged,
+        #: and whether the refusal came from accept() (see _run_until's
+        #: stall-span jump)
+        self._stall_cycle = -1
+        self._stall_field = ""
+        self._stall_accept = False
+        # Active-window index of the FIFO-window paradigms (see
+        # due_windows): a bitmask of the windows issue_stage must visit,
+        # the ``(wake cycle, window)`` heap that makes a window due once
+        # a certified issue_wake bound arrives, and the all-windows mask
+        # (zero for cores without windows).
+        self._windows_due = 0
+        self._window_wakes: List[Tuple[int, int]] = []
+        self._all_windows = 0
         #: set to a list before run() to record every dispatched WInst in
         #: program order (consumed by repro.sim.pipeview)
         self.trace_log = None
 
-        # Validation hooks (repro.validate).  All default to None and the
-        # hot loop never pays for them: the retire/skip hooks cost one
-        # local None-test per retirement / fast-forward, and a non-None
-        # invariant hook reroutes _run_until to the instrumented loop, so
-        # the tight loop itself is untouched when validation is off.
+        # Hooks (repro.validate, repro.faults, repro.obs).  All default
+        # to None; the run loop tests one local flag per executed cycle
+        # and never calls a hook on a skipped cycle, so hooked runs
+        # event-skip like unhooked ones.
         #: called as ``hook(winst, cycle)`` for every retired instruction
         self.retire_hook = None
         #: called as ``hook(old_index, new_index)`` on every fast_forward
         self.skip_hook = None
-        #: called as ``hook(core, cycle)`` once per simulated cycle
+        #: called as ``hook(core, cycle)`` after the stages of every
+        #: executed cycle.  A skipped cycle mutates nothing but the stall
+        #: counters, so checks on executed cycles cover every cycle.
         self.invariant_hook = None
         #: fault-injection hook (repro.faults): called as ``hook(core,
-        #: cycle)`` once per simulated cycle, *before* the cycle's stages,
-        #: so an injected bit flip is visible to every stage of that cycle.
-        #: Like invariant_hook it reroutes _run_until to the instrumented
-        #: twin, so the fast loop pays nothing while it is None.
+        #: cycle)`` before the stages of every executed cycle, so an
+        #: injected bit flip is visible to every stage of that cycle.
         self.fault_hook = None
+        #: the cycle from which the loop single-steps: it never skips
+        #: past it, and from it on executes every cycle and visits every
+        #: issue window, exactly as the ticked loop does.  A fault session
+        #: publishes its injection cycle here, so the injector sees every
+        #: cycle from that one on and a flipped structure is always
+        #: scanned in full.
+        self.fault_cycle = PARKED
         #: observability hook (repro.obs): called as ``hook(core, cycle)``
-        #: once per simulated cycle, *after* the cycle's stages, so the
-        #: observer sees end-of-cycle state (what retired, what stalled).
-        #: Reroutes _run_until to the instrumented twin like the other
-        #: per-cycle hooks; the twin single-steps (never event-skips), so
-        #: an attached observer fires on every architectural cycle.  Gap
-        #: accounting in observers remains only for sampled execution's
-        #: fast-forwarded windows (``skip_to``).
+        #: after the stages of every executed cycle, so the observer sees
+        #: end-of-cycle state (what retired, what stalled).
         self.trace_hook = None
+        #: called as ``hook(core, first, length, stall)`` before every
+        #: skipped span: ``length`` cycles from ``first`` on were skipped
+        #: with the machine frozen, and each charged one to the
+        #: StallCounters field ``stall`` (None for an idle span).  The
+        #: observer charges the span exactly as single-stepping would.
+        self.span_hook = None
 
     # ----------------------------------------------------------------- hooks
     def accept(self, winst: WInst, cycle: int) -> bool:
         """Place a dispatching instruction into the execution core.
 
-        Return False to stall dispatch this cycle (structure full)."""
+        Return False to stall dispatch this cycle (structure full).  A
+        refusal must change nothing but counters, and must depend only on
+        state that changes when an instruction retires, issues or
+        completes: the run loop skips spans of cycles in which the same
+        head would be refused again, and charges the refusals of the
+        whole span at once (the ``structure_full`` stall counter, plus
+        :meth:`charge_accept_stalls` for the paradigm's own counters)."""
         raise NotImplementedError
+
+    def charge_accept_stalls(self, cycles: int) -> None:
+        """Charge ``cycles`` more refusals of the head :meth:`accept`
+        just refused to the paradigm's own counters (those the refusal
+        path bumps; nothing by default)."""
 
     def issue_stage(self, cycle: int) -> None:
         """Select and issue ready instructions (subclass policy)."""
@@ -458,13 +492,16 @@ class TimingCore:
         This is the resumability seam the sampled-execution engine uses:
         it alternates ``_run_until`` over detailed windows with
         :meth:`fast_forward` over the skipped gaps.
+
+        The one run loop, hooked or not.  With :attr:`event_kernel` on it
+        jumps over every span of cycles in which no stage can act, or in
+        which the only effect would be dispatch refusing the same head
+        again (see :meth:`_next_event`); hooks fire on executed cycles
+        and :attr:`span_hook` hears about each skipped span.  From
+        :attr:`fault_cycle` on, and throughout with the event kernel off
+        (the ticked reference), it executes every cycle and visits every
+        issue window.
         """
-        if (
-            self.invariant_hook is not None
-            or self.fault_hook is not None
-            or self.trace_hook is not None
-        ):
-            return self._run_until_checked(target_retired, cycle, max_cycles)
         start_cycle = cycle
         idle_limit = self.config.max_idle_cycles
         watch_cycle = cycle
@@ -476,7 +513,14 @@ class TimingCore:
         fetch_stage = self.fetch_stage
         issue_horizon = self.issue_horizon
         next_event = self._next_event
-        skip = self.event_kernel
+        step_from = self.fault_cycle if self.event_kernel else cycle
+        all_windows = self._all_windows
+        hooked = (
+            self.fault_hook is not None
+            or self.trace_hook is not None
+            or self.invariant_hook is not None
+        )
+        span_hook = self.span_hook
         events = self._events
         miss_releases = self._miss_releases
         pending_writeback = self._pending_writeback
@@ -488,34 +532,26 @@ class TimingCore:
         # the guards replicate the stages' own first-line early-outs, so a
         # skipped call is exactly a call that would have done nothing.
         while self._retired_count < target_retired:
-            if cycle - start_cycle > max_cycles:
-                raise SimulationError(
-                    f"{self.config.name} on {self.workload.name}: no forward "
-                    f"progress after {max_cycles} cycles "
-                    f"(retired {self._retired_count}/{target_retired})"
-                )
-            # Retirement watchdog: one conditional per cycle in the common
-            # case.  The inner check runs only once per idle_limit window,
-            # so a wedge is detected within at most two windows.
-            if cycle - watch_cycle > idle_limit:
-                if self._retired_count == watch_retired:
-                    raise self._hang_error(
-                        cycle, cycle - watch_cycle, target_retired
-                    )
-                watch_cycle = cycle
-                watch_retired = self._retired_count
-            # Event-driven kernel: when no stage can act this cycle, jump
-            # straight to the earliest published next-activity cycle.  With
-            # ready-but-unissued instructions in flight the subclass
-            # publisher must certify an issue horizon — but its structure
-            # scan is only worth paying once the O(1) guards show nothing
-            # else can act right now.
-            if skip and not pending_writeback:
+            if cycle >= step_from:
+                self._windows_due = all_windows
+            elif not pending_writeback:
+                # Event-driven kernel: when no stage but a refusing
+                # dispatch can act this cycle, jump straight to the
+                # earliest published next-activity cycle (_next_event).
+                # With ready-but-unissued instructions in flight the
+                # subclass publisher must certify an issue horizon — but
+                # that is only worth asking once the O(1) guards show
+                # nothing else can act right now.
+                blocked = self._stall_cycle == cycle - 1
+                target = cycle
                 if not self._ready_unissued:
-                    cycle = next_event(cycle)
+                    target = next_event(cycle, None, blocked)
                 elif (
                     not (events and events[0][0] <= cycle)
-                    and not (buffer and buffer[0].dispatch_ready <= cycle)
+                    and (
+                        blocked
+                        or not (buffer and buffer[0].dispatch_ready <= cycle)
+                    )
                     and not (
                         rob
                         and (head := rob[0]).done
@@ -530,7 +566,40 @@ class TimingCore:
                 ):
                     horizon = issue_horizon(cycle)
                     if horizon is None or horizon > cycle:
-                        cycle = next_event(cycle, horizon)
+                        target = next_event(cycle, horizon, blocked)
+                if target > cycle:
+                    if target > step_from:
+                        target = step_from
+                    if blocked:
+                        self._charge_stall_span(target - cycle)
+                    if span_hook is not None:
+                        span_hook(
+                            self, cycle, target - cycle,
+                            self._stall_field if blocked else None,
+                        )
+                    cycle = target
+            # Retirement watchdog on the fixed lattice of idle_limit + 1
+            # cycle windows from the entry cycle, so a skip never moves a
+            # check: the state of a skipped lattice cycle is the state
+            # now.  The inner loop runs once per window, so a wedge is
+            # detected within at most two windows.
+            while cycle - watch_cycle > idle_limit:
+                watch_cycle += idle_limit + 1
+                if watch_cycle - start_cycle > max_cycles:
+                    break  # the whole-run cap below fires first
+                if self._retired_count == watch_retired:
+                    raise self._hang_error(
+                        watch_cycle, idle_limit + 1, target_retired
+                    )
+                watch_retired = self._retired_count
+            if cycle - start_cycle > max_cycles:
+                raise SimulationError(
+                    f"{self.config.name} on {self.workload.name}: no forward "
+                    f"progress after {max_cycles} cycles "
+                    f"(retired {self._retired_count}/{target_retired})"
+                )
+            if hooked and self.fault_hook is not None:
+                self.fault_hook(self, cycle)
             if (
                 pending_writeback
                 or (events and events[0][0] <= cycle)
@@ -539,7 +608,10 @@ class TimingCore:
                 complete_stage(cycle)
             if rob:
                 head = rob[0]
-                if head.done and head.complete_cycle < cycle:
+                # Spelled as retire_stage's own test, so a corrupted
+                # (fault-injected) head fails here exactly as it would
+                # there.
+                if head.done and not head.complete_cycle >= cycle:
                     retire_stage(cycle)
             if self._ready_unissued:
                 issue_stage(cycle)
@@ -552,65 +624,21 @@ class TimingCore:
                 and len(buffer) < fetch_cap
             ):
                 fetch_stage(cycle)
+            if hooked:
+                if self.trace_hook is not None:
+                    self.trace_hook(self, cycle)
+                if self.invariant_hook is not None:
+                    self.invariant_hook(self, cycle)
             cycle += 1
         return cycle
 
-    def _run_until_checked(
-        self, target_retired: int, cycle: int, max_cycles: int
-    ) -> int:
-        """``_run_until`` with the per-cycle hooks enabled.
-
-        Hooks force single-stepping: this loop never skips a cycle, so an
-        attached fault/trace/invariant hook fires on every architectural
-        cycle — injections can land anywhere, observers see every stall
-        cycle first-hand, and PR 5's CPI attribution needs no gap
-        accounting.  Timing-identical to the fast loop all the same: a
-        cycle the event kernel would skip mutates no state (that is the
-        skip's precondition), so stepping through it one cycle at a time
-        produces the same trajectory, just slower.  Kept as a separate
-        loop so the uninstrumented path pays nothing for the hooks.
-        """
-        hook = self.invariant_hook
-        start_cycle = cycle
-        idle_limit = self.config.max_idle_cycles
-        watch_cycle = cycle
-        watch_retired = self._retired_count
-        front = self.config.front_end
-        while self._retired_count < target_retired:
-            if cycle - start_cycle > max_cycles:
-                raise SimulationError(
-                    f"{self.config.name} on {self.workload.name}: no forward "
-                    f"progress after {max_cycles} cycles "
-                    f"(retired {self._retired_count}/{target_retired})"
-                )
-            if cycle - watch_cycle > idle_limit:
-                if self._retired_count == watch_retired:
-                    raise self._hang_error(
-                        cycle, cycle - watch_cycle, target_retired
-                    )
-                watch_cycle = cycle
-                watch_retired = self._retired_count
-            fault = self.fault_hook
-            if fault is not None:
-                fault(self, cycle)
-            self.complete_stage(cycle)
-            self.retire_stage(cycle)
-            self.issue_stage(cycle)
-            self.dispatch_stage(cycle)
-            if (
-                not self._fetch_blocked
-                and cycle >= self._fetch_resume
-                and self._next_fetch < self._fetch_limit
-                and len(self._fetch_buffer) < front.fetch_buffer
-            ):
-                self.fetch_stage(cycle)
-            trace = self.trace_hook
-            if trace is not None:
-                trace(self, cycle)
-            if hook is not None:
-                hook(self, cycle)
-            cycle += 1
-        return cycle
+    def _charge_stall_span(self, cycles: int) -> None:
+        """Charge ``cycles`` skipped repeats of the last dispatch stall."""
+        stalls = self.stalls
+        field = self._stall_field
+        setattr(stalls, field, getattr(stalls, field) + cycles)
+        if self._stall_accept:
+            self.charge_accept_stalls(cycles)
 
     def _hang_error(self, cycle: int, idle_cycles: int,
                     target: int) -> SimulationHang:
@@ -688,6 +716,9 @@ class TimingCore:
         self._live.clear()
         self._fetch_blocked = False
         self._fetch_resume = cycle
+        self._stall_cycle = -1
+        self._windows_due = 0
+        self._window_wakes.clear()
         self.on_fast_forward()
 
     def on_fast_forward(self) -> None:
@@ -743,7 +774,8 @@ class TimingCore:
 
         Subclass publisher for the event kernel, consulted only while
         ``_ready_unissued > 0`` and every O(1) guard already says no
-        other stage can act.  Three answers:
+        other stage can act (a dispatch head refused last cycle counts as
+        not acting).  Three answers:
 
         * ``cycle`` — some candidate the issue stage would examine may
           act *now* (issue, claim a port meter, or touch a stall
@@ -770,36 +802,64 @@ class TimingCore:
     #
     # The FIFO-window paradigms (in-order queue, dependence-steering FIFOs,
     # braid BEU windows, block-granular windows) share three mechanics:
-    # head-scan horizon certification, strict in-order head issue with
+    # the active-window index, strict in-order head issue with
     # break-on-block, and bounded skip-ahead issue with continue-on-block.
     # They live here so the wake/park bookkeeping (``issue_wake`` bounds,
     # ``PARKED``, ``_note_issue_block``) has exactly one implementation
     # and a new paradigm composes them instead of re-deriving the contract.
+    #
+    # The index.  A window is *due* when visiting it might call
+    # try_issue: some entry it examines is operand-ready and has no
+    # future ``issue_wake`` bound.  A window becomes due when an entry in
+    # it becomes ready (``window_ready``, the paradigms' ``on_ready``),
+    # when it issues (younger entries move into the examined region),
+    # when a try_issue in it fails on a per-cycle resource, when the
+    # issue budget runs out before or while it is visited, and when a
+    # ``(wake, window)`` entry pushed by ``_note_issue_block`` or
+    # ``_wake_store_waiters`` comes due.  issue_stage visits only due
+    # windows, in index order; a window left out would have examined
+    # only pending, bounded or parked entries, touching nothing.
 
-    def head_issue_horizon(self, cycle: int, candidates) -> Optional[int]:
-        """:meth:`issue_horizon` body for a head-scanning paradigm.
+    def init_window_index(self, windows: int) -> None:
+        """Declare ``windows`` issue windows (entries carry their window
+        number in ``WInst.cluster``)."""
+        self._all_windows = (1 << windows) - 1
 
-        ``candidates`` iterates exactly the entries the paradigm's
-        ``issue_stage`` would examine this cycle (FIFO heads, or the first
-        *k* window entries).  A pending or parked candidate wakes via a
-        completion-side event and contributes nothing; a candidate whose
-        certified ``issue_wake`` bound has arrived means the stage may act
-        *now*; otherwise the earliest future bound is the horizon.
-        """
-        wake = None
-        for winst in candidates:
-            if winst.pending:
-                continue
-            bound = winst.issue_wake
-            if bound <= cycle:
-                return cycle
-            if bound < PARKED and (wake is None or bound < wake):
-                wake = bound
-        return wake
+    def window_ready(self, winst: WInst, cycle: int) -> None:
+        """``on_ready`` of the FIFO-window paradigms: ``winst``'s window
+        is due."""
+        self._windows_due |= 1 << winst.cluster
+
+    def due_windows(self, cycle: int) -> int:
+        """Take the due-window bitmask for this cycle's issue stage (bit
+        *i* = window *i*), folding in the wakes that have arrived.  The
+        taken windows are no longer due; the issue helpers mark again
+        those that stay due."""
+        wakes = self._window_wakes
+        due = self._windows_due
+        while wakes and wakes[0][0] <= cycle:
+            due |= 1 << heapq.heappop(wakes)[1]
+        self._windows_due = 0
+        return due
+
+    def window_issue_horizon(self, cycle: int) -> Optional[int]:
+        """:meth:`issue_horizon` of the FIFO-window paradigms, read off
+        the index: ``cycle`` while any window is due, else the earliest
+        pending wake, else None (every examined entry is pending or
+        parked, so only a completion or a store's issue can wake one)."""
+        wakes = self._window_wakes
+        due = self._windows_due
+        while wakes and wakes[0][0] <= cycle:
+            due |= 1 << heapq.heappop(wakes)[1]
+        self._windows_due = due
+        if due:
+            return cycle
+        return wakes[0][0] if wakes else None
 
     def issue_in_order(
         self,
         fifo,
+        window: int,
         cycle: int,
         fu_pool: FunctionalUnitPool,
         max_issues: int,
@@ -818,10 +878,16 @@ class TimingCore:
         :meth:`_note_issue_block` and ends the scan (younger entries may
         not pass an older blocked head).  ``on_issue`` runs per issued
         instruction for paradigm-side bookkeeping (busy bits, BEU tallies).
+        ``window`` is the FIFO's number in the active-window index; it
+        stays due when the budget ran out before the FIFO did or the head
+        is blocked on a per-cycle resource.
         """
         issued = 0
         try_issue = self.try_issue
-        while issued < max_issues and fifo:
+        while fifo:
+            if issued >= max_issues:
+                self._windows_due |= 1 << window
+                break
             winst = fifo[0]
             if winst.pending or winst.issue_wake > cycle:
                 break
@@ -830,7 +896,8 @@ class TimingCore:
                 internal_reads=internal_reads,
                 internal_writes=internal_writes,
             ):
-                self._note_issue_block(winst, cycle)
+                if self._note_issue_block(winst, cycle):
+                    self._windows_due |= 1 << window
                 break
             fifo.popleft()
             if on_issue is not None:
@@ -841,6 +908,7 @@ class TimingCore:
     def issue_skipahead(
         self,
         fifo,
+        window: int,
         cycle: int,
         depth: int,
         fu_pool: FunctionalUnitPool,
@@ -857,11 +925,13 @@ class TimingCore:
         not shift younger entries into examined positions (the hardware
         examines one fixed window per cycle).  ``max_issues`` bounds the
         total for paradigms sharing a global issue budget across windows.
+        ``window`` (the active-window index number) stays due when
+        anything issued or an entry is blocked on a per-cycle resource.
         """
         issued = 0
-        window = [fifo[i] for i in range(depth)]
+        live = False
         try_issue = self.try_issue
-        for winst in window:
+        for winst in [fifo[i] for i in range(depth)]:
             if winst.pending or winst.issue_wake > cycle:
                 continue
             if not try_issue(
@@ -869,7 +939,8 @@ class TimingCore:
                 internal_reads=internal_reads,
                 internal_writes=internal_writes,
             ):
-                self._note_issue_block(winst, cycle)
+                if self._note_issue_block(winst, cycle):
+                    live = True
                 continue
             fifo.remove(winst)
             if on_issue is not None:
@@ -877,6 +948,8 @@ class TimingCore:
             issued += 1
             if max_issues is not None and issued >= max_issues:
                 break
+        if issued or live:
+            self._windows_due |= 1 << window
         return issued
 
     def fifo_invariants(self, label: str, fifo, capacity: int,
@@ -910,37 +983,48 @@ class TimingCore:
                 f"dispatched-but-unissued instructions"
             )
 
-    def _note_issue_block(self, winst: WInst, cycle: int) -> None:
+    def _note_issue_block(self, winst: WInst, cycle: int) -> bool:
         """Record a failed issue attempt's wake bound on the instruction.
 
         Head-scanning cores call this after a ``try_issue`` failure:
         a positive classification becomes the candidate's ``issue_wake``
-        (the scan skips it until then), and a store block parks the
-        candidate on the store's waiter list — ``store_executed`` will
-        rewrite the wake to the store's completion cycle.
+        (the scan skips it until then, and the wake heap makes its window
+        due then), and a store block parks the candidate on the store's
+        waiter list — ``store_executed`` will rewrite the wake to the
+        store's completion cycle.  Returns True for a per-cycle block,
+        which keeps the window due.
         """
         wake = self._issue_wake
         if wake > cycle:
             winst.issue_wake = wake
-        elif wake < 0:
+            heapq.heappush(self._window_wakes, (wake, winst.cluster))
+            return False
+        if wake < 0:
             store = self._issue_block_store
             if store.waiters is None:
                 store.waiters = []
             store.waiters.append(winst)
             winst.issue_wake = PARKED
+            return False
+        return True
 
     def _wake_store_waiters(self, waiters: List[WInst], wake: int) -> None:
         """The store a load was parked on has executed: publish the wake.
 
         The base form rewrites each parked candidate's ``issue_wake`` to
         the store's completion cycle (the first cycle forwarding can
-        succeed); pool-based cores override to also re-insert the
-        candidate into their deferred structures.
+        succeed) and queues its window's wake; pool-based cores override
+        to re-insert the candidate into their deferred structures.
         """
+        wakes = self._window_wakes
         for winst in waiters:
             winst.issue_wake = wake
+            heapq.heappush(wakes, (wake, winst.cluster))
 
-    def _next_event(self, cycle: int, horizon: Optional[int] = None) -> int:
+    def _next_event(
+        self, cycle: int, horizon: Optional[int] = None,
+        blocked: bool = False,
+    ) -> int:
         """Earliest cycle at which any stage can act (the next-event contract).
 
         Each structure publishes its next-possible-activity cycle and the
@@ -950,7 +1034,8 @@ class TimingCore:
         * **fetch** — ``_fetch_resume`` (redirect bubble end) while the
           front end is unblocked with trace and buffer room;
         * **fetch-buffer head** — its ``dispatch_ready`` cycle (front-end
-          pipeline depth plus I-cache refill);
+          pipeline depth plus I-cache refill), unless ``blocked``: dispatch
+          refused that head last cycle with nothing dispatched;
         * **ROB head** — ``complete_cycle + 1``, the first retirable cycle,
           once it has completed;
         * **completion events** — the earliest entry of the completion heap
@@ -962,13 +1047,19 @@ class TimingCore:
 
         Callers guarantee no writeback is queued and the issue stage is
         certified idle (``_ready_unissued == 0``, or the horizon is absent
-        or in the future).  A skipped cycle therefore mutates no state and
-        touches no stall counter (port meters roll per cycle and idle
-        cycles claim nothing), so the jump is bit-exact.  Dominant wins:
-        misprediction redirect bubbles, long cache-miss shadows, and
-        dependence chains serialized on multi-cycle producers.  With no
-        publisher armed the current cycle is returned — a wedged machine
-        ticks until the watchdog fires.
+        or in the future).  A skipped cycle therefore mutates no state
+        (port meters roll per cycle) except one thing: with a ``blocked``
+        head, dispatch refuses it again, charging the same stall counters
+        the refusal charged last cycle.  Whether a head is refused depends
+        only on the ROB, LSQ, register-file and checkpoint occupancy and
+        the paradigm's accept() state, which change only when an
+        instruction retires, issues or completes — events every skipped
+        cycle lies before — so the run loop charges the span in bulk and
+        the jump stays bit-exact.  Dominant wins: dispatch stalls behind a
+        full ROB, LSQ or window, misprediction redirect bubbles, long
+        cache-miss shadows, and dependence chains serialized on
+        multi-cycle producers.  With no publisher armed the current cycle
+        is returned — a wedged machine ticks until the watchdog fires.
         """
         if horizon is not None and horizon <= cycle:
             return cycle  # the issue stage may act right now
@@ -982,7 +1073,7 @@ class TimingCore:
                 return cycle
             if wake is None or self._fetch_resume < wake:
                 wake = self._fetch_resume
-        if self._fetch_buffer:
+        if self._fetch_buffer and not blocked:
             ready = self._fetch_buffer[0].dispatch_ready
             if ready <= cycle:
                 return cycle
@@ -1012,8 +1103,9 @@ class TimingCore:
 
         Returns ``cycle`` itself when any stage might act now (pending
         writebacks, or an issue horizon answering "now"); otherwise the
-        certified next-event cycle.  ``_run_until`` inlines this test in
-        its fast loop; every other caller (resume seams, tests, tools
+        certified next-event cycle of an idle span (the dispatch head is
+        never treated as blocked here).  ``_run_until`` inlines this test
+        in its loop; every other caller (resume seams, tests, tools
         probing idleness) goes through here rather than re-deriving the
         horizon contract.
         """
@@ -1096,15 +1188,18 @@ class TimingCore:
         trace_log = self.trace_log
         has_on_ready = self._has_on_ready
         accept = self.accept
+        stall = None
         while budget > 0 and buffer:
             winst = buffer[0]
             if winst.dispatch_ready > cycle:
                 break
             if len(rob) >= max_in_flight:
                 stalls.in_flight_cap += 1
+                stall = "in_flight_cap"
                 break
             if winst.ext_src_ops > src_budget or winst.ext_dest_ops > dest_budget:
                 stalls.rename_width += 1
+                stall = "rename_width"
                 break
             if (
                 winst.dest_external
@@ -1112,14 +1207,17 @@ class TimingCore:
                 and rf.in_flight >= rf_entries
             ):
                 stalls.regfile_entries += 1
+                stall = "regfile_entries"
                 break
             if winst.is_branch and len(checkpoints._stack) >= checkpoint_cap:
                 stalls.checkpoints += 1
+                stall = "checkpoints"
                 break
             if (winst.is_load or winst.is_store) and (
                 self._mem_in_flight >= lsq_entries
             ):
                 stalls.structure_full += 1
+                stall = "structure_full"
                 break
 
             seq = winst.seq
@@ -1147,6 +1245,7 @@ class TimingCore:
                 winst.captured = True
             if not accept(winst, cycle):
                 stalls.structure_full += 1
+                stall = "accept"
                 break
 
             # Commit: producer subscriptions, live-table update, structure
@@ -1191,6 +1290,14 @@ class TimingCore:
             budget -= 1
             src_budget -= winst.ext_src_ops
             dest_budget -= winst.ext_dest_ops
+        if stall is not None and budget == self._alloc_width:
+            # The head was refused with nothing dispatched: until another
+            # stage acts it is refused again every cycle (_run_until).
+            self._stall_cycle = cycle
+            self._stall_accept = stall == "accept"
+            self._stall_field = (
+                "structure_full" if self._stall_accept else stall
+            )
 
     @staticmethod
     def _reg_key(reg: Register) -> Tuple[str, int]:

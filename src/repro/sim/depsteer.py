@@ -6,10 +6,11 @@ steers each instruction into one of N in-order FIFOs using the classic
 heuristic: follow your producer if it is at the tail of a FIFO, start an
 empty FIFO otherwise, stall if neither applies.  Only FIFO heads are
 examined for issue — the shared kernel helpers
-(:meth:`~repro.sim.core.TimingCore.issue_in_order` per FIFO head,
-:meth:`~repro.sim.core.TimingCore.head_issue_horizon` over the heads) —
-so scheduling complexity is linear in the number of FIFOs rather than in
-the window size.
+(:meth:`~repro.sim.core.TimingCore.issue_in_order` per due FIFO of the
+kernel's active-window index, whose horizon is
+:meth:`~repro.sim.core.TimingCore.window_issue_horizon`) — so scheduling
+complexity is linear in the number of FIFOs rather than in the window
+size.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class DependenceSteeringCore(TimingCore):
         self.fus = FunctionalUnitPool(config.functional_units)
         self._fifos: List[deque] = [deque() for _ in range(config.clusters)]
         self._cluster_entries = config.cluster_entries
+        self.init_window_index(config.clusters)
 
     # -------------------------------------------------------------- steering
     def _steer(self, winst: WInst) -> Optional[int]:
@@ -108,24 +110,28 @@ class DependenceSteeringCore(TimingCore):
         yield from self.occupancy_sum_invariant("FIFO", total)
 
     # ------------------------------------------------------------------ issue
-    def issue_horizon(self, cycle):
-        # Only FIFO heads are examined.
-        return self.head_issue_horizon(
-            cycle, (fifo[0] for fifo in self._fifos if fifo)
-        )
+    on_ready = TimingCore.window_ready
+    issue_horizon = TimingCore.window_issue_horizon
 
     def issue_stage(self, cycle: int) -> None:
-        # Each FIFO's head is examined once per cycle; a blocked head does
-        # not stop the scan across FIFOs (only within its own chain).
+        # Each due FIFO's head is examined once per cycle; a blocked head
+        # does not stop the scan across FIFOs (only within its own chain).
         budget = self.config.issue_width
         fus = self.fus
+        fifos = self._fifos
         issue_in_order = self.issue_in_order
-        for fifo in self._fifos:
+        due = self.due_windows(cycle)
+        while due:
             if budget == 0:
+                self._windows_due |= due
                 break
+            low = due & -due
+            due ^= low
+            index = low.bit_length() - 1
+            fifo = fifos[index]
             if not fifo:
                 continue
-            budget -= issue_in_order(fifo, cycle, fus, 1)
+            budget -= issue_in_order(fifo, index, cycle, fus, 1)
 
 
 register_core(CoreDescriptor(

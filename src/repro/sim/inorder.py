@@ -4,9 +4,10 @@ One issue queue; instructions issue strictly in program order, up to the
 issue width per cycle, stalling at the first instruction whose operands or
 resources are not ready.  The front end, memory system, and retirement are
 identical to the conventional machine.  The issue mechanics are the shared
-kernel helpers (:meth:`~repro.sim.core.TimingCore.issue_in_order` /
-:meth:`~repro.sim.core.TimingCore.head_issue_horizon`) applied to a single
-FIFO.
+kernel helpers (:meth:`~repro.sim.core.TimingCore.issue_in_order` and the
+active-window index behind
+:meth:`~repro.sim.core.TimingCore.window_issue_horizon`) applied to a
+single FIFO, window 0.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ class InOrderCore(TimingCore):
         super().__init__(workload, config)
         self.fus = FunctionalUnitPool(config.functional_units)
         self._queue: deque = deque()
+        self.init_window_index(1)
 
     def accept(self, winst: WInst, cycle: int) -> bool:
         if len(self._queue) >= self.config.window_capacity:
             return False
         self._queue.append(winst)
+        winst.cluster = 0
         return True
 
     def on_fast_forward(self) -> None:
@@ -76,15 +79,14 @@ class InOrderCore(TimingCore):
             "issue queue", len(self._queue)
         )
 
-    def issue_horizon(self, cycle):
-        # Only the queue head is examined for issue.
-        queue = self._queue
-        return self.head_issue_horizon(cycle, (queue[0],) if queue else ())
+    on_ready = TimingCore.window_ready
+    issue_horizon = TimingCore.window_issue_horizon
 
     def issue_stage(self, cycle: int) -> None:
-        self.issue_in_order(
-            self._queue, cycle, self.fus, self.config.issue_width
-        )
+        if self.due_windows(cycle):
+            self.issue_in_order(
+                self._queue, 0, cycle, self.fus, self.config.issue_width
+            )
 
 
 register_core(CoreDescriptor(

@@ -1,8 +1,10 @@
 """Per-cycle µarch invariant checking for the timing cores.
 
 Attached through :attr:`repro.sim.core.TimingCore.invariant_hook`, which
-reroutes ``_run_until`` into its instrumented twin; when no checker is
-attached the hot loop never sees any of this.  The checks here cover the
+the run loop calls after every cycle it executes (a skipped cycle changes
+nothing but the stall counters of a repeated dispatch refusal, so that
+covers every cycle); when no checker is attached the hot loop never sees
+any of this.  The checks here cover the
 machinery every core shares — ROB ordering, register-file entry
 accounting under both allocation policies, LSQ membership and age order,
 checkpoint budget — and then delegate to
@@ -147,8 +149,8 @@ def shared_invariants(core, cycle: int) -> Iterator[str]:
 class InvariantChecker:
     """Callable hook raising :class:`InvariantViolation` on the first bad cycle.
 
-    Attach with :meth:`attach`; the core's ``_run_until`` then switches to
-    the instrumented loop and calls the checker once per simulated cycle.
+    Attach with :meth:`attach`; the core's ``_run_until`` then calls the
+    checker once per executed cycle.
     """
 
     def __init__(self) -> None:

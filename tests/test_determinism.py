@@ -185,7 +185,9 @@ class TestEventKernelEquivalence:
 
     @pytest.mark.parametrize("kind", list(CORES))
     def test_hooked_run_matches_ticked(self, kind, small_ctx, monkeypatch):
-        """With hooks attached both modes single-step — and still agree."""
+        """With hooks attached the event kernel still skips (charging
+        each skipped span through the observer's span hook) — and still
+        agrees with the ticked loop."""
         from repro.obs.observer import Observer
         from repro.sim.run import build_core
 

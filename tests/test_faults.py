@@ -94,7 +94,7 @@ class TestHangWatchdog:
         config = replace(inorder_config(), max_idle_cycles=500)
         core = build_core(ctx.workload("gcc"), config)
         core.issue_stage = lambda cycle: None
-        core.fault_hook = lambda c, cycle: None  # forces the checked loop
+        core.fault_hook = lambda c, cycle: None  # a hooked run
         with pytest.raises(SimulationHang):
             core.run()
 
@@ -182,7 +182,7 @@ class TestRunInjection:
         ).attach(core)
         result = core.run()
         assert not session.injected
-        assert result.cycles == baseline  # checked loop is timing-identical
+        assert result.cycles == baseline  # a hooked run is timing-identical
 
     def test_result_json_roundtrip(self, ooo_setup):
         workload, config, baseline = ooo_setup
@@ -342,6 +342,76 @@ class TestCampaign:
         path.write_text("not json\n")
         with pytest.raises(CampaignError):
             CampaignJournal(path, digest="abc", resume=True)
+
+
+class TestPinnedCampaign:
+    """The CI smoke campaign (gcc x braid/ooo/inorder/depsteer, 8 runs
+    per structure, seed 7, the ``faults`` command's 0.2 scale), pinned to
+    the outcome table and per-injection records the simulator produced
+    before its run loop event-skipped up to the injection cycle.  The
+    loop must reproduce them exactly: same cells, same flipped bits at
+    the same cycles, same error lines."""
+
+    #: (machine, structure) -> outcome counts over the 8 runs
+    TABLE = {
+        ("braid-8w", "beu_fifo"): {"masked": 8},
+        ("braid-8w", "branchpred"): {"masked": 8},
+        ("braid-8w", "checkpoints"): {"masked": 8},
+        ("braid-8w", "lsq"): {"masked": 8},
+        ("braid-8w", "partition"): {"masked": 8},
+        ("braid-8w", "regfile"): {"masked": 7, "hang": 1},
+        ("braid-8w", "rob"): {"masked": 6, "sdc": 2},
+        ("depsteer-8w", "branchpred"): {"masked": 8},
+        ("depsteer-8w", "checkpoints"): {"masked": 8},
+        ("depsteer-8w", "lsq"): {"masked": 8},
+        ("depsteer-8w", "regfile"): {"masked": 5, "crash": 2, "hang": 1},
+        ("depsteer-8w", "rob"): {"masked": 4, "sdc": 2, "hang": 2},
+        ("depsteer-8w", "scheduler"): {"masked": 2, "hang": 6},
+        ("inorder-8w", "branchpred"): {"masked": 8},
+        ("inorder-8w", "checkpoints"): {"masked": 8},
+        ("inorder-8w", "lsq"): {"masked": 8},
+        ("inorder-8w", "regfile"): {"masked": 8},
+        ("inorder-8w", "rob"): {"masked": 4, "sdc": 4},
+        ("inorder-8w", "scheduler"): {"masked": 3, "hang": 5},
+        ("ooo-8w", "branchpred"): {"masked": 8},
+        ("ooo-8w", "checkpoints"): {"masked": 8},
+        ("ooo-8w", "lsq"): {"masked": 8},
+        ("ooo-8w", "regfile"): {"masked": 8},
+        ("ooo-8w", "rob"): {"masked": 2, "sdc": 5, "crash": 1},
+        ("ooo-8w", "scheduler"): {"masked": 8},
+    }
+    #: sha256 of the sorted-key JSON list of every InjectionResult
+    RECORDS_SHA256 = (
+        "7a33dd600fd95c20c6ae5d04c158ef8aa5c75f9b345f8a7b03e2026ba8d4e216"
+    )
+
+    def test_smoke_campaign_matches_pinned_outcomes(self, tmp_path):
+        import hashlib
+        from collections import Counter
+
+        spec = CampaignSpec(
+            benchmarks=("gcc",),
+            cores=("braid", "ooo", "inorder", "depsteer"),
+            runs=8, seed=7, scale=0.2, jobs=1,
+        )
+        context = ExperimentContext(
+            benchmarks=("gcc",), scale=0.2, jobs=1,
+            cache=ArtifactCache(enabled=False),
+        )
+        report = run_campaign(
+            context, spec, journal_path=tmp_path / "campaign.jsonl"
+        )
+        assert report.passed
+        table = {}
+        for result in report.results:
+            cell = (result.machine, result.structure)
+            table.setdefault(cell, Counter())[result.outcome.value] += 1
+        assert {cell: dict(c) for cell, c in table.items()} == self.TABLE
+        rows = [result.to_json() for result in report.results]
+        digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.RECORDS_SHA256
 
 
 class TestAVFAnalysis:

@@ -139,6 +139,27 @@ class TestSampledAccounting:
         assert fingerprint(observed) == fingerprint(plain)
 
 
+class TestSpanAccounting:
+    def test_span_charges_what_single_stepping_would(self, ctx):
+        """A skipped span is charged as its cycles one by one: with the
+        ROB empty the label flips from branch_flush to fetch_limited at
+        the fetch-resume cycle, mid-span, and the gauges are weighted by
+        the span length."""
+        from repro.obs.cpi import classify_cycle
+
+        core = build_core(ctx.workload("gcc"), ooo_config(8))
+        observer = Observer(cpi=True, metrics=True)
+        observer.attach(core)
+        core._fetch_resume = 104
+        assert classify_cycle(core, 100) == "branch_flush"
+        assert classify_cycle(core, 104) == "fetch_limited"
+        observer._on_span(core, 100, 10, None)
+        assert observer.slots["branch_flush"] == 4
+        assert observer.slots["fetch_limited"] == 6
+        for histogram in observer.metrics.histograms.values():
+            assert histogram.total_weight == 10
+
+
 class TestHangDiagnostics:
     def test_hang_carries_stall_attribution_snapshot(self, ctx):
         config = replace(inorder_config(), max_idle_cycles=500)

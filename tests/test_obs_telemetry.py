@@ -78,7 +78,7 @@ class TestSimulationMetrics:
         ):
             hist = observe.metrics.histograms[name]
             # Every simulated cycle contributes exactly one (weighted)
-            # observation — including idle-skipped gap cycles.
+            # observation — including the cycles of skipped spans.
             assert hist.total_weight == result.cycles, name
             assert hist.overflow == 0, name
         rob = observe.metrics.histograms["rob_occupancy"]

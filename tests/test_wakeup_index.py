@@ -27,7 +27,8 @@ import pytest
 
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.context import ExperimentContext
-from repro.sim.config import depsteer_config, ooo_config
+from repro.sim.blockooo import blockooo_config
+from repro.sim.config import braid_config, depsteer_config, ooo_config
 from repro.sim.core import PARKED, WInst
 from repro.sim.run import build_core
 
@@ -253,28 +254,102 @@ class TestIssueHorizonPublishers:
         core = quiesce(build_core(small_ctx.workload("gcc"), ooo_config(8)))
         assert core.issue_horizon(50) is None
 
+    # The FIFO-window cores publish their horizon off the shared
+    # active-window index, so crafted state goes in through the index's
+    # own entry points: ``on_ready`` for a free entry, ``_note_issue_block``
+    # for a bounded or parked one.
+
+    def check_head_states(self, core, fifo):
+        pending = make_winst(core, index=0)
+        pending.pending = 1
+        pending.cluster = 0
+        fifo(0).append(pending)
+        # Every head pending: completion-driven, publish no horizon.
+        assert core.issue_horizon(50) is None
+        bounded = make_winst(core, index=1)
+        bounded.cluster = 1
+        fifo(1).append(bounded)
+        core._issue_wake = 55
+        assert not core._note_issue_block(bounded, 50)
+        assert bounded.issue_wake == 55
+        assert core.issue_horizon(50) == 55
+        free = make_winst(core, index=2)
+        free.cluster = 2
+        fifo(2).append(free)
+        core.on_ready(free, 50)
+        assert core.issue_horizon(50) == 50
+
+    def check_parked_head(self, core, fifo):
+        parked = make_winst(core, index=1)
+        parked.cluster = 0
+        fifo(0).append(parked)
+        store = make_winst(core, index=0)
+        core.lsq.store_dispatched(store.seq, 0)
+        entry = core.lsq._stores[store.seq]
+        core._issue_wake = -1
+        core._issue_block_store = entry
+        assert not core._note_issue_block(parked, 50)
+        assert parked.issue_wake == PARKED
+        assert core.issue_horizon(50) is None
+        # The store's execution publishes the parked load's wake.
+        core._wake_store_waiters(entry.waiters, 58)
+        assert core.issue_horizon(50) == 58
+        assert core.issue_horizon(58) == 58
+
     def test_depsteer_head_states(self, small_ctx):
         core = quiesce(
             build_core(small_ctx.workload("gcc"), depsteer_config(8))
         )
-        pending = make_winst(core, index=0)
-        pending.pending = 1
-        core._fifos[0].append(pending)
-        # Every head pending: completion-driven, publish no horizon.
-        assert core.issue_horizon(50) is None
-        bounded = make_winst(core, index=1)
-        bounded.issue_wake = 55
-        core._fifos[1].append(bounded)
-        assert core.issue_horizon(50) == 55
-        free = make_winst(core, index=2)
-        core._fifos[2].append(free)
-        assert core.issue_horizon(50) == 50
+        self.check_head_states(core, lambda i: core._fifos[i])
 
     def test_depsteer_parked_head_yields_none(self, small_ctx):
         core = quiesce(
             build_core(small_ctx.workload("gcc"), depsteer_config(8))
         )
-        parked = make_winst(core)
-        parked.issue_wake = PARKED
-        core._fifos[0].append(parked)
-        assert core.issue_horizon(50) is None
+        self.check_parked_head(core, lambda i: core._fifos[i])
+
+    def test_braid_head_states(self, small_ctx):
+        core = quiesce(build_core(
+            small_ctx.workload("gcc", braided=True), braid_config(8)
+        ))
+        self.check_head_states(core, lambda i: core.beus[i].fifo)
+
+    def test_braid_parked_head_yields_none(self, small_ctx):
+        core = quiesce(build_core(
+            small_ctx.workload("gcc", braided=True), braid_config(8)
+        ))
+        self.check_parked_head(core, lambda i: core.beus[i].fifo)
+
+    def test_blockooo_head_states(self, small_ctx):
+        core = quiesce(
+            build_core(small_ctx.workload("gcc"), blockooo_config(8))
+        )
+        self.check_head_states(core, lambda i: core._windows[i])
+
+    def test_blockooo_parked_head_yields_none(self, small_ctx):
+        core = quiesce(
+            build_core(small_ctx.workload("gcc"), blockooo_config(8))
+        )
+        self.check_parked_head(core, lambda i: core._windows[i])
+
+    def test_issue_visits_only_due_windows(self, small_ctx):
+        """A window the index does not hold due is not visited: its
+        entries are never offered to try_issue."""
+        core = quiesce(
+            build_core(small_ctx.workload("gcc"), depsteer_config(8))
+        )
+        offered = []
+        core.try_issue = lambda winst, cycle, pool, **_: (
+            offered.append(winst.seq) or False
+        )
+        quiet = make_winst(core, index=0)
+        quiet.cluster = 0
+        core._fifos[0].append(quiet)
+        woken = make_winst(core, index=1)
+        woken.cluster = 3
+        core._fifos[3].append(woken)
+        core.on_ready(woken, 50)
+        core.issue_stage(50)
+        assert offered == [woken.seq]
+        # a per-cycle refusal keeps the window due
+        assert core.issue_horizon(51) == 51
