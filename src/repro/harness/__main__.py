@@ -20,9 +20,10 @@ or ``interval``, the cheapest analytic model, tunable via ``--interval``
 
 ``validate`` runs the differential validation sweep instead of an
 experiment: every selected benchmark on every selected core under the
-lockstep architectural oracle (plus the sampled engine when ``--sample``
-is given, per-cycle invariants with ``--invariants``), then the
-translator fuzzer::
+lockstep architectural oracle (plus the sampled tier with ``--sample``
+or ``--fidelity sampled``, the interval tier with ``--interval`` or
+``--fidelity interval``, per-cycle invariants with ``--invariants``),
+then the translator fuzzer::
 
     python -m repro.harness validate                       # quick suite
     python -m repro.harness validate --benchmarks gcc,mcf,swim
@@ -93,13 +94,11 @@ def _run_cache_command(command: str) -> None:
               f"from {cache.root}")
 
 
-def _run_validate(args, parser) -> int:
-    """The ``validate`` command: differential validation sweep + fuzzing."""
-    from ..validate import DEFAULT_CORES, run_validation
-    from . import ExperimentContext
-    from .artifacts import ArtifactCache
-
-    sampling = None
+def _tier_args(args, parser):
+    """``--sample``/``--interval``/``--fidelity`` as
+    ``(sampling, interval, fidelity)``; ``--interval`` alone implies the
+    interval tier."""
+    sampling = interval = None
     if args.sample is not None:
         from ..sim.sampling import SamplingConfig
 
@@ -107,6 +106,34 @@ def _run_validate(args, parser) -> int:
             sampling = SamplingConfig.parse(args.sample)
         except ValueError as error:
             parser.error(f"--sample: {error}")
+    if args.interval is not None:
+        from ..sim.interval import IntervalConfig
+
+        try:
+            interval = IntervalConfig.parse(args.interval)
+        except ValueError as error:
+            parser.error(f"--interval: {error}")
+    fidelity = args.fidelity
+    if fidelity is None and interval is not None:
+        fidelity = "interval"
+    return sampling, interval, fidelity
+
+
+def _run_validate(args, parser) -> int:
+    """The ``validate`` command: differential validation sweep + fuzzing."""
+    from ..validate import DEFAULT_CORES, run_validation
+    from . import ExperimentContext
+    from .artifacts import ArtifactCache
+
+    sampling, interval, fidelity = _tier_args(args, parser)
+    if fidelity == "sampled" and sampling is None:
+        from ..sim.sampling import SamplingConfig
+
+        sampling = SamplingConfig()
+    if fidelity == "interval" and interval is None:
+        from ..sim.interval import IntervalConfig
+
+        interval = IntervalConfig()
 
     if args.benchmarks in (None, "quick"):
         from ..workloads import QUICK_BENCHMARKS
@@ -140,6 +167,7 @@ def _run_validate(args, parser) -> int:
             invariants=args.invariants,
             fuzz_samples=args.fuzz,
             fuzz_seed=args.fuzz_seed,
+            interval=interval,
         )
     except ValueError as error:
         parser.error(str(error))
@@ -498,26 +526,7 @@ def main(argv=None) -> int:
             )
         selected.append(experiment_id)
 
-    sampling = None
-    if args.sample is not None:
-        from ..sim.sampling import SamplingConfig
-
-        try:
-            sampling = SamplingConfig.parse(args.sample)
-        except ValueError as error:
-            parser.error(f"--sample: {error}")
-
-    interval = None
-    if args.interval is not None:
-        from ..sim.interval import IntervalConfig
-
-        try:
-            interval = IntervalConfig.parse(args.interval)
-        except ValueError as error:
-            parser.error(f"--interval: {error}")
-    fidelity = args.fidelity
-    if fidelity is None and interval is not None:
-        fidelity = "interval"
+    sampling, interval, fidelity = _tier_args(args, parser)
 
     benchmarks = None
     if args.benchmarks == "quick":

@@ -311,8 +311,8 @@ class ExperimentContext:
         registry (``run_many.deduped`` / ``run_many.memoized``).
 
         The fresh points are scheduled *workload-major*: all configs of
-        one prepared workload run together (see :mod:`repro.sim.batch`),
-        so the shared decode/replay facts are built once per workload —
+        one prepared workload run together, so the decode/replay facts
+        cached on the workload are built once per workload —
         per worker — instead of once per point.  With ``jobs > 1`` the
         workload groups fan out over the process pool (deterministic,
         submission-ordered results; large groups split to keep every

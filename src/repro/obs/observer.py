@@ -29,7 +29,7 @@ classification (two if the span crosses the fetch-resume cycle) and one
 set of gauge readings, weighted by the span length, charge exactly what
 single-stepping would have charged.
 
-Sampling interaction: :func:`~repro.sim.sampling.simulate_sampled` calls
+Sampling interaction: :func:`~repro.sim.sampling.drive_windows` calls
 :meth:`Observer.skip_to` after each fast-forward to resynchronize counter
 snapshots (drain/fast-forward mutate state outside hooked execution), and
 :meth:`Observer.finalize` scales measured-window slot counts up to the

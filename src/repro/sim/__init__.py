@@ -27,7 +27,6 @@ from .registry import (
     paradigm_configs,
     register_core,
 )
-from .batch import simulate_batch
 from .interval import IntervalConfig, interval_from_env, simulate_interval
 from .results import SimResult, StallCounters
 from .run import FIDELITIES, build_core, simulate
@@ -37,7 +36,6 @@ from .sampling import (
     detect_anchors,
     plan_windows,
     sampling_from_env,
-    simulate_sampled,
 )
 from .workload import PreparedWorkload, WorkloadStats, prepare_workload
 from .functional import (
@@ -85,7 +83,6 @@ __all__ = [
     "FIDELITIES",
     "build_core",
     "simulate",
-    "simulate_batch",
     "IntervalConfig",
     "interval_from_env",
     "simulate_interval",
@@ -94,7 +91,6 @@ __all__ = [
     "detect_anchors",
     "plan_windows",
     "sampling_from_env",
-    "simulate_sampled",
     "PreparedWorkload",
     "WorkloadStats",
     "prepare_workload",

@@ -1,30 +1,25 @@
-"""Tiered-fidelity interval model: analytic IPC from calibration windows.
+"""The interval fidelity tier: analytic IPC from a few calibration windows.
 
 The cheapest rung of the fidelity ladder (``exact`` > ``sampled`` >
-``interval``).  Where :mod:`repro.sim.sampling` measures every
-``stride``-th unit in detail, this model measures only a handful of
-evenly spread *calibration windows* — just enough to fit the linear CPI
-model whose covariates (excess load latency, mispredict rate, fetch
-penalty, and the analytic proxy-pipeline CPI per instruction) phase one
-already fixed — and predicts every other unit analytically.  Detail fractions land around 1-5% of the trace
-instead of the sampled mode's ~20-30%, at a correspondingly looser error
-bound.
+``interval``).  It runs through the same window driver and estimator as
+the sampled tier (:func:`~repro.sim.sampling.drive_windows`,
+:func:`~repro.sim.sampling.greg_estimate`), so the two tiers disagree
+only through their plans, never through modeling assumptions.  What
+this tier decides:
 
-The estimator is the same model-assisted (GREG-style) machinery the
-sampled engine uses (:func:`~repro.sim.sampling._predict_unsampled`), so
-the two tiers disagree only through sample size, never through modeling
-assumptions.  The measured windows run on the ordinary
-:class:`~repro.sim.core.TimingCore` — one core instance, one monotonic
-cycle clock, drain + fast-forward across the gaps — so the lockstep
-oracle and the observability layer attach exactly as in sampled mode.
-
-Because the fitted coefficients price the phase-one events per
-instruction, they also yield a model-derived CPI stack (intercept →
-``base``, excess load latency → ``memory``, mispredicts →
-``branch_flush``, fetch penalty → ``fetch_limited``; the attribution
-refit uses only those interpretable columns) without attaching an
-observer; an attached observer's measured-window stack takes
-precedence.
+* **The plan** (:func:`plan_calibration`): a fixed lattice of
+  ``window``-instruction units of which only ``windows`` — the first,
+  the last, one scattered per stratum, and geometrically spaced early
+  units — are measured.  Detail fractions land around 1-5% of the trace
+  instead of the sampled tier's ~20-30%.
+* **The stated error bound**: the configured floor, widened by the
+  estimate's standard error and by a leave-one-out cross-validation
+  term, so it can widen but never silently narrow.
+* **A model CPI stack**: the fitted coefficients price the phase-one
+  events per instruction, which yields a CPI stack without an observer
+  (intercept → ``base``, excess load latency → ``memory``, mispredicts →
+  ``branch_flush``, fetch penalty → ``fetch_limited``); an attached
+  observer's measured-window stack takes precedence.
 """
 
 from __future__ import annotations
@@ -36,12 +31,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .config import MachineConfig
-from .results import SimResult, StallCounters
+from .results import SimResult
+from .run import MAX_CYCLES, simulate
 from .sampling import (
+    SamplePlan,
+    WindowRun,
+    _fit_model,
     _fit_ridge,
-    _interp_at,
-    _predict_unsampled,
     _unit_covariates,
+    greg_estimate,
+    lattice_plan,
+    parse_spec,
 )
 from .workload import PreparedWorkload
 
@@ -115,40 +115,8 @@ class IntervalConfig:
     @classmethod
     def parse(cls, text: str) -> "IntervalConfig":
         """Parse ``windows=8,window=500,warmup=512,seed=0,bound=10``."""
-        text = text.strip()
-        if not text or text.lower() in ("1", "on", "true", "default"):
-            return cls()
-        values: Dict[str, float] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(
-                    f"bad interval spec {text!r}: expected key=value pairs "
-                    f"(windows/window/warmup/seed/bound), got {part!r}"
-                )
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key not in ("windows", "window", "warmup", "seed", "bound"):
-                raise ValueError(
-                    f"bad interval spec {text!r}: unknown key {key!r} "
-                    f"(expected windows/window/warmup/seed/bound)"
-                )
-            if key in values:
-                raise ValueError(
-                    f"bad interval spec {text!r}: duplicate key {key!r} "
-                    f"(the second value would silently win)"
-                )
-            raw = raw.strip()
-            try:
-                values[key] = float(raw) if key == "bound" else int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"bad interval spec {text!r}: {key} must be "
-                    f"{'a number' if key == 'bound' else 'an integer'}, "
-                    f"got {raw!r}"
-                ) from None
+        keys = dict.fromkeys(("windows", "window", "warmup", "seed"), int)
+        values = parse_spec(text, "interval", dict(keys, bound=float))
         if "bound" in values:
             values["error_bound_pct"] = values.pop("bound")
         return cls(**values)  # type: ignore[arg-type]
@@ -156,16 +124,13 @@ class IntervalConfig:
 
 def interval_from_env() -> IntervalConfig:
     """Resolve ``REPRO_INTERVAL`` (a spec string; unset means defaults)."""
-    value = os.environ.get(_ENV_INTERVAL, "").strip()
-    if not value:
-        return IntervalConfig()
-    return IntervalConfig.parse(value)
+    return IntervalConfig.parse(os.environ.get(_ENV_INTERVAL, ""))
 
 
 def plan_calibration(
     total: int, interval: IntervalConfig
-) -> Optional[Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]]:
-    """Units and calibration indices, or None when exact is cheaper.
+) -> Optional[SamplePlan]:
+    """The calibration plan, or None when exact is cheaper.
 
     The trace is cut into a fixed lattice of ``interval.window``-sized
     units (plus a trailing partial unit); ``interval.windows`` of them —
@@ -177,14 +142,7 @@ def plan_calibration(
     units left to predict, i.e. calibration would measure (almost) the
     whole trace anyway.
     """
-    span = interval.window
-    full = total // span
-    units: List[Tuple[int, int]] = [
-        (i * span, (i + 1) * span) for i in range(full)
-    ]
-    if full * span < total:
-        units.append((full * span, total))
-    count = len(units)
+    count = -(-total // interval.window)
     if count <= interval.windows:
         return None
     want = interval.windows
@@ -207,191 +165,66 @@ def plan_calibration(
         geometric *= 2
     if len(picks) >= count:
         return None
-    return tuple(units), tuple(sorted(picks))
+    return lattice_plan(total, interval.window, sorted(picks), interval.warmup)
+
+
+def estimate_interval(
+    workload: PreparedWorkload,
+    config: MachineConfig,
+    interval: IntervalConfig,
+    plan: SamplePlan,
+    run: WindowRun,
+) -> SimResult:
+    """The interval tier's result: the shared estimate, its stated error
+    bound, and (without an observer) the model CPI stack."""
+    covariates = _unit_covariates(workload, plan.units)
+    result, predicted_cycles = greg_estimate(
+        workload, config, "interval", plan, run, covariates
+    )
+    cpis = run.cpis
+    # Stated bound: the configured floor, widened by whichever is worse —
+    # the sampling-theory stderr (random window-to-window noise) or the
+    # leave-one-out cross-validation error (which also sees systematic
+    # bias the residual spread hides, e.g. phase drift between the
+    # calibration windows).  The bound can widen, never silently narrow.
+    stated_bound = max(
+        interval.error_bound_pct,
+        100.0 * 1.96 * result.cycles_stderr / result.cycles,
+    )
+    cv_error = _cv_relative_error(plan.chosen, cpis, covariates)
+    extrapolated_fraction = predicted_cycles / result.cycles
+    stated_bound = max(stated_bound, 100.0 * cv_error * extrapolated_fraction)
+
+    result.extra["interval_windows"] = float(len(cpis))
+    result.extra["interval_window"] = float(interval.window)
+    result.extra["interval_warmup"] = float(interval.warmup)
+    result.extra["interval_seed"] = float(interval.seed)
+    result.extra["interval_error_bound_pct"] = stated_bound
+    result.extra["interval_measured_cycles"] = float(run.cycles)
+    result.extra["interval_warmup_cycles"] = float(run.warmup_cycles)
+    result.extra["sample_detail_fraction"] = (
+        result.sample_detail_instructions / result.instructions
+    )
+    if run.cpi is None and len(cpis) > len(covariates[0]) + 1:
+        result.cpi_stack = _model_cpi_stack(
+            plan.units, plan.chosen, cpis, covariates, result.cycles
+        )
+    return result
 
 
 def simulate_interval(
     workload: PreparedWorkload,
     config: MachineConfig,
     interval: Optional[IntervalConfig] = None,
-    max_cycles: int = 100_000_000,
+    max_cycles: int = MAX_CYCLES,
     validation=None,
     observe=None,
 ) -> SimResult:
-    """Estimate ``workload``'s IPC on ``config`` analytically.
-
-    Measures only the calibration windows in detail and predicts the
-    rest from the fitted linear CPI model; see the module docstring for
-    the fidelity contract.  Falls back to exact simulation (and says so
-    in ``extra["interval_fallback_exact"]``) when the trace is too short
-    for calibration to be cheaper than measuring everything.
-
-    ``validation`` and ``observe`` attach exactly as in
-    :func:`~repro.sim.sampling.simulate_sampled`: the lockstep oracle
-    checks the measured windows (tolerating the unmeasured remainder),
-    and an observer's CPI accounting covers the measured windows only.
-    """
-    from .run import build_core
-
-    if interval is None:
-        interval = IntervalConfig()
-    total = len(workload.trace)
-    plan = plan_calibration(total, interval)
-    core = build_core(workload, config)
-    session = None
-    if validation is not None and validation.enabled:
-        from ..validate import attach_validation
-
-        session = attach_validation(core, workload, validation)
-    if observe is not None:
-        observe.attach(core)
-    if plan is None:
-        result = core.run(max_cycles=max_cycles)
-        result.extra["interval_fallback_exact"] = 1.0
-        if session is not None:
-            session.finish(expect_full=True)
-        if observe is not None:
-            observe.finalize(result)
-        return result
-    units, chosen = plan
-
-    cycle = 0
-    measured_cycles = 0
-    measured_instructions = 0
-    warmup_instructions = 0
-    warmup_cycles = 0
-    window_cpis: List[float] = []
-    window_weights: List[int] = []
-    measured_stalls = {name: 0 for name in core.stalls.as_dict()}
-    measured_issued = 0
-    measured_cpi = (
-        None if observe is None
-        else {cause: 0.0 for cause in observe.cpi_totals()}
+    """:func:`~repro.sim.run.simulate` on the interval tier."""
+    return simulate(
+        workload, config, max_cycles=max_cycles, validation=validation,
+        observe=observe, fidelity="interval", interval=interval,
     )
-
-    # Same resumable-window mechanics as simulate_sampled: windows in
-    # trace order; consecutive chosen units form one continuous detailed
-    # run (no drain between them), with the fetch limit held at the end
-    # of the run so boundary readings match continuous execution.
-    windows = []
-    previous_end = 0
-    for index in chosen:
-        start, end = units[index]
-        windows.append((max(previous_end, start - interval.warmup), start, end))
-        previous_end = end
-    adjacent = [False] + [
-        windows[k][0] == windows[k - 1][2] for k in range(1, len(windows))
-    ]
-    fetch_limits = [window[2] for window in windows]
-    for k in range(len(windows) - 2, -1, -1):
-        if adjacent[k + 1]:
-            fetch_limits[k] = fetch_limits[k + 1]
-    origin = 0
-    for k, (detail_start, measure_start, measure_end) in enumerate(windows):
-        if not adjacent[k]:
-            if core._next_fetch != detail_start:
-                cycle = core.drain_in_flight(cycle)
-                core.fast_forward(detail_start, cycle)
-                if observe is not None:
-                    observe.skip_to(cycle)
-            # Retirement can overshoot by up to the retire width, so
-            # targets are absolute trace positions, not deltas.
-            origin = core._retired_count - detail_start
-        core._fetch_limit = fetch_limits[k]
-        window_start = cycle
-        cycle = core._run_until(origin + measure_start, cycle, max_cycles)
-        warm_cycle = cycle
-        warm_stalls = core.stalls.as_dict()
-        warm_issued = core._issued_count
-        warm_cpi = None if observe is None else observe.cpi_totals()
-        cycle = core._run_until(origin + measure_end, cycle, max_cycles)
-        window_measured = cycle - warm_cycle
-        window_insts = measure_end - measure_start
-        window_cpis.append(window_measured / window_insts)
-        window_weights.append(window_insts)
-        measured_instructions += window_insts
-        measured_cycles += window_measured
-        warmup_instructions += measure_start - detail_start
-        warmup_cycles += warm_cycle - window_start
-        for name, value in core.stalls.as_dict().items():
-            measured_stalls[name] += value - warm_stalls[name]
-        measured_issued += core._issued_count - warm_issued
-        if observe is not None:
-            for cause, value in observe.cpi_totals().items():
-                measured_cpi[cause] += value - warm_cpi[cause]
-    cycle = core.drain_in_flight(cycle)
-
-    covariates = _unit_covariates(workload, units)
-    predicted_cycles, residuals, dof = _predict_unsampled(
-        units, chosen, window_cpis, covariates
-    )
-    estimated_cycles = max(1, measured_cycles + round(predicted_cycles))
-
-    count = len(window_cpis)
-    mean_weight = measured_instructions / count
-    variance = math.fsum(
-        (weight / mean_weight) ** 2 * residual ** 2
-        for residual, weight in zip(residuals, window_weights)
-    ) / max(1, count - dof)
-    fpc = 1.0 - count / len(units)
-    extrapolated_span = total - measured_instructions
-    stderr_cycles = (
-        math.sqrt(max(0.0, variance * fpc) / count) * extrapolated_span
-    )
-    # Stated bound: the configured floor, widened by whichever is worse —
-    # the sampling-theory stderr (random window-to-window noise) or the
-    # leave-one-out cross-validation error (which also sees systematic
-    # bias the residual spread hides, e.g. phase drift between the
-    # calibration windows).  The bound can widen, never silently narrow.
-    stated_bound = interval.error_bound_pct
-    if estimated_cycles:
-        stated_bound = max(
-            stated_bound, 100.0 * 1.96 * stderr_cycles / estimated_cycles
-        )
-        cv_error = _cv_relative_error(chosen, window_cpis, covariates)
-        extrapolated_fraction = predicted_cycles / estimated_cycles
-        stated_bound = max(
-            stated_bound, 100.0 * cv_error * extrapolated_fraction
-        )
-
-    result = SimResult(
-        benchmark=workload.name,
-        machine=config.name,
-        cycles=estimated_cycles,
-        instructions=total,
-        branches=workload.stats.branches,
-        mispredicts=len(workload.mispredicted),
-        issued=measured_issued,
-        stalls=StallCounters(**measured_stalls),
-        sampled=True,
-        fidelity="interval",
-        sample_intervals=count,
-        sample_measured_instructions=measured_instructions,
-        sample_detail_instructions=measured_instructions + warmup_instructions,
-        cycles_stderr=stderr_cycles,
-    )
-    result.extra["interval_windows"] = float(count)
-    result.extra["interval_window"] = float(interval.window)
-    result.extra["interval_warmup"] = float(interval.warmup)
-    result.extra["interval_seed"] = float(interval.seed)
-    result.extra["interval_error_bound_pct"] = stated_bound
-    result.extra["interval_measured_cycles"] = float(measured_cycles)
-    result.extra["interval_warmup_cycles"] = float(warmup_cycles)
-    result.extra["sample_detail_fraction"] = (
-        (measured_instructions + warmup_instructions) / total
-    )
-    if observe is None and count > len(covariates[0]) + 1:
-        result.cpi_stack = _model_cpi_stack(
-            workload, units, chosen, window_cpis, covariates, estimated_cycles
-        )
-    core.attach_activity(result)
-    if observe is not None:
-        observe.finalize(result, cpi_slots=measured_cpi)
-    if session is not None:
-        # Only the calibration windows ran; require consistency of what
-        # ran, not coverage of the whole trace.
-        session.finish(expect_full=False)
-    return result
 
 
 def _cv_relative_error(
@@ -413,40 +246,15 @@ def _cv_relative_error(
     count = len(cpis)
     if count < 3:
         return 0.0
-    width = len(covariates[0])
     errors = []
     for leave in range(count):
         keep = [j for j in range(count) if j != leave]
-        sub_chosen = [chosen[j] for j in keep]
-        sub_cpis = [cpis[j] for j in keep]
-        if len(sub_chosen) > width + 1:
-            beta = _fit_ridge(
-                [covariates[index] for index in sub_chosen], sub_cpis
-            )
-
-            def model(index):
-                return math.fsum(
-                    b * x for b, x in zip(beta, covariates[index])
-                )
-        else:
-            floor = [1.0 + row[1] for row in covariates]
-            rho = math.fsum(
-                cpi / floor[index]
-                for cpi, index in zip(sub_cpis, sub_chosen)
-            ) / len(sub_chosen)
-
-            def model(index):
-                return rho * floor[index]
-        residuals = [
-            cpi - model(index) for cpi, index in zip(sub_cpis, sub_chosen)
-        ]
-        predicted = model(chosen[leave]) + _interp_at(
-            sub_chosen, residuals, chosen[leave]
+        predict, _, _ = _fit_model(
+            [chosen[j] for j in keep], [cpis[j] for j in keep], covariates
         )
-        predicted = min(max(sub_cpis) * 2.0, max(min(sub_cpis) * 0.5, predicted))
         actual = cpis[leave]
         if actual > 0:
-            errors.append((predicted - actual) / actual)
+            errors.append((predict(chosen[leave]) - actual) / actual)
     if len(errors) < 2:
         return 0.0
     n = len(errors)
@@ -456,7 +264,6 @@ def _cv_relative_error(
 
 
 def _model_cpi_stack(
-    workload: PreparedWorkload,
     units,
     chosen,
     cpis,

@@ -1,64 +1,47 @@
-"""Interval-sampled timing simulation with bounded-error IPC estimation.
+"""The sampled fidelity tier, and the window driver and estimator it
+shares with the interval tier.
 
-Every sweep point used to replay every dynamic instruction cycle by cycle.
-This module implements deterministic systematic sampling in the
-SMARTS/SimPoint tradition: partition the trace into intervals, simulate a
-systematic subset of them in detail (an unmeasured warmup window followed
-by a measured window), fast-forward the gaps, and extrapolate whole-run
-cycles/IPC with a per-benchmark standard-error estimate.
+Both estimating tiers run the same way (see :func:`repro.sim.run.run_tier`):
+a planner picks which trace units to simulate in detail, one
+:func:`drive_windows` runs the ordinary :class:`~repro.sim.core.TimingCore`
+over those windows (warmup, then measurement) and fast-forwards the gaps,
+and one model-assisted estimator extrapolates the unmeasured units.  The
+tiers differ only in their plan and in what they publish on top of the
+estimate.
 
-The repository's two-phase design makes this unusually safe.  Phase one
-(:mod:`repro.sim.workload`) precomputes branch mispredictions and cache
-latencies per dynamic instruction, in trace order, independent of any
-machine configuration — so skipping instructions in phase two cannot
-perturb predictor or cache state.  The only state a detailed window must
-rebuild is pipeline occupancy (in-flight values, queue/FIFO fill, port
-pressure), which the warmup window restores.
-
-Interval placement (:func:`plan_windows`) is anchor-aware.  The synthetic
-benchmarks are outer loops over inner-loop regions, so per-interval CPI is
-strongly periodic in the outer-iteration length; a fixed-size interval
-lattice aliases against that period, and a small systematic sample can
-land on unrepresentative phases (observed errors up to 25% on the quick
-suite).  The planner therefore detects the outer-iteration anchors
-(recurrences of the most evenly spaced basic block) and snaps interval
-boundaries to them:
+The sampled tier's plan (:func:`plan_windows`) measures every
+``stride``-th unit, starting at ``seed % stride``.  It is anchor-aware:
+the synthetic benchmarks are outer loops over inner-loop regions, so
+per-unit CPI is periodic in the outer-iteration length and a fixed
+lattice aliases against it (errors up to 25% on the quick suite).  The
+planner detects the outer-iteration anchors (recurrences of the most
+evenly spaced basic block) and snaps units to them:
 
 * the **cold prefix** through the first iteration is always measured — it
   runs against cold phase-one caches and has an unrepresentative CPI;
 * the **tail** from the last anchor is always measured — it contains the
   epilogue and the final pipeline drain;
-* the **middle iterations** are sampled systematically (every
-  ``stride``-th starting at ``seed % stride``), each warmed up across the
-  entire preceding iteration so the measured window enters in
+* the **middle iterations** are sampled systematically, each warmed up
+  across the entire preceding iteration so the measured window enters in
   steady-state occupancy.
 
-Adjacent detailed windows (a sampled unit whose warmup is the previous
-sampled unit's measured window) are merged into one continuous run:
-draining and restarting the pipeline between them was measured to bias
-early-window CPI by up to +14%, while continuous execution is bit-exact
-against a full run over the same span.
+A trace with no detectable outer loop falls back to a fixed lattice of
+``interval``-instruction units warmed up over ``warmup`` instructions.
 
-Skipped units are extrapolated model-assisted (a GREG-style estimator): a
-ridge least-squares CPI model is fit on the sampled units against the
-free phase-one covariates (load-miss excess, mispredict rate, fetch-miss
-extra, and the analytic proxy-pipeline CPI per instruction),
-and each skipped unit gets the model prediction
-plus the piecewise-linearly interpolated residual of its nearest sampled
-neighbours, clamped to the sampled CPI range.  The model absorbs
-iteration-to-iteration behaviour shifts (cache warming, data-dependent
-branching) and the residual interpolation tracks what it misses; an odd
-default stride straddles period-2 phase alternation.  A
-finite-population-corrected standard error accompanies the estimate.
+Skipping is safe because phase one (:mod:`repro.sim.workload`) fixed
+branch outcomes and cache latencies per dynamic instruction, independent
+of the machine: a detailed window only has to rebuild pipeline occupancy,
+which its warmup restores.  Adjacent windows run as one continuous
+detailed run (draining between them biased early-window CPI by up to
++14%), which is bit-exact against a full run over the same span.
 
-When the trace has no detectable outer-loop structure, the planner falls
-back to a fixed-size lattice of ``interval``-instruction windows warmed
-up over ``warmup`` instructions, with the same interpolating estimator.
-
-Determinism: sampling is systematic, not random.  For a fixed
-:class:`SamplingConfig` the measured windows are a pure function of the
-trace, so repeated runs are bit-identical; ``seed`` deterministically
-selects which residue class of intervals is measured.
+The estimator (GREG-style) fits a ridge CPI model on the measured units
+against free phase-one covariates (load-miss excess, mispredict rate,
+fetch-miss extra, and an analytic proxy-pipeline CPI), predicts each
+skipped unit as the model plus the interpolated residual of its measured
+neighbours, clamped to the measured CPI range, and reports a
+finite-population-corrected standard error.  Sampling is systematic, not
+random, so a fixed :class:`SamplingConfig` gives bit-identical results.
 
 Knobs: ``--sample`` on ``python -m repro.harness`` or ``REPRO_SAMPLE``
 (``1``/``on`` for defaults, or e.g. ``stride=7,seed=1``).  Exact mode
@@ -70,11 +53,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .config import MachineConfig
 from .results import SimResult, StallCounters
-from .run import build_core
+from .run import MAX_CYCLES
 from .workload import PreparedWorkload
 
 _ENV_SAMPLE = "REPRO_SAMPLE"
@@ -91,6 +74,55 @@ _MIN_ANCHORS = 8
 #: Recurrences whose spacing varies more than this ratio are blocks inside
 #: data-dependent control flow, not outer-iteration anchors.
 _MAX_GAP_RATIO = 4.0
+
+
+def parse_spec(
+    text: str, what: str, keys: Dict[str, Callable[[str], float]]
+) -> Dict[str, float]:
+    """Parse a ``key=value,...`` tier spec into converted values.
+
+    ``keys`` maps each accepted key to its converter (``int`` or
+    ``float``).  Empty text and the spellings ``1``/``on``/``true``/
+    ``default`` give ``{}`` (the defaults).  Unknown keys, repeated keys
+    (the second value would silently win) and values the converter
+    rejects raise :class:`ValueError` naming the key.
+    """
+    text = text.strip()
+    if not text or text.lower() in ("1", "on", "true", "default"):
+        return {}
+    names = "/".join(keys)
+    values: Dict[str, float] = {}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, equals, raw = part.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if not equals:
+            raise ValueError(
+                f"bad {what} spec {text!r}: expected key=value pairs "
+                f"({names}), got {part!r}"
+            )
+        if key not in keys:
+            raise ValueError(
+                f"bad {what} spec {text!r}: unknown key {key!r} "
+                f"(expected {names})"
+            )
+        if key in values:
+            raise ValueError(
+                f"bad {what} spec {text!r}: duplicate key {key!r} "
+                f"(the second value would silently win)"
+            )
+        convert = keys[key]
+        try:
+            values[key] = convert(raw)
+        except ValueError:
+            kind = "a number" if convert is float else "an integer"
+            raise ValueError(
+                f"bad {what} spec {text!r}: {key} must be {kind}, "
+                f"got {raw!r}"
+            ) from None
+    return values
 
 
 @dataclass(frozen=True)
@@ -141,34 +173,8 @@ class SamplingConfig:
     @classmethod
     def parse(cls, text: str) -> "SamplingConfig":
         """Parse ``interval=500,stride=5,warmup=512,seed=0`` (all optional)."""
-        text = text.strip()
-        if not text or text.lower() in ("1", "on", "true", "default"):
-            return cls()
-        values: Dict[str, int] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ValueError(
-                    f"bad sampling spec {text!r}: expected key=value pairs "
-                    f"(interval/stride/warmup/seed), got {part!r}"
-                )
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            if key not in ("interval", "stride", "warmup", "seed"):
-                raise ValueError(
-                    f"bad sampling spec {text!r}: unknown key {key!r} "
-                    f"(expected interval/stride/warmup/seed)"
-                )
-            try:
-                values[key] = int(raw.strip())
-            except ValueError:
-                raise ValueError(
-                    f"bad sampling spec {text!r}: {key} must be an integer, "
-                    f"got {raw.strip()!r}"
-                ) from None
-        return cls(**values)
+        keys = dict.fromkeys(("interval", "stride", "warmup", "seed"), int)
+        return cls(**parse_spec(text, "sampling", keys))
 
 
 def sampling_from_env() -> Optional[SamplingConfig]:
@@ -215,12 +221,13 @@ def detect_anchors(trace: Sequence) -> Optional[List[int]]:
 class SamplePlan:
     """Where to simulate in detail, and how to extrapolate the rest.
 
-    The trace is split into ``certain`` windows (cold prefix, tail —
+    Both estimating tiers plan into this shape.  The trace is split into
+    ``certain`` windows (the sampled tier's cold prefix and tail —
     measured and counted exactly) and extrapolation ``units``; the
     ``chosen`` units are measured in detail and the others predicted by
-    interpolating their nearest measured neighbours.  All index pairs are
-    ``[start, end)`` trace positions; each chosen unit's measured window
-    is preceded by warmup detail starting at ``detail_starts[i]``.
+    the estimator.  All index pairs are ``[start, end)`` trace
+    positions; each chosen unit's measured window is preceded by warmup
+    detail starting at ``detail_starts[i]``.
     """
 
     #: (detail_start, measure_start, measure_end) — exact-weighted strata
@@ -329,25 +336,35 @@ def _plan_anchored(
 
 
 def _plan_lattice(total: int, sampling: SamplingConfig) -> Optional[SamplePlan]:
-    intervals = total // sampling.interval
+    # The trailing partial unit (if any) is never sampled: it is
+    # predicted from its nearest measured neighbour like any skipped unit.
     first = sampling.seed % sampling.stride
-    chosen = list(range(first, intervals, sampling.stride))
+    chosen = range(first, total // sampling.interval, sampling.stride)
     if len(chosen) < MIN_SAMPLED_INTERVALS:
         return None
-    units = [
-        (i * sampling.interval, (i + 1) * sampling.interval)
-        for i in range(intervals)
-    ]
-    if intervals * sampling.interval < total:
-        # Trailing partial interval: never sampled, predicted from its
-        # nearest measured neighbour like any other skipped unit.
-        units.append((intervals * sampling.interval, total))
+    return lattice_plan(total, sampling.interval, chosen, sampling.warmup)
+
+
+def lattice_plan(
+    total: int, span: int, chosen: Sequence[int], warmup: int
+) -> SamplePlan:
+    """A plan over a fixed lattice of ``span``-instruction units.
+
+    The lattice covers the trace (a trailing partial unit included);
+    ``chosen`` (ascending unit indices) are measured, each warmed up over
+    at most ``warmup`` instructions, clamped so a warmup never reaches
+    back into the previous measured window.
+    """
+    full = total // span
+    units = [(i * span, (i + 1) * span) for i in range(full)]
+    if full * span < total:
+        units.append((full * span, total))
     detail_starts = []
     previous_end = 0
     for index in chosen:
-        start = units[index][0]
-        detail_starts.append(max(previous_end, start - sampling.warmup))
-        previous_end = units[index][1]
+        start, end = units[index]
+        detail_starts.append(max(previous_end, start - warmup))
+        previous_end = end
     return SamplePlan(
         certain=(),
         units=tuple(units),
@@ -537,133 +554,137 @@ def _interp_at(chosen: Sequence[int], values: Sequence[float], index: int) -> fl
     return values[position - 1] * (1 - weight) + values[position] * weight
 
 
+def _fit_model(
+    chosen: Sequence[int],
+    cpis: Sequence[float],
+    covariates: Sequence[Tuple[float, ...]],
+) -> Tuple[Callable[[int], float], List[float], int]:
+    """Fit the per-unit CPI model on the measured units.
+
+    Model-assisted (GREG-style): with enough samples, a ridge fit of the
+    measured CPIs against the units' phase-one covariates; with too few,
+    the mean ratio against the load-latency floor (covariate column 1).
+    The model explains the config-dependent cost of the known events (a
+    mispredict costs a refill, a miss costs its latency); the residual
+    interpolation tracks whatever drift it misses.
+
+    Returns ``(predict, residuals, dof)``: ``predict(index)`` is unit
+    ``index``'s model CPI plus the piecewise-linearly interpolated
+    residual of its measured neighbours, clamped to half the smallest
+    and twice the largest measured CPI; ``residuals`` are the measured
+    units' deviations from the model (the noise that limits accuracy);
+    ``dof`` is the parameter count the fit consumed.
+    """
+    if len(chosen) > _NUM_COVARIATES + 1:
+        beta = _fit_ridge([covariates[index] for index in chosen], cpis)
+
+        def model(index: int) -> float:
+            return math.fsum(b * x for b, x in zip(beta, covariates[index]))
+
+        dof = _NUM_COVARIATES
+    else:
+        rho = math.fsum(
+            cpi / (1.0 + covariates[index][1])
+            for cpi, index in zip(cpis, chosen)
+        ) / len(chosen)
+
+        def model(index: int) -> float:
+            return rho * (1.0 + covariates[index][1])
+
+        dof = 1
+    residuals = [cpi - model(index) for cpi, index in zip(cpis, chosen)]
+    low = min(cpis) * 0.5
+    high = max(cpis) * 2.0
+
+    def predict(index: int) -> float:
+        predicted = model(index) + _interp_at(chosen, residuals, index)
+        return min(high, max(low, predicted))
+
+    return predict, residuals, dof
+
+
 def _predict_unsampled(
     units: Sequence[Tuple[int, int]],
     chosen: Sequence[int],
     cpis: Sequence[float],
     covariates: Sequence[Tuple[float, ...]],
 ) -> Tuple[float, List[float], int]:
-    """Predicted total cycles over every *unsampled* unit.
-
-    Model-assisted (GREG-style) estimator: fit the linear CPI model on
-    the measured units, then predict each skipped unit from its own
-    phase-one covariates plus the piecewise-linearly interpolated model
-    residual of its neighbours.  The model explains the config-dependent
-    cost of the known events (a mispredict costs a refill, a miss costs
-    its latency); the residual interpolation tracks whatever drift the
-    model misses.  Returns ``(cycles, residuals, dof)`` where
-    ``residuals`` are the sampled units' deviations from the systematic
-    component (the noise that limits accuracy) and ``dof`` the fitted
-    parameter count consumed from the sample.
-    """
-    if len(chosen) > _NUM_COVARIATES + 1:
-        sample_rows = [covariates[index] for index in chosen]
-        beta = _fit_ridge(sample_rows, cpis)
-        model = [
-            math.fsum(b * x for b, x in zip(beta, covariates[index]))
-            for index in range(len(units))
-        ]
-        dof = _NUM_COVARIATES
-    else:
-        # Too few samples to fit the model: fall back to the mean ratio
-        # against the load-latency floor (covariate column 1).
-        floor = [1.0 + row[1] for row in covariates]
-        rho = math.fsum(
-            cpis[i] / floor[index] for i, index in enumerate(chosen)
-        ) / len(chosen)
-        model = [rho * value for value in floor]
-        dof = 1
-    residuals = [cpis[i] - model[index] for i, index in enumerate(chosen)]
-    low = min(cpis) * 0.5
-    high = max(cpis) * 2.0
+    """Predicted total cycles over every *unsampled* unit, plus the
+    fit's ``residuals`` and ``dof`` (see :func:`_fit_model`)."""
+    predict, residuals, dof = _fit_model(chosen, cpis, covariates)
     cycles = 0.0
     position = 0
     for index, (start, end) in enumerate(units):
         if position < len(chosen) and chosen[position] == index:
             position += 1
             continue
-        predicted = model[index] + _interp_at(chosen, residuals, index)
-        cycles += min(high, max(low, predicted)) * (end - start)
+        cycles += predict(index) * (end - start)
     return cycles, residuals, dof
 
 
-def simulate_sampled(
-    workload: PreparedWorkload,
-    config: MachineConfig,
-    sampling: SamplingConfig,
-    max_cycles: int = 100_000_000,
-    validation=None,
-    core=None,
-    observe=None,
-) -> SimResult:
-    """Estimate ``workload``'s IPC on ``config`` from sampled intervals.
+def _stderr_cpi(
+    residuals: Sequence[float], weights: Sequence[int], dof: int,
+    population: int,
+) -> float:
+    """Standard error of the mean per-instruction CPI of the skipped units.
 
-    Detailed windows run through the ordinary :class:`TimingCore`
-    machinery (one core instance, one monotonic cycle clock); the gaps
-    between them drain the pipeline and jump the trace cursor.  The
-    result's ``cycles`` adds the exactly-measured strata to the
-    interpolated estimate over the skipped units, with the estimate's
-    standard error in ``cycles_stderr``; ``issued``/``stalls`` cover the
-    measured windows only (warmup activity is accounted separately in
-    ``extra``).
-
-    ``validation`` attaches checkers exactly as in
-    :func:`~repro.sim.run.simulate` (sampled lockstep tolerates an
-    unmeasured trace tail).  ``core`` lets a caller — the validation
-    runner — supply a pre-built, pre-instrumented core instead; the
-    caller then owns any post-run ``finish`` bookkeeping for hooks it
-    attached itself.
-
-    ``observe`` (a :class:`~repro.obs.Observer`) attaches the
-    observability layer.  CPI-stack accounting covers only the measured
-    windows (warmup, drain, and fast-forward cycles are excluded by
-    snapshot-diffing around each window) and is scaled up to the
-    estimated total cycle count at finalize time.
+    From the measured units' (instruction-weighted) deviations around the
+    fitted model, with a finite-population correction over
+    ``population`` units.  The residual interpolation tracks part of
+    that spread too, so the estimate is conservative.
     """
-    total = len(workload.trace)
-    plan = plan_windows(workload.trace, sampling)
-    session = None
-    if core is None:
-        core = build_core(workload, config)
-        if validation is not None and validation.enabled:
-            from ..validate import attach_validation
+    count = len(residuals)
+    mean_weight = sum(weights) / count
+    variance = math.fsum(
+        (weight / mean_weight) ** 2 * residual ** 2
+        for residual, weight in zip(residuals, weights)
+    ) / max(1, count - dof)
+    fpc = 1.0
+    if population > count:
+        fpc = 1.0 - count / population
+    return math.sqrt(max(0.0, variance * fpc) / count)
 
-            session = attach_validation(core, workload, validation)
-    if observe is not None:
-        observe.attach(core)
-    if plan is None:
-        result = core.run(max_cycles=max_cycles)
-        result.extra["sample_fallback_exact"] = 1.0
-        if session is not None:
-            session.finish(expect_full=True)
-        if observe is not None:
-            observe.finalize(result)
-        return result
 
-    cycle = 0
-    certain_cycles = 0
-    sampled_cycles = 0
-    sampled_insts = 0
-    window_cpis: List[float] = []
-    window_weights: List[int] = []
-    measured_instructions = 0
-    measured_cycles = 0
-    warmup_instructions = 0
-    warmup_cycles = 0
-    measured_stalls = {name: 0 for name in core.stalls.as_dict()}
-    measured_issued = 0
-    measured_cpi = (
-        None if observe is None
-        else {cause: 0.0 for cause in observe.cpi_totals()}
-    )
+@dataclass
+class WindowRun:
+    """What :func:`drive_windows` measured."""
 
+    #: ``(cycles, instructions)`` of each chosen unit's measured window,
+    #: in ``plan.chosen`` order
+    units: List[Tuple[int, int]]
+    #: totals over every measured window, ``certain`` ones included
+    cycles: int
+    instructions: int
+    #: totals over the warmup ahead of each measured window
+    warmup_cycles: int
+    warmup_instructions: int
+    #: stall counters and issued count over the measured windows
+    stalls: Dict[str, int]
+    issued: int
+    #: observer CPI slots over the measured windows (None: no observer)
+    cpi: Optional[Dict[str, float]]
+
+    @property
+    def cpis(self) -> List[float]:
+        return [cycles / insts for cycles, insts in self.units]
+
+
+def drive_windows(
+    core, plan: SamplePlan, observe=None, max_cycles: int = MAX_CYCLES
+) -> WindowRun:
+    """Run ``core`` through ``plan``'s detailed windows, in trace order.
+
+    One core instance and one monotonic cycle clock: each window runs
+    its warmup, then its measured span, and the gap before the next
+    window is skipped by draining the pipeline and fast-forwarding the
+    trace cursor.  Counters (stalls, issued, the observer's CPI slots)
+    are snapshot-diffed around each measured span, so warmup, drain and
+    fast-forward cycles are excluded.
+    """
     windows = sorted(
-        [(window, True) for window in plan.certain]
+        [(window, False) for window in plan.certain]
         + [
-            (
-                (plan.detail_starts[i], plan.units[index][0], plan.units[index][1]),
-                False,
-            )
+            ((plan.detail_starts[i], *plan.units[index]), True)
             for i, index in enumerate(plan.chosen)
         ]
     )
@@ -681,8 +702,20 @@ def simulate_sampled(
     for k in range(len(windows) - 2, -1, -1):
         if adjacent[k + 1]:
             fetch_limits[k] = fetch_limits[k + 1]
+    units: List[Tuple[int, int]] = []
+    cycle = 0
+    measured_cycles = 0
+    measured_instructions = 0
+    warmup_cycles = 0
+    warmup_instructions = 0
+    measured_stalls = {name: 0 for name in core.stalls.as_dict()}
+    measured_issued = 0
+    measured_cpi = (
+        None if observe is None
+        else {cause: 0.0 for cause in observe.cpi_totals()}
+    )
     origin = 0
-    for k, ((detail_start, measure_start, measure_end), exact_weight) in enumerate(
+    for k, ((detail_start, measure_start, measure_end), sampled) in enumerate(
         windows
     ):
         if not adjacent[k]:
@@ -705,83 +738,92 @@ def simulate_sampled(
         warm_issued = core._issued_count
         warm_cpi = None if observe is None else observe.cpi_totals()
         cycle = core._run_until(origin + measure_end, cycle, max_cycles)
-        window_measured = cycle - warm_cycle
+        window_cycles = cycle - warm_cycle
         window_insts = measure_end - measure_start
-        if exact_weight:
-            certain_cycles += window_measured
-        else:
-            sampled_cycles += window_measured
-            sampled_insts += window_insts
-            window_cpis.append(window_measured / window_insts)
-            window_weights.append(window_insts)
+        if sampled:
+            units.append((window_cycles, window_insts))
+        measured_cycles += window_cycles
         measured_instructions += window_insts
-        measured_cycles += window_measured
-        warmup_instructions += measure_start - detail_start
         warmup_cycles += warm_cycle - window_start
+        warmup_instructions += measure_start - detail_start
         for name, value in core.stalls.as_dict().items():
             measured_stalls[name] += value - warm_stalls[name]
         measured_issued += core._issued_count - warm_issued
         if observe is not None:
             for cause, value in observe.cpi_totals().items():
                 measured_cpi[cause] += value - warm_cpi[cause]
-    cycle = core.drain_in_flight(cycle)
+    core.drain_in_flight(cycle)
+    return WindowRun(
+        units=units,
+        cycles=measured_cycles,
+        instructions=measured_instructions,
+        warmup_cycles=warmup_cycles,
+        warmup_instructions=warmup_instructions,
+        stalls=measured_stalls,
+        issued=measured_issued,
+        cpi=measured_cpi,
+    )
 
-    covariates = _unit_covariates(workload, plan.units)
+
+def greg_estimate(
+    workload: PreparedWorkload,
+    config: MachineConfig,
+    fidelity: str,
+    plan: SamplePlan,
+    run: WindowRun,
+    covariates: Sequence[Tuple[float, ...]],
+) -> Tuple[SimResult, float]:
+    """The whole-trace estimate both tiers report.
+
+    ``cycles`` adds every measured window to the model-assisted
+    prediction over the skipped units, with the prediction's standard
+    error in ``cycles_stderr``; ``issued``/``stalls`` cover the measured
+    windows only.  Returns the result and the predicted cycles.
+    """
+    weights = [insts for _, insts in run.units]
     predicted_cycles, residuals, dof = _predict_unsampled(
-        plan.units, plan.chosen, window_cpis, covariates
+        plan.units, plan.chosen, run.cpis, covariates
     )
-    estimated_cycles = max(
-        1, certain_cycles + sampled_cycles + round(predicted_cycles)
-    )
-
-    # Standard error of the extrapolated part, from the sampled units'
-    # deviations around the fitted model, with a finite-population
-    # correction.  The residual interpolation tracks part of that spread
-    # too, so this estimate is conservative.
-    count = len(window_cpis)
-    mean_weight = sampled_insts / count
-    variance = math.fsum(
-        (weight / mean_weight) ** 2 * residual ** 2
-        for residual, weight in zip(residuals, window_weights)
-    ) / max(1, count - dof)
-    fpc = 1.0
-    if len(plan.units) > count:
-        fpc = 1.0 - count / len(plan.units)
-    extrapolated_span = plan.estimated_span - sampled_insts
-    stderr_cpi = math.sqrt(max(0.0, variance * fpc) / count)
-
+    stderr_cpi = _stderr_cpi(residuals, weights, dof, len(plan.units))
     result = SimResult(
         benchmark=workload.name,
         machine=config.name,
-        cycles=estimated_cycles,
-        instructions=total,
+        cycles=max(1, run.cycles + round(predicted_cycles)),
+        instructions=len(workload.trace),
         branches=workload.stats.branches,
         mispredicts=len(workload.mispredicted),
-        issued=measured_issued,
-        stalls=StallCounters(**measured_stalls),
+        issued=run.issued,
+        stalls=StallCounters(**run.stalls),
         sampled=True,
-        fidelity="sampled",
-        sample_intervals=count,
-        sample_measured_instructions=measured_instructions,
-        sample_detail_instructions=measured_instructions + warmup_instructions,
-        cycles_stderr=stderr_cpi * extrapolated_span,
+        fidelity=fidelity,
+        sample_intervals=len(weights),
+        sample_measured_instructions=run.instructions,
+        sample_detail_instructions=run.instructions + run.warmup_instructions,
+        cycles_stderr=stderr_cpi * (plan.estimated_span - sum(weights)),
     )
+    return result, predicted_cycles
+
+
+def estimate_sampled(
+    workload: PreparedWorkload,
+    config: MachineConfig,
+    sampling: SamplingConfig,
+    plan: SamplePlan,
+    run: WindowRun,
+) -> SimResult:
+    """The sampled tier's result: the shared estimate plus its plan."""
+    covariates = _unit_covariates(workload, plan.units)
+    result, _ = greg_estimate(workload, config, "sampled", plan, run, covariates)
     result.extra["sample_interval"] = float(sampling.interval)
     result.extra["sample_stride"] = float(sampling.stride)
     result.extra["sample_warmup"] = float(sampling.warmup)
     result.extra["sample_seed"] = float(sampling.seed)
     result.extra["sample_anchored"] = 1.0 if plan.anchored else 0.0
-    result.extra["sample_measured_cycles"] = float(measured_cycles)
-    result.extra["sample_warmup_cycles"] = float(warmup_cycles)
-    result.extra["sample_warmup_instructions"] = float(warmup_instructions)
+    result.extra["sample_measured_cycles"] = float(run.cycles)
+    result.extra["sample_warmup_cycles"] = float(run.warmup_cycles)
+    result.extra["sample_warmup_instructions"] = float(run.warmup_instructions)
     result.extra["sample_detail_fraction"] = (
-        (measured_instructions + warmup_instructions) / total
+        result.sample_detail_instructions / result.instructions
     )
-    core.attach_activity(result)
-    if observe is not None:
-        observe.finalize(result, cpi_slots=measured_cpi)
-    if session is not None:
-        # Lattice plans may leave an unmeasured tail, so coverage of the
-        # whole trace is not required — only consistency of what ran.
-        session.finish(expect_full=False)
     return result
+

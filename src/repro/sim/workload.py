@@ -101,8 +101,8 @@ class ReplayFacts:
 
     Everything here is a pure function of the trace and its decode facts,
     so it is computed once per workload and shared read-only by every
-    timing core replaying it — including every config of a batched sweep
-    (:mod:`repro.sim.batch`).  The arrays replace per-dispatch scoreboard
+    timing core replaying it — including every config of a sweep
+    simulated against the same workload.  The arrays replace per-dispatch scoreboard
     walks and per-instruction dict probes in the timing cores' hot loop:
 
     * ``deps[i]`` — static dependence row: ``((producer_index, internal),

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from ..sim.functional import ArchState, FunctionalExecutor, apply_instruction
+from ..sim.run import MAX_CYCLES, run_tier
 
 
 @dataclass(frozen=True)
@@ -193,31 +194,21 @@ def lockstep_simulate(
     config,
     sampling=None,
     fail_fast: bool = True,
-    max_cycles: Optional[int] = None,
+    max_cycles: int = MAX_CYCLES,
+    fidelity: Optional[str] = None,
+    interval=None,
 ):
     """Run one validated simulation; returns ``(result, divergences)``.
 
-    Exact mode runs the core to completion and demands full trace
-    coverage; with a :class:`~repro.sim.sampling.SamplingConfig` the
-    sampled engine drives the same core through its windows and gaps and
-    partial tail coverage is tolerated.
+    The tier is chosen as in :func:`~repro.sim.run.simulate` and runs
+    through the same setup with this checker attached.  The exact tier
+    demands full trace coverage; the sampled and interval tiers drive
+    the same core through their windows and gaps and tolerate the
+    unmeasured remainder.
     """
-    from ..sim.run import build_core
-    from ..sim.sampling import simulate_sampled
-
-    core = build_core(workload, config)
     checker = LockstepChecker(workload, fail_fast=fail_fast)
-    checker.attach(core)
-    if sampling is None:
-        if max_cycles is not None:
-            result = core.run(max_cycles=max_cycles)
-        else:
-            result = core.run()
-        divergences = checker.finish(expect_full=True)
-    else:
-        kwargs = {"core": core}
-        if max_cycles is not None:
-            kwargs["max_cycles"] = max_cycles
-        result = simulate_sampled(workload, config, sampling, **kwargs)
-        divergences = checker.finish(expect_full=False)
-    return result, divergences
+    result = run_tier(
+        workload, config, fidelity, sampling, interval, max_cycles,
+        checkers=checker.attach,
+    )
+    return result, checker.divergences

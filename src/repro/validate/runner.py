@@ -1,11 +1,11 @@
 """The ``validate`` harness command: full differential validation sweeps.
 
 Runs every selected benchmark on every selected timing core under the
-lockstep architectural oracle (exact mode, and sampled mode when a
-:class:`~repro.sim.sampling.SamplingConfig` is given so the resumable
-window/gap machinery is exercised too), optionally with per-cycle µarch
-invariant checking, then fuzzes the translator.  Returns a renderable
-report and a process exit code.
+lockstep architectural oracle — exact, plus the sampled and/or interval
+tier when their configurations are given, so the resumable window/gap
+machinery is exercised too — optionally with per-cycle µarch invariant
+checking, then fuzzes the translator.  Returns a renderable report and a
+process exit code.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..sim.config import MachineConfig
 from ..sim.registry import core_registry
-from ..sim.run import build_core
-from ..sim.sampling import SamplingConfig, simulate_sampled
+from ..sim.interval import IntervalConfig
+from ..sim.run import run_tier
+from ..sim.sampling import SamplingConfig
 from .fuzzing import FuzzReport, fuzz_translator
 from .invariants import InvariantChecker, InvariantViolation
 from .lockstep import DivergenceError, LockstepChecker
@@ -44,7 +45,7 @@ class CheckOutcome:
 
     benchmark: str
     core: str
-    mode: str  # "exact" or "sampled"
+    mode: str  # "exact", "sampled" or "interval"
     instructions: int = 0
     checked: int = 0
     skipped: int = 0
@@ -60,7 +61,7 @@ class CheckOutcome:
         status = "ok  " if self.ok else "FAIL"
         line = (
             f"  [{status}] {self.benchmark:10s} {self.core:8s} "
-            f"{self.mode:7s} {self.checked:7d} retired"
+            f"{self.mode:8s} {self.checked:7d} retired"
         )
         if self.skipped:
             line += f" + {self.skipped} skipped"
@@ -105,30 +106,34 @@ def _check_one(
     context,
     benchmark: str,
     core_key: str,
-    sampling: Optional[SamplingConfig],
+    mode: str,
+    tier,
     invariants: bool,
 ) -> CheckOutcome:
     factory, braided = CORE_FACTORIES[core_key]
     config: MachineConfig = factory()
-    mode = "sampled" if sampling is not None else "exact"
     outcome = CheckOutcome(benchmark=benchmark, core=core_key, mode=mode)
     started = time.time()
     try:
         workload = context.workload(benchmark, braided=braided)
         outcome.instructions = len(workload.trace)
-        core = build_core(workload, config)
-        checker = LockstepChecker(workload).attach(core)
-        invariant_checker = None
-        if invariants:
-            invariant_checker = InvariantChecker().attach(core)
-        if sampling is None:
-            core.run()
-            divergences = checker.finish(expect_full=True)
-        else:
-            simulate_sampled(workload, config, sampling, core=core)
-            divergences = checker.finish(expect_full=False)
-        if divergences:
-            outcome.failure = divergences[0].render()
+        checker = LockstepChecker(workload)
+        invariant_checker = InvariantChecker() if invariants else None
+
+        def checkers(core):
+            checker.attach(core)
+            if invariant_checker is not None:
+                invariant_checker.attach(core)
+            return checker
+
+        run_tier(
+            workload, config, mode,
+            sampling=tier if mode == "sampled" else None,
+            interval=tier if mode == "interval" else None,
+            checkers=checkers,
+        )
+        if checker.divergences:
+            outcome.failure = checker.divergences[0].render()
         outcome.checked = checker.instructions_checked
         outcome.skipped = checker.instructions_skipped
         if invariant_checker is not None:
@@ -147,11 +152,13 @@ def run_validation(
     invariants: bool = False,
     fuzz_samples: int = 200,
     fuzz_seed: int = 0,
+    interval: Optional[IntervalConfig] = None,
 ) -> ValidationReport:
     """Validate ``benchmarks`` × ``cores``, then fuzz the translator.
 
-    When ``sampling`` is given, every pair runs twice — exact and
-    sampled — so both the straight-line and the resumable window/gap
+    Every pair runs exact, and again on the sampled tier when
+    ``sampling`` is given and on the interval tier when ``interval`` is
+    given, so both the straight-line and the resumable window/gap
     retirement paths are covered.  ``fuzz_samples=0`` skips fuzzing.
     """
     unknown = [key for key in cores if key not in CORE_FACTORIES]
@@ -160,14 +167,16 @@ def run_validation(
             f"unknown cores {unknown}; choose from {sorted(CORE_FACTORIES)}"
         )
     report = ValidationReport()
-    modes: List[Optional[SamplingConfig]] = [None]
+    tiers = [("exact", None)]
     if sampling is not None:
-        modes.append(sampling)
+        tiers.append(("sampled", sampling))
+    if interval is not None:
+        tiers.append(("interval", interval))
     for benchmark in benchmarks:
         for core_key in cores:
-            for mode in modes:
+            for mode, tier in tiers:
                 report.outcomes.append(_check_one(
-                    context, benchmark, core_key, mode, invariants
+                    context, benchmark, core_key, mode, tier, invariants
                 ))
     if fuzz_samples > 0:
         report.fuzz = fuzz_translator(samples=fuzz_samples, seed=fuzz_seed)

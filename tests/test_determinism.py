@@ -7,7 +7,9 @@ suite:
 
 * ``run_many`` with a worker pool reproduces the serial results exactly;
 * workloads rehydrated from the disk cache simulate identically to freshly
-  prepared ones.
+  prepared ones;
+* configs run back to back on one shared prepared workload match
+  standalone runs on every fidelity tier.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import pytest
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.context import ExperimentContext
 from repro.harness.sweep import SweepPoint
+from repro.sim.interval import IntervalConfig
 from repro.sim.registry import core_registry
+from repro.sim.run import FIDELITIES, simulate
 
 QUICK = ("gcc", "mcf", "swim", "equake")
 
@@ -141,6 +145,55 @@ def test_run_many_counts_deduped_points():
     assert ctx.telemetry.counters.get("run_many.deduped") == 2
     ctx.run_many([point])
     assert ctx.telemetry.counters.get("run_many.memoized") == 1
+
+
+class TestSharedWorkload:
+    """Many configs on one prepared workload change nothing.
+
+    A sweep replays one workload against many machine configs, and the
+    config-invariant facts (:meth:`PreparedWorkload.decode`,
+    :meth:`PreparedWorkload.replay`) are cached on the workload object,
+    so every config after the first reuses them.  Each run must still be
+    bit-identical to a standalone run on a freshly prepared workload, on
+    every fidelity tier.
+    """
+
+    #: small enough that the short default-scale trace still calibrates
+    TIERS = {
+        "exact": {},
+        "sampled": {},
+        "interval": {"interval": IntervalConfig(windows=4, window=200)},
+    }
+
+    @staticmethod
+    def _shared_vs_standalone(kinds, braided, fidelity, tier):
+        shared = fresh_context().workload("gcc", braided=braided)
+        together = [
+            simulate(shared, CORES[kind][0], fidelity=fidelity, **tier)
+            for kind in kinds
+        ]
+        alone = [
+            simulate(
+                fresh_context().workload("gcc", braided=braided),
+                CORES[kind][0], fidelity=fidelity, **tier,
+            )
+            for kind in kinds
+        ]
+        assert all(result.fidelity == fidelity for result in together)
+        assert [dataclasses.asdict(result) for result in together] == [
+            dataclasses.asdict(result) for result in alone
+        ]
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_configs_match_standalone(self, fidelity):
+        kinds = [kind for kind, (_, braided) in CORES.items() if not braided]
+        self._shared_vs_standalone(
+            kinds, False, fidelity, self.TIERS[fidelity]
+        )
+
+    def test_braided_configs_match_standalone(self):
+        kinds = [kind for kind, (_, braided) in CORES.items() if braided]
+        self._shared_vs_standalone(kinds, True, "exact", {})
 
 
 class TestEventKernelEquivalence:

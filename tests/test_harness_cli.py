@@ -100,6 +100,18 @@ class TestValidateCommand:
         assert "exact" in out and "sampled" in out
         assert "cycles checked" in out
 
+    def test_validate_interval_tier(self, capsys):
+        code = main([
+            "validate", "--benchmarks", "gcc", "--cores", "ooo",
+            "--interval", "windows=4,window=200,warmup=64",
+            "--no-cache", "--fuzz", "0",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "exact" in out and "interval" in out
+        assert "skipped" in out  # the calibration windows left gaps
+        assert "2/2 lockstep runs clean" in out
+
     def test_validate_rejects_unknown_core(self):
         with pytest.raises(SystemExit):
             main(["validate", "--cores", "vliw", "--no-cache", "--fuzz", "0"])

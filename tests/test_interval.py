@@ -99,7 +99,9 @@ class TestPlanCalibration:
 
     def test_plan_anchors_first_and_last_units(self):
         config = IntervalConfig()
-        units, chosen = plan_calibration(100_000, config)
+        plan = plan_calibration(100_000, config)
+        units, chosen = plan.units, plan.chosen
+        assert plan.certain == ()
         assert chosen[0] == 0
         assert chosen[-1] == len(units) - 1
         assert units[0][0] == 0
@@ -110,8 +112,8 @@ class TestPlanCalibration:
 
     def test_seed_moves_interior_picks_only(self):
         total = 200_000
-        _, base = plan_calibration(total, IntervalConfig(seed=0))
-        _, moved = plan_calibration(total, IntervalConfig(seed=7))
+        base = plan_calibration(total, IntervalConfig(seed=0)).chosen
+        moved = plan_calibration(total, IntervalConfig(seed=7)).chosen
         assert base[0] == moved[0] == 0
         assert base[-1] == moved[-1]
         assert base != moved  # interior scatter responds to the seed

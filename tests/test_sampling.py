@@ -59,6 +59,8 @@ class TestConfig:
             SamplingConfig.parse("cadence=5")
         with pytest.raises(ValueError):
             SamplingConfig.parse("stride=0")
+        with pytest.raises(ValueError, match="duplicate key 'stride'"):
+            SamplingConfig.parse("stride=3,stride=7")
 
     def test_cache_token_distinguishes_configs(self):
         assert (

@@ -24,6 +24,7 @@ from repro.sim.config import (
     inorder_config,
     ooo_config,
 )
+from repro.sim.interval import IntervalConfig
 from repro.sim.run import build_core, simulate
 from repro.sim.sampling import SamplingConfig
 from repro.validate import (
@@ -45,6 +46,8 @@ from repro.validate.fuzzing import annotation_defects
 from repro.validate.runner import CORE_FACTORIES
 
 SAMPLING = SamplingConfig(interval=200, stride=4, warmup=64)
+#: small enough that the short test traces still leave units to predict
+INTERVAL = IntervalConfig(windows=4, window=200, warmup=64)
 
 ALL_CONFIGS = [
     pytest.param(ooo_config, False, id="ooo"),
@@ -111,6 +114,15 @@ class TestLockstepClean:
         )
         assert divergences == []
         assert result.sampled or "sample_fallback_exact" in result.extra
+
+    @pytest.mark.parametrize("factory, braided", ALL_CONFIGS)
+    def test_interval_runs_clean(self, ctx, factory, braided):
+        workload = ctx.workload("gcc", braided=braided)
+        result, divergences = lockstep_simulate(
+            workload, factory(), fidelity="interval", interval=INTERVAL
+        )
+        assert divergences == []
+        assert result.fidelity == "interval"
 
     def test_checker_accounts_whole_trace(self, ctx):
         workload = ctx.workload("mcf")

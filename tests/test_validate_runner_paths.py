@@ -37,7 +37,7 @@ def _tampering_build_core(offset):
 class TestDivergencePaths:
     def test_oracle_divergence_fails_the_sweep(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "repro.validate.runner.build_core", _tampering_build_core(25)
+            "repro.sim.run.build_core", _tampering_build_core(25)
         )
         code = main(list(CLEAN_ARGS))
         out = capsys.readouterr().out
@@ -58,7 +58,7 @@ class TestDivergencePaths:
                 return _tampering_build_core(25)(workload, config)
             return real(workload, config)
 
-        monkeypatch.setattr("repro.validate.runner.build_core", flaky)
+        monkeypatch.setattr("repro.sim.run.build_core", flaky)
         code = main([
             "validate", "--benchmarks", "gcc", "--cores", "ooo,inorder",
             "--no-cache", "--fuzz", "0",
@@ -86,7 +86,7 @@ class TestDivergencePaths:
             core.retire_stage = retire
             return core
 
-        monkeypatch.setattr("repro.validate.runner.build_core", corrupting)
+        monkeypatch.setattr("repro.sim.run.build_core", corrupting)
         code = main(list(CLEAN_ARGS) + ["--invariants"])
         out = capsys.readouterr().out
         assert code == 1
