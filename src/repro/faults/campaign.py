@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.avf import avf_report
 from ..harness.parallel import TaskOutcome, run_tasks_hardened
+from ..service.retry import RetryPolicy
 from ..sim.config import MachineConfig
 from ..sim.run import build_core
 from ..validate.lockstep import LockstepChecker
@@ -360,7 +361,7 @@ def run_campaign(
                 _execute_task,
                 [(task.task_id, task) for task in pending],
                 jobs=spec.jobs,
-                timeout=spec.timeout,
+                policy=RetryPolicy(deadline=spec.timeout),
                 on_result=journal.record,
             )
         finally:

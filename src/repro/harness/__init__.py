@@ -2,7 +2,7 @@
 
 from .artifacts import ArtifactCache, CACHE_FORMAT_VERSION, default_cache_dir
 from .context import ExperimentContext, benchmarks_from_env, scale_from_env
-from .parallel import jobs_from_env, run_points_parallel
+from .parallel import jobs_from_env
 from .sweep import Cell, SweepPoint, sweep_experiment
 from .experiments import (
     abl_beu_occupancy,
@@ -57,7 +57,6 @@ __all__ = [
     "benchmarks_from_env",
     "scale_from_env",
     "jobs_from_env",
-    "run_points_parallel",
     "ArtifactCache",
     "CACHE_FORMAT_VERSION",
     "default_cache_dir",

@@ -314,12 +314,14 @@ class ExperimentContext:
         one prepared workload run together, so the decode/replay facts
         cached on the workload are built once per workload —
         per worker — instead of once per point.  With ``jobs > 1`` the
-        workload groups fan out over the process pool (deterministic,
-        submission-ordered results; large groups split to keep every
-        worker busy); with ``jobs = 1`` they run serially in-process,
-        exactly like :meth:`run`.  The requested worker count is clamped
-        to the pending work and falls back to the serial path on
-        single-CPU hosts (see :func:`~repro.harness.parallel.effective_jobs`).
+        workload groups fan out over the worker fleet through
+        :func:`~repro.harness.parallel.run_point_groups_parallel`
+        (deterministic, submission-ordered results; large groups split to
+        keep every worker busy); with ``jobs = 1`` they run serially
+        in-process, exactly like :meth:`run`.  The requested worker count
+        is clamped to the pending work and falls back to the serial path
+        on single-CPU hosts (see
+        :func:`~repro.harness.parallel.effective_jobs`).
         """
         fresh: List[SweepPoint] = []
         seen = set()

@@ -1,32 +1,23 @@
-"""Parallel sweep engine: fan sweep points out over a process pool.
+"""Worker fleet: sweeps, fault campaigns and the service share one pool.
 
 The timing cores are pure Python, so threads cannot scale them; this module
-uses worker processes instead.  Each worker holds one long-lived
-:class:`~repro.harness.context.ExperimentContext`, so phase-one artifacts
-(programs, braid compilations, prepared workloads) are materialized at most
-once per worker — and usually not even that, because the parent pre-warms
-phase one before the pool starts:
+runs tasks on dedicated worker processes instead — one fleet,
+:func:`run_tasks_hardened`, with per-task wall-clock deadlines and watchdog
+kill, classified retry with backoff, quarantine (not abort) of tasks that
+keep failing, heartbeats, and crash-safe file-inbox result delivery.  Fault
+campaigns (:mod:`repro.faults`) and the service supervisor call it
+directly.
 
-* on fork platforms the workers inherit the parent's warm context
-  copy-on-write and pay nothing;
-* on spawn platforms (or when a worker sees a benchmark the parent did not
-  warm) the worker reads the persistent artifact cache and pays one
-  unpickle.
+Sweeps call it through :func:`run_point_groups_parallel`.  The parent
+warms phase one (programs, braid compilations, prepared workloads) before
+the fleet forks, so the workers inherit the warm context copy-on-write and
+pay nothing for it.  Results come back in submission order, so a parallel
+sweep is deterministically equal to the serial one (``jobs=1`` never
+reaches the fleet — tests and debugging see the plain in-process path).  A
+sweep task that dies with its worker (OOM kill, segfault, interpreter
+abort) re-runs serially in the parent, so the sweep keeps every result.
 
-Results come back in submission order, so a parallel sweep is
-deterministically equal to the serial one (``jobs=1`` bypasses the pool
-entirely — tests and debugging see the plain in-process path).  A worker
-that dies mid-task (OOM kill, segfault, interpreter abort) no longer loses
-the whole sweep: completed results are kept, the in-flight task is logged,
-and the unfinished points are re-run serially in the parent
-(:func:`_collect_resilient`).
-
-For workloads that are *expected* to wedge or kill their workers —
-fault-injection campaigns (:mod:`repro.faults`) — :func:`run_tasks_hardened`
-provides a separate, sturdier dispatch path: dedicated worker processes
-with per-task wall-clock deadlines and watchdog kill, bounded
-retry-with-backoff for infrastructure failures, and quarantine (not abort)
-of tasks that keep destroying their workers.
+Without the fork start method the fleet runs tasks serially in-process.
 
 Knobs: ``REPRO_JOBS`` / ``--jobs`` on ``python -m repro.harness``; the
 default is ``os.cpu_count()``.
@@ -34,26 +25,17 @@ default is ``os.cpu_count()``.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
 import queue as queue_module
+import select
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..service.retry import PERMANENT, RetryPolicy
 from ..sim.results import SimResult
@@ -122,173 +104,30 @@ def effective_jobs(jobs: int, pending: int) -> int:
     return capped
 
 
-#: Worker-side context; under fork this aliases the parent's warm context.
-_WORKER_CONTEXT = None
-#: Set by run_points_parallel just before the pool forks.
-_PARENT_CONTEXT = None
-
-
-def _init_worker(spec: Tuple) -> None:
-    global _WORKER_CONTEXT
-    if _PARENT_CONTEXT is not None:
-        # Fork start method: reuse the parent's context (and its warm
-        # program/compilation/workload caches) copy-on-write.
-        _WORKER_CONTEXT = _PARENT_CONTEXT
-        return
-    from ..sim.interval import IntervalConfig
-    from ..sim.sampling import SamplingConfig
-    from .artifacts import ArtifactCache
-    from .context import ExperimentContext
-
-    (
-        benchmarks,
-        scale,
-        max_instructions,
-        cache_root,
-        cache_enabled,
-        sampling_spec,
-        result_cache,
-        fidelity,
-        interval_spec,
-    ) = spec
-    _WORKER_CONTEXT = ExperimentContext(
-        benchmarks=benchmarks,
-        scale=scale,
-        max_instructions=max_instructions,
-        jobs=1,
-        cache=ArtifactCache(root=cache_root, enabled=cache_enabled),
-        result_cache=result_cache,
-    )
-    # Assign directly: the constructor treats None as "consult the
-    # environment" for sampling and fidelity, but the worker must mirror
-    # the parent's *resolved* modes even when the parent overrode them.
-    _WORKER_CONTEXT.sampling = (
-        SamplingConfig.parse(sampling_spec) if sampling_spec else None
-    )
-    _WORKER_CONTEXT.fidelity = fidelity
-    _WORKER_CONTEXT.interval = (
-        IntervalConfig.parse(interval_spec) if interval_spec
-        else IntervalConfig()
-    )
-
-
-def _context_spec(context) -> Tuple:
-    """The picklable context identity shipped to spawn-start workers."""
-    return (
-        context.benchmarks,
-        context.scale,
-        context.max_instructions,
-        str(context.cache.root),
-        context.cache.enabled,
-        context.sampling.spec() if context.sampling is not None else None,
-        context.result_cache,
-        context.fidelity,
-        context.interval.spec() if context.interval is not None else None,
-    )
-
-
-def _run_group(points: Tuple[SweepPoint, ...]) -> List[SimResult]:
-    from ..obs.profiling import maybe_profiled
-
-    # maybe_profiled is a straight call unless the parent exported
-    # REPRO_PROFILE_DIR (--profile); then each worker dumps cProfile data
-    # the parent aggregates after the sweep.  Points of one task share a
-    # workload (run_many groups workload-major), so the context's warm
-    # caches make every point after the first reuse the decode/replay
-    # facts the first one built.
-    return maybe_profiled(
-        lambda: [
-            _WORKER_CONTEXT.run(
-                point.benchmark,
-                point.config,
-                braided=point.braided,
-                perfect=point.perfect,
-                internal_limit=point.internal_limit,
-            )
-            for point in points
-        ]
-    )
-
-
-def _run_point_serial(context, point: SweepPoint) -> SimResult:
-    """One sweep point on the caller's own context (no worker pool)."""
-    return context.run(
-        point.benchmark,
-        point.config,
-        braided=point.braided,
-        perfect=point.perfect,
-        internal_limit=point.internal_limit,
-    )
-
-
-def _collect_resilient(
-    futures: Sequence,
-    labels: Sequence[str],
-    serial_fn: Callable[[int], Any],
-) -> List[Any]:
-    """Gather future results, surviving worker deaths.
-
-    A worker that dies mid-task (OOM kill, segfault) breaks the whole
-    executor: every unfinished future raises :class:`BrokenProcessPool`.
-    Instead of surfacing that as a bare exception and losing all completed
-    work, keep every result that finished, log which task was in flight
-    when the pool broke, and recompute the unfinished tasks through
-    ``serial_fn(index)`` in the calling process.
-    """
-    results: List[Any] = [None] * len(futures)
-    unfinished: List[int] = []
-    broken: Optional[str] = None
-    for index, future in enumerate(futures):
-        if broken is None:
-            try:
-                results[index] = future.result()
-                continue
-            except BrokenProcessPool:
-                broken = labels[index]
-        # Pool already broken: cancel/skim without blocking.  Futures that
-        # finished before the break still hold their results.
-        if future.done() and not future.cancelled():
-            error = future.exception()
-            if error is None:
-                results[index] = future.result()
-                continue
-        unfinished.append(index)
-    if broken is not None:
-        _note_once(
-            f"a worker process died while running {broken!r}; keeping "
-            f"{len(futures) - len(unfinished)} completed result(s) and "
-            f"re-running {len(unfinished)} unfinished task(s) serially"
-        )
-        for index in unfinished:
-            results[index] = serial_fn(index)
-    return results
-
-
 def run_point_groups_parallel(
     context, groups: Sequence[Sequence[SweepPoint]], jobs: int
 ) -> List[List[SimResult]]:
-    """Simulate point groups on ``jobs`` workers; results in submission order.
+    """Simulate point groups on ``jobs`` fleet workers; results in order.
 
-    Each group is one pool task (one worker runs its points back to
+    Each group is one fleet task (one worker runs its points back to
     back), so callers that group workload-major —
     :meth:`ExperimentContext.run_many` — amortize the shared
     decode/replay facts across every config of a workload.  Results come
-    back as one list per group, aligned with the request.
+    back as one list per group, aligned with the request.  Groups get one
+    attempt and no wall-clock deadline; a group the fleet could not
+    finish (its worker died, or it raised) re-runs serially here, so a
+    dead worker never loses the sweep and a task exception re-raises in
+    the caller with its original type.
     """
-    global _PARENT_CONTEXT
-    groups = [list(group) for group in groups]
-    if not groups:
-        return []
-    jobs = min(jobs, len(groups))
+    from ..obs.profiling import maybe_profiled
 
-    # Warm phase one in the parent so forked workers share it copy-on-write
-    # and the persistent cache covers spawn-start platforms.
-    for key in {
+    groups = [list(group) for group in groups]
+    # Warm phase one in the parent so forked workers share it copy-on-write.
+    for benchmark, braided, perfect, internal_limit in {
         (p.benchmark, p.braided, p.perfect, p.internal_limit)
         for group in groups
         for p in group
     }:
-        benchmark, braided, perfect, internal_limit = key
         context.workload(
             benchmark,
             braided=braided,
@@ -296,69 +135,47 @@ def run_point_groups_parallel(
             internal_limit=internal_limit,
         )
 
-    spec = _context_spec(context)
-
-    def _serial_group(group: Sequence[SweepPoint]) -> List[SimResult]:
-        return [_run_point_serial(context, point) for point in group]
-
-    def _label(group: Sequence[SweepPoint]) -> str:
-        first = group[0]
-        label = f"{first.benchmark} on {first.config.name}"
-        if len(group) > 1:
-            label += f" (+{len(group) - 1} more)"
-        return label
-
-    try:
-        mp_context = multiprocessing.get_context("fork")
-    except ValueError:
-        # Spawn-only platforms (Windows, some macOS configs) would re-import
-        # every worker from scratch and re-unpickle phase one per process;
-        # with the warm in-process context already holding the artifacts,
-        # serial execution is both simpler and usually faster.  Never
-        # degrade silently (mirrors the 1-CPU clamp in effective_jobs).
-        _note_once(
-            "fork start method unavailable on this platform: running "
-            "sweep points serially in-process"
-        )
-        return [_serial_group(group) for group in groups]
-
-    _PARENT_CONTEXT = context
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=mp_context,
-            initializer=_init_worker,
-            initargs=(spec,),
-        ) as pool:
-            futures = [
-                pool.submit(_run_group, tuple(group)) for group in groups
-            ]
-            results = _collect_resilient(
-                futures,
-                labels=[_label(group) for group in groups],
-                serial_fn=lambda index: _serial_group(groups[index]),
+    def run_group(group: Sequence[SweepPoint]) -> List[SimResult]:
+        return [
+            context.run(
+                point.benchmark,
+                point.config,
+                braided=point.braided,
+                perfect=point.perfect,
+                internal_limit=point.internal_limit,
             )
-    finally:
-        _PARENT_CONTEXT = None
-    return results
+            for point in group
+        ]
 
+    parent = os.getpid()
 
-def run_points_parallel(
-    context, points: Sequence[SweepPoint], jobs: int
-) -> List[SimResult]:
-    """Simulate ``points`` on ``jobs`` workers; results in submission order.
+    def task(group: Sequence[SweepPoint]) -> List[SimResult]:
+        # A forked worker dumps its own cProfile data under --profile;
+        # in-process the caller's profile already covers the group.
+        if os.getpid() == parent:
+            return run_group(group)
+        return maybe_profiled(lambda: run_group(group))
 
-    One task per point — the pre-batching dispatch shape, kept for
-    callers that schedule their own grouping.
-    """
-    groups = run_point_groups_parallel(
-        context, [(point,) for point in points], jobs
+    outcomes = run_tasks_hardened(
+        task,
+        [(str(index), group) for index, group in enumerate(groups)],
+        jobs=jobs,
+        policy=RetryPolicy(max_attempts=1, deadline=math.inf),
     )
-    return [group[0] for group in groups]
+    lost = [outcome.error for outcome in outcomes if not outcome.ok]
+    if lost:
+        _note_once(
+            f"{len(lost)} sweep task(s) did not finish on a worker "
+            f"({lost[0]}); re-running them serially"
+        )
+    return [
+        outcome.result if outcome.ok else run_group(group)
+        for outcome, group in zip(outcomes, groups)
+    ]
 
 
 # --------------------------------------------------------------------------
-# Hardened task dispatch (fault-injection campaigns)
+# The worker fleet
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -450,7 +267,20 @@ def _drain_inbox(inbox: str) -> List[Tuple]:
     return messages
 
 
-def _hardened_worker(fn, task_queue, inbox) -> None:
+def _ring(wake: int) -> None:
+    """Wake the parent after a delivery (a hint; the inbox is the message).
+
+    A raw pipe write takes no lock, so a worker killed mid-write cannot
+    wedge the others (see :func:`_deliver_message`).  The write end is
+    non-blocking: a full pipe already holds a pending wake-up.
+    """
+    try:
+        os.write(wake, b"\0")
+    except OSError:
+        pass
+
+
+def _hardened_worker(fn, task_queue, inbox, wake) -> None:
     """Worker loop: run tasks until the ``None`` sentinel arrives.
 
     Exceptions from ``fn`` are reported as infrastructure errors — domain
@@ -489,6 +319,7 @@ def _hardened_worker(fn, task_queue, inbox) -> None:
                  f"result delivery failed: "
                  f"{type(error).__name__}: {error}"),
             )
+        _ring(wake)
 
 
 @dataclass
@@ -516,11 +347,11 @@ class _HardenedWorker:
     directory — see :func:`_deliver_message`.
     """
 
-    def __init__(self, mp_context, fn, inbox) -> None:
+    def __init__(self, mp_context, fn, inbox, wake) -> None:
         self.task_queue = mp_context.Queue()
         self.process = mp_context.Process(
             target=_hardened_worker,
-            args=(fn, self.task_queue, inbox),
+            args=(fn, self.task_queue, inbox, wake),
             daemon=True,
         )
         self.process.start()
@@ -629,11 +460,8 @@ def run_tasks_hardened(
     fn: Callable[[Any], Any],
     tasks: Sequence[Tuple[str, Any]],
     jobs: int = 1,
-    timeout: Optional[float] = None,
-    max_attempts: int = 3,
-    backoff: float = 0.5,
-    on_result: Optional[Callable[[TaskOutcome], None]] = None,
     policy: Optional[RetryPolicy] = None,
+    on_result: Optional[Callable[[TaskOutcome], None]] = None,
     progress_probe: Optional[Callable[[str], Optional[Dict]]] = None,
     hang_grace: float = 2.0,
     extension_cap: float = 4.0,
@@ -641,8 +469,8 @@ def run_tasks_hardened(
     """Run ``fn`` over ``tasks`` on workers that are allowed to die.
 
     ``tasks`` is a sequence of ``(task_id, payload)``; outcomes come back
-    in task order.  Guarantees the campaign runner and the service
-    supervisor need:
+    in task order.  Guarantees the sweeps, the campaign runner and the
+    service supervisor need:
 
     * **watchdog kill** — a task that exceeds the policy deadline of wall
       clock gets its worker killed and respawned;
@@ -660,9 +488,8 @@ def run_tasks_hardened(
       (the campaign journal appends there), so a SIGKILL of the *parent*
       loses at most the in-flight tasks.
 
-    ``policy`` is the shared :class:`~repro.service.retry.RetryPolicy`;
-    the legacy ``timeout``/``max_attempts``/``backoff`` arguments build
-    one when it is omitted (``timeout`` defaults to 120 seconds).
+    ``policy`` is the shared :class:`~repro.service.retry.RetryPolicy`
+    (default: ``RetryPolicy()`` — three attempts, 120-second deadline).
 
     ``progress_probe`` (optional, ``task_id -> heartbeat snapshot dict
     or None`` — the service passes
@@ -682,19 +509,7 @@ def run_tasks_hardened(
     (:class:`~repro.sim.core.SimulationHang`) still bounds hangs there.
     """
     if policy is None:
-        policy = RetryPolicy(
-            max_attempts=max_attempts,
-            backoff=backoff,
-            deadline=timeout if timeout is not None else 120.0,
-        )
-    elif timeout is not None:
-        policy = RetryPolicy(
-            max_attempts=policy.max_attempts,
-            backoff=policy.backoff,
-            backoff_cap=policy.backoff_cap,
-            deadline=timeout,
-            seed=policy.seed,
-        )
+        policy = RetryPolicy()
     tasks = list(tasks)
     if not tasks:
         return []
@@ -714,8 +529,10 @@ def run_tasks_hardened(
     jobs = max(jobs, 1)
     inbox_dir = tempfile.TemporaryDirectory(prefix="repro-hardened-")
     inbox = inbox_dir.name
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
     workers = [
-        _HardenedWorker(mp_context, fn, inbox) for _ in range(jobs)
+        _HardenedWorker(mp_context, fn, inbox, wake_w) for _ in range(jobs)
     ]
     outcomes: Dict[int, TaskOutcome] = {}
     partial: Dict[int, TaskOutcome] = {
@@ -779,11 +596,12 @@ def run_tasks_hardened(
                     index=index, task_id=task_id, attempt=attempt,
                     deadline=now + policy.deadline, dispatched=now,
                 )
-            # Drain delivered results (short sleep keeps deadlines
-            # responsive when the inbox is empty).
+            # Drain delivered results.  When the inbox is empty, wait for
+            # a worker's wake-up byte; the short timeout keeps deadlines
+            # responsive and covers a lost wake-up.
             messages = _drain_inbox(inbox)
-            if not messages:
-                time.sleep(0.02)
+            if not messages and select.select([wake_r], [], [], 0.02)[0]:
+                os.read(wake_r, 4096)
             for task_id, attempt, status, result, error in messages:
                 for worker in workers:
                     if (
@@ -807,7 +625,7 @@ def run_tasks_hardened(
                     if not worker.process.is_alive():
                         worker.kill()
                         workers[position] = _HardenedWorker(
-                            mp_context, fn, inbox
+                            mp_context, fn, inbox, wake_w
                         )
                     continue
                 assignment = worker.assignment
@@ -851,11 +669,13 @@ def run_tasks_hardened(
                     )
                     worker.kill()
                     workers[position] = _HardenedWorker(
-                        mp_context, fn, inbox
+                        mp_context, fn, inbox, wake_w
                     )
                     fail_attempt(assignment.index, attempt, reason)
     finally:
         for worker in workers:
             worker.stop()
+        os.close(wake_r)
+        os.close(wake_w)
         inbox_dir.cleanup()
     return [outcomes[index] for index in range(len(tasks))]

@@ -7,8 +7,10 @@ normalized to another point (the paper's 8-wide out-of-order baseline, or
 the leftmost column).  Expressing figures as :class:`Cell` grids instead of
 nested ``ctx.run`` loops lets one driver — :func:`sweep_experiment` — batch
 every point of a figure through :meth:`ExperimentContext.run_many`, which
-deduplicates shared points and fans the rest out over the worker pool.  No
-figure carries its own parallelism or caching code.
+deduplicates shared points and fans the rest out over the worker fleet
+(:func:`~repro.harness.parallel.run_tasks_hardened`, the same one fault
+campaigns and the service use).  No figure carries its own parallelism or
+caching code.
 """
 
 from __future__ import annotations

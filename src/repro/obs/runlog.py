@@ -79,13 +79,17 @@ class RunLog:
     def read(self) -> List[Dict[str, Any]]:
         """All parseable events; torn or foreign lines are skipped + counted.
 
-        Same tolerance contract as
-        :meth:`repro.service.journal.JsonlJournal._load`: a half-written
+        The journal's parser
+        (:func:`repro.service.journal.parse_jsonl_lines`): a half-written
         record (the writer was killed mid-``os.write``, or the disk
         damaged a line) costs that one event, never the log.  The number
         of lines lost is exposed as :attr:`skipped` so growing loss is
         visible instead of silent.
         """
+        # Imported here: repro.service imports the harness, which imports
+        # this module.
+        from ..service.journal import parse_jsonl_lines
+
         self.skipped = 0
         if self.path is None:
             return []
@@ -93,18 +97,5 @@ class RunLog:
             text = self.path.read_text(encoding="utf-8", errors="replace")
         except OSError:
             return []
-        events: List[Dict[str, Any]] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                self.skipped += 1
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-            else:
-                self.skipped += 1
+        events, self.skipped = parse_jsonl_lines(text.splitlines())
         return events

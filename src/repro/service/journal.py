@@ -9,8 +9,9 @@ One durability idiom, used everywhere a record must survive SIGKILL:
   optional content digest; resuming against a journal written by a
   different producer is refused loudly instead of silently mixing records;
 * loading tolerates a torn tail: an unparseable line is skipped and
-  counted, and because every record is one idempotent event, the worst a
-  torn tail costs is redoing the work the lost record described.
+  counted (:func:`parse_jsonl_lines`, which the run log's reader shares),
+  and because every record is one idempotent event, the worst a torn tail
+  costs is redoing the work the lost record described.
 
 :class:`~repro.faults.campaign.CampaignJournal` and
 :class:`~repro.service.jobstore.JobStore` are both thin layers over this
@@ -24,7 +25,33 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+
+
+def parse_jsonl_lines(
+    lines: Iterable[Union[str, bytes]],
+) -> Tuple[List[Dict[str, Any]], int]:
+    """Parse JSONL lines into ``(records, skipped)``.
+
+    Blank lines are ignored.  A line that does not parse (a torn tail
+    from a mid-write kill, damaged bytes) or is not a JSON object costs
+    that one record: it is skipped and counted, never fatal.
+    """
+    records: List[Dict[str, Any]] = []
+    skipped = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:  # JSONDecodeError or UnicodeDecodeError
+            skipped += 1
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+        else:
+            skipped += 1
+    return records, skipped
 
 
 class JournalError(RuntimeError):
@@ -114,18 +141,9 @@ class JsonlJournal:
                 f"(digest {header.get('digest')!r} != {self.digest!r}); "
                 f"delete it or rerun with the original parameters"
             )
-        for line in lines[1:]:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Torn tail from a mid-write kill (or a damaged line): the
-                # event is lost, the work it described simply reruns.
-                self.skipped += 1
-                continue
-            if isinstance(record, dict):
-                self.records.append(record)
-            else:
-                self.skipped += 1
+        # A torn tail from a mid-write kill (or a damaged line) loses its
+        # event; the work it described simply reruns.
+        self.records, self.skipped = parse_jsonl_lines(lines[1:])
 
     def _write_line(self, record: Dict[str, Any]) -> None:
         if self._handle is None:
@@ -245,25 +263,12 @@ class JournalFollower:
                 chunk = handle.read()
         except OSError:
             return []
-        records: List[Dict[str, Any]] = []
-        consumed = 0
-        while True:
-            newline = chunk.find(b"\n", consumed)
-            if newline < 0:
-                break  # torn tail (if any) stays unconsumed
-            line = chunk[consumed:newline]
-            consumed = newline + 1
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                self.skipped += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                self.skipped += 1
+        # Only complete lines are consumed; a torn tail (if any) stays.
+        consumed = chunk.rfind(b"\n") + 1
+        records, skipped = parse_jsonl_lines(
+            chunk[:consumed].split(b"\n")
+        )
+        self.skipped += skipped
         self.offset += consumed
         return records
 

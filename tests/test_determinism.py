@@ -76,15 +76,17 @@ def serial_fingerprints():
 def parallel_results():
     """The same sweep dispatched through the jobs=2 worker pool.
 
-    Calls :func:`run_points_parallel` directly: ``run_many`` would route
-    around the pool on single-CPU hosts (see ``effective_jobs``), and this
-    test exists precisely to exercise the pool path.
+    Calls :func:`run_point_groups_parallel` directly, one point per
+    group: ``run_many`` would route around the pool on single-CPU hosts
+    (see ``effective_jobs``), and this test exists precisely to exercise
+    the pool path.
     """
-    from repro.harness.parallel import run_points_parallel
+    from repro.harness.parallel import run_point_groups_parallel
 
     ctx = fresh_context(jobs=2)
     points = all_points()
-    return dict(zip(points, run_points_parallel(ctx, points, 2)))
+    groups = run_point_groups_parallel(ctx, [(p,) for p in points], 2)
+    return dict(zip(points, (group[0] for group in groups)))
 
 
 @pytest.fixture(scope="module")

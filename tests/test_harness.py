@@ -362,7 +362,11 @@ class TestNonForkFallback:
             SweepPoint("gcc", ooo_config(8)),
             SweepPoint("gcc", inorder_config(8)),
         ]
-        results = parallel.run_points_parallel(context, points, jobs=2)
+        results = [
+            group[0] for group in parallel.run_point_groups_parallel(
+                context, [(point,) for point in points], jobs=2
+            )
+        ]
         note = capsys.readouterr().err
         assert "fork start method unavailable" in note
         assert [r.machine for r in results] == [

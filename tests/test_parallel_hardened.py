@@ -1,27 +1,32 @@
-"""Hardened task dispatch and worker-death resilience (repro.harness.parallel).
+"""The worker fleet and worker-death resilience (repro.harness.parallel).
 
 Fault-injection campaigns run tasks that are *expected* to wedge or kill
 their workers; these tests drive ``run_tasks_hardened`` through every
 failure mode it guarantees against — worker death, wall-clock timeouts,
-exceptions escaping the task function — plus the sweep-side
-``_collect_resilient`` guarantee that a dead pool worker never loses
-completed results.
+exceptions escaping the task function — plus the sweep-side guarantee of
+``run_point_groups_parallel`` that a dead worker never loses the sweep.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import multiprocessing
 import os
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.harness import ArtifactCache, ExperimentContext, SweepPoint
+from repro.harness import parallel
 from repro.harness.parallel import (
     TaskOutcome,
-    _collect_resilient,
+    run_point_groups_parallel,
     run_tasks_hardened,
 )
+from repro.service.retry import RetryPolicy
+from repro.sim import inorder_config, ooo_config
 
 
 def _has_fork() -> bool:
@@ -70,12 +75,6 @@ def _sleep_forever(payload):
     time.sleep(600)
 
 
-def _crash_pool_worker(payload):
-    if payload == "die":
-        os._exit(7)
-    return payload.upper()
-
-
 class TestSerialPath:
     def test_ok_results_in_task_order(self):
         outcomes = run_tasks_hardened(
@@ -90,7 +89,8 @@ class TestSerialPath:
         # the retry policy classifies it permanent and retrying would
         # just repeat it, so the task quarantines after one attempt.
         outcomes = run_tasks_hardened(
-            _raise_value_error, [("a", 1)], jobs=1, max_attempts=3
+            _raise_value_error, [("a", 1)], jobs=1,
+            policy=RetryPolicy(max_attempts=3),
         )
         outcome = outcomes[0]
         assert outcome.status == "quarantined" and not outcome.ok
@@ -101,8 +101,8 @@ class TestSerialPath:
 
     def test_retryable_exception_retried_then_quarantined(self):
         outcomes = run_tasks_hardened(
-            _raise_os_error, [("a", 1)], jobs=1, max_attempts=3,
-            backoff=0.01,
+            _raise_os_error, [("a", 1)], jobs=1,
+            policy=RetryPolicy(max_attempts=3, backoff=0.01),
         )
         outcome = outcomes[0]
         assert outcome.status == "quarantined" and not outcome.ok
@@ -115,7 +115,7 @@ class TestSerialPath:
         outcomes = run_tasks_hardened(
             lambda p: _raise_value_error(p) if p == 1 else p,
             [("bad", 1), ("good", 2)],
-            jobs=1, max_attempts=2,
+            jobs=1, policy=RetryPolicy(max_attempts=2),
         )
         assert not outcomes[0].ok
         assert outcomes[1].ok and outcomes[1].result == 2
@@ -136,7 +136,8 @@ class TestSerialPath:
 class TestHardenedWorkers:
     def test_parallel_ok_path(self):
         outcomes = run_tasks_hardened(
-            _double, [(str(i), i) for i in range(6)], jobs=2, timeout=30.0
+            _double, [(str(i), i) for i in range(6)], jobs=2,
+            policy=RetryPolicy(deadline=30.0),
         )
         assert [o.result for o in outcomes] == [0, 2, 4, 6, 8, 10]
         assert all(o.ok for o in outcomes)
@@ -150,7 +151,8 @@ class TestHardenedWorkers:
             return payload * 2
 
         outcomes = run_tasks_hardened(
-            fn, tasks, jobs=2, timeout=30.0, max_attempts=2, backoff=0.05
+            fn, tasks, jobs=2,
+            policy=RetryPolicy(deadline=30.0, max_attempts=2, backoff=0.05),
         )
         by_id = {o.task_id: o for o in outcomes}
         assert by_id["ok-1"].ok and by_id["ok-1"].result == 2
@@ -164,7 +166,8 @@ class TestHardenedWorkers:
         payload = str(tmp_path / "attempt")
         outcomes = run_tasks_hardened(
             _die_first_attempt, [("t", payload)],
-            jobs=2, timeout=30.0, max_attempts=3, backoff=0.05,
+            jobs=2,
+            policy=RetryPolicy(deadline=30.0, max_attempts=3, backoff=0.05),
         )
         outcome = outcomes[0]
         assert outcome.ok and outcome.result == "recovered"
@@ -176,7 +179,7 @@ class TestHardenedWorkers:
         started = time.monotonic()
         outcomes = run_tasks_hardened(
             _sleep_forever, [("stuck", None)],
-            jobs=2, timeout=1.0, max_attempts=1,
+            jobs=2, policy=RetryPolicy(deadline=1.0, max_attempts=1),
         )
         elapsed = time.monotonic() - started
         outcome = outcomes[0]
@@ -194,40 +197,86 @@ class TestHardenedWorkers:
 
         run_tasks_hardened(
             fn, [("a", "x"), ("b", "die"), ("c", "y")],
-            jobs=2, timeout=30.0, max_attempts=1, on_result=settled.append,
+            jobs=2, policy=RetryPolicy(deadline=30.0, max_attempts=1),
+            on_result=settled.append,
         )
         assert sorted(o.task_id for o in settled) == ["a", "b", "c"]
 
 
-@needs_fork
-class TestCollectResilient:
-    def test_pool_break_keeps_finished_results(self):
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            futures = [
-                pool.submit(_crash_pool_worker, payload)
-                for payload in ("first", "die", "last")
-            ]
-            results = _collect_resilient(
-                futures,
-                labels=["first", "die", "last"],
-                serial_fn=lambda index: ("first", "die", "last")[
-                    index
-                ].upper(),
-            )
-        # The completed result survives; the in-flight and queued tasks
-        # are recomputed serially in the parent.
-        assert results == ["FIRST", "DIE", "LAST"]
+def _sweep_context() -> ExperimentContext:
+    return ExperimentContext(
+        benchmarks=("gcc",), max_instructions=20_000, jobs=2,
+        cache=ArtifactCache(enabled=False),
+    )
 
-    def test_clean_pool_passes_through(self):
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-            futures = [
-                pool.submit(_crash_pool_worker, payload)
-                for payload in ("a", "b")
-            ]
-            results = _collect_resilient(
-                futures, labels=["a", "b"],
-                serial_fn=lambda index: pytest.fail("no rerun expected"),
+
+SWEEP = [
+    SweepPoint("gcc", ooo_config(8)),
+    SweepPoint("gcc", inorder_config(8)),
+    SweepPoint("gcc", ooo_config(4)),
+]
+
+
+def _serial_results():
+    context = _sweep_context()
+    return [
+        dataclasses.asdict(context.run(point.benchmark, point.config))
+        for point in SWEEP
+    ]
+
+
+@needs_fork
+class TestSweepOnFleet:
+    def test_killed_worker_does_not_lose_the_sweep(self, monkeypatch, capsys):
+        # The point's forked worker SIGKILLs itself; the parent re-runs
+        # the lost group serially and the sweep matches the serial run.
+        monkeypatch.setattr(parallel, "_NOTED", set())
+        context = _sweep_context()
+        parent = os.getpid()
+        real_run = context.run
+
+        def run(benchmark, config, **kwargs):
+            if os.getpid() != parent and config == SWEEP[1].config:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run(benchmark, config, **kwargs)
+
+        monkeypatch.setattr(context, "run", run)
+        groups = run_point_groups_parallel(
+            context, [(point,) for point in SWEEP], jobs=2
+        )
+        assert "worker died mid-task" in capsys.readouterr().err
+        assert [len(group) for group in groups] == [1, 1, 1]
+        assert [
+            dataclasses.asdict(group[0]) for group in groups
+        ] == _serial_results()
+
+    def test_task_exception_keeps_its_type(self, monkeypatch):
+        context = _sweep_context()
+        real_run = context.run
+
+        def run(benchmark, config, **kwargs):
+            if config == SWEEP[2].config:
+                raise ValueError("bad sweep point")
+            return real_run(benchmark, config, **kwargs)
+
+        monkeypatch.setattr(context, "run", run)
+        with pytest.raises(ValueError, match="bad sweep point"):
+            run_point_groups_parallel(
+                context, [(point,) for point in SWEEP], jobs=2
             )
-        assert results == ["A", "B"]
+
+    def test_groups_run_once_without_deadline(self, monkeypatch):
+        policies = []
+        real = parallel.run_tasks_hardened
+
+        def spy(fn, tasks, **kwargs):
+            policies.append(kwargs["policy"])
+            return real(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_tasks_hardened", spy)
+        run_point_groups_parallel(
+            _sweep_context(), [SWEEP[:2], SWEEP[2:]], jobs=2
+        )
+        assert [(p.max_attempts, p.deadline) for p in policies] == [
+            (1, math.inf)
+        ]

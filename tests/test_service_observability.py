@@ -23,6 +23,7 @@ from repro.obs.metrics import parse_prometheus
 from repro.obs.runlog import RunLog
 from repro.service import JobStore
 from repro.service.cli import main
+from repro.service.retry import RetryPolicy
 from repro.service.telemetry import (
     ProgressPublisher,
     progress_probe,
@@ -76,7 +77,7 @@ class TestWatchdogHeartbeats:
         outcomes = run_tasks_hardened(
             _slow_but_beating,
             [("slow", (str(tmp_path), "slow", 1.2))],
-            jobs=2, timeout=0.4, max_attempts=1,
+            jobs=2, policy=RetryPolicy(deadline=0.4, max_attempts=1),
             progress_probe=progress_probe(tmp_path),
             hang_grace=5.0, extension_cap=20.0,
         )
@@ -87,7 +88,7 @@ class TestWatchdogHeartbeats:
         outcomes = run_tasks_hardened(
             _beating_but_stalled,
             [("stalled", (str(tmp_path), "stalled"))],
-            jobs=2, timeout=0.4, max_attempts=1,
+            jobs=2, policy=RetryPolicy(deadline=0.4, max_attempts=1),
             progress_probe=progress_probe(tmp_path),
             hang_grace=5.0, extension_cap=20.0,
         )
@@ -100,7 +101,7 @@ class TestWatchdogHeartbeats:
     def test_silent_hang_reports_no_heartbeat(self, tmp_path):
         outcomes = run_tasks_hardened(
             _silent_hang, [("hung", None)],
-            jobs=2, timeout=0.5, max_attempts=1,
+            jobs=2, policy=RetryPolicy(deadline=0.5, max_attempts=1),
             progress_probe=progress_probe(tmp_path),
             hang_grace=2.0,
         )
@@ -116,7 +117,7 @@ class TestWatchdogHeartbeats:
         outcomes = run_tasks_hardened(
             _slow_but_beating,
             [("slow", (str(tmp_path), "slow", 30.0))],
-            jobs=2, timeout=0.4, max_attempts=1,
+            jobs=2, policy=RetryPolicy(deadline=0.4, max_attempts=1),
             progress_probe=progress_probe(tmp_path),
             hang_grace=5.0, extension_cap=1.0,
         )
@@ -128,7 +129,7 @@ class TestWatchdogHeartbeats:
         complete heartbeat, never a torn one."""
         outcomes = run_tasks_hardened(
             _beat_then_die, [("doomed", (str(tmp_path), "doomed"))],
-            jobs=2, timeout=30.0, max_attempts=1,
+            jobs=2, policy=RetryPolicy(deadline=30.0, max_attempts=1),
         )
         assert "worker died" in outcomes[0].error
         beat = read_progress(tmp_path, "doomed")
