@@ -67,17 +67,6 @@ class TranslationReport:
         return {t.original.index: t.braids for t in self.blocks}
 
 
-def _branch_braid_index(block: BasicBlock, braids: List[Braid]) -> Optional[int]:
-    terminator = block.terminator
-    if terminator is None:
-        return None
-    branch_position = len(block.instructions) - 1
-    for index, braid in enumerate(braids):
-        if braid.contains(branch_position):
-            return index
-    raise TranslationError("terminator not covered by any braid")
-
-
 def schedule_braids(
     block: BasicBlock, braids: List[Braid]
 ) -> Tuple[List[Braid], SplitStats]:

@@ -1,6 +1,6 @@
 """Dataflow analyses: per-block graphs, global liveness, memory ordering."""
 
-from .graph import BlockGraph, Edge, block_graphs
+from .graph import BlockGraph, Edge
 from .liveness import BlockLiveness, LivenessAnalysis, dead_definitions
 from .memdep import (
     MemoryEdge,
@@ -12,7 +12,6 @@ from .memdep import (
 __all__ = [
     "BlockGraph",
     "Edge",
-    "block_graphs",
     "BlockLiveness",
     "LivenessAnalysis",
     "dead_definitions",

@@ -125,9 +125,3 @@ class BlockGraph:
             ]
             depth[position] = 1 + max((depth[p] for p in producers), default=0)
         return max(depth.values(), default=0)
-
-
-def block_graphs(blocks) -> Iterator[BlockGraph]:
-    """Dataflow graphs for a sequence of basic blocks."""
-    for block in blocks:
-        yield BlockGraph(block)

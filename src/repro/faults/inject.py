@@ -47,7 +47,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..sim.config import CoreKind, MachineConfig
 from ..sim.core import SimulationError, TimingCore, flip_bit as _flip_bit
 from ..sim.registry import core_registry, descriptor_for
-from ..sim.run import build_core
+from ..sim.run import build_core, collector_paused
 from ..validate.lockstep import DivergenceError, LockstepChecker
 from .model import FaultOutcome, InjectionResult, InjectorError
 
@@ -270,6 +270,7 @@ class FaultSession:
         core.fault_hook = None  # single-event upset: exactly one flip
 
 
+@collector_paused()
 def run_injection(
     workload,
     config: MachineConfig,

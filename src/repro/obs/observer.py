@@ -210,7 +210,20 @@ class Observer:
         return retired_records(self.ring)
 
     def finalize(self, result, cpi_slots: Optional[Dict[str, float]] = None) -> None:
-        """Publish collected data onto a :class:`SimResult`."""
+        """Publish collected data onto a :class:`SimResult` and detach.
+
+        The core's hooks are this observer's bound methods and the
+        observer holds the core, a reference cycle; breaking it here lets
+        reference counting free the core as soon as the run is over (runs
+        execute with the cyclic collector paused, see
+        :func:`repro.sim.run.collector_paused`).  The trace ring stays
+        for :meth:`trace_records`.
+        """
+        core = self.core
+        if core is not None:
+            core.trace_hook = None
+            core.span_hook = None
+            self.core = None
         if self.cpi:
             slots = dict(cpi_slots) if cpi_slots is not None else dict(self.slots)
             if result.sampled:

@@ -24,7 +24,6 @@ from .registry import (
     core_registry,
     descriptor_for,
     descriptor_for_key,
-    paradigm_configs,
     register_core,
 )
 from .interval import IntervalConfig, interval_from_env, simulate_interval
@@ -67,7 +66,6 @@ __all__ = [
     "core_registry",
     "descriptor_for",
     "descriptor_for_key",
-    "paradigm_configs",
     "register_core",
     "SimulationError",
     "TimingCore",

@@ -114,6 +114,17 @@ class BraidCore(TimingCore):
         ]
         self._open_beu: Optional[BraidExecutionUnit] = None
         self._next_beu_hint = 0
+        self._fifo_capacity = config.cluster_entries
+        self._queue_braids = config.beu_queue_braids
+        self._exception_mode = config.beu_exception_mode
+        # Exception processing issues strictly in order, one at a time.
+        self._issue_window = 1 if self._exception_mode else config.beu_window
+        self._strict_issue = self._exception_mode or not config.beu_window_ooo
+        if config.beu_cluster_size <= 0:
+            self._uniform_dep_delay = True  # dep_delay is identically 0
+        #: bit *i* set while BEU *i* may accept a new braid (mirrors
+        #: ``can_accept_braid``; refreshed wherever a FIFO's length changes)
+        self._free_beus = self._scan_free_beus()
         self.distribute_stalls = 0
         #: per-BEU issue bookkeeping callbacks for the shared issue helpers
         self._issue_notes: List[Callable[[WInst], None]] = [
@@ -121,24 +132,41 @@ class BraidCore(TimingCore):
         ]
         self.init_window_index(len(self.beus))
 
-    def _make_issue_note(self, beu: BraidExecutionUnit):
+    @staticmethod
+    def _make_issue_note(beu: BraidExecutionUnit):
+        busybits = beu.busybits
+        busy = busybits._busy
+
         def note(winst: WInst) -> None:
             beu.instructions_issued += 1
             if winst.dest_external:
                 # The busy bit clears when the value becomes ready; model
-                # the event at the known completion time.
-                beu.busybits.mark_ready(winst.seq)
+                # the event at the known completion time (inline of
+                # ``busybits.mark_ready``).
+                busy.discard(winst.seq)
+                busybits.clear_events += 1
         return note
 
     # ------------------------------------------------------------- distribute
-    def _find_free_beu(self) -> Optional[BraidExecutionUnit]:
-        count = len(self.beus)
-        for offset in range(count):
-            beu = self.beus[(self._next_beu_hint + offset) % count]
+    def _scan_free_beus(self) -> int:
+        """The free-BEU mask recomputed from the BEUs themselves."""
+        mask = 0
+        for beu in self.beus:
             if beu.can_accept_braid():
-                self._next_beu_hint = (beu.beu_id + 1) % count
-                return beu
-        return None
+                mask |= 1 << beu.beu_id
+        return mask
+
+    def _find_free_beu(self) -> Optional[BraidExecutionUnit]:
+        """Round-robin pick: the lowest free BEU at or after the hint,
+        wrapping around."""
+        free = self._free_beus
+        if not free:
+            return None
+        above = free >> self._next_beu_hint << self._next_beu_hint
+        pick = above or free
+        index = (pick & -pick).bit_length() - 1
+        self._next_beu_hint = (index + 1) % len(self.beus)
+        return self.beus[index]
 
     def dep_delay(self, producer: WInst, consumer: WInst) -> int:
         """Cross-cluster forwarding penalty (paper section 5.2 clustering)."""
@@ -157,6 +185,7 @@ class BraidCore(TimingCore):
         self._open_beu = None
         for beu in self.beus:
             beu.fifo.clear()
+        self._free_beus = self._scan_free_beus()
 
     def dispatch_block_cause(self) -> str:
         return "structural_fifo"
@@ -168,36 +197,35 @@ class BraidCore(TimingCore):
         self.distribute_stalls += cycles  # one per refusal, on every path
 
     def accept(self, winst: WInst, cycle: int) -> bool:
-        if self.config.beu_exception_mode:
+        starts_braid = winst.start
+        if self._exception_mode:
             # Exception processing (paper section 3.4): all but one BEU are
             # disabled; everything funnels through BEU 0 in order.
             beu = self.beus[0]
-            if not beu.has_space():
-                self.distribute_stalls += 1
-                return False
-            if winst.start:
-                beu.start_braid()
-            beu.enqueue(winst)
-            winst.cluster = 0
-            return True
-        starts_braid = winst.start or self._open_beu is None
-        if starts_braid:
+        elif starts_braid or self._open_beu is None:
             beu = self._find_free_beu()
             if beu is None:
                 self.distribute_stalls += 1
                 return False
-            beu.start_braid()
             self._open_beu = beu
-        beu = self._open_beu
-        if not beu.has_space():
+            starts_braid = True
+        else:
+            beu = self._open_beu
+        fifo = beu.fifo
+        if len(fifo) >= self._fifo_capacity:
             # A braid longer than the FIFO stalls distribution until the
-            # head drains (the Figure 10 effect).
+            # head drains (the Figure 10 effect).  A free BEU always has
+            # room, so a new braid never stalls here.
             self.distribute_stalls += 1
             return False
-        beu.enqueue(winst)
+        if starts_braid:
+            beu.start_braid()
+        fifo.append(winst)
         winst.cluster = beu.beu_id
-        # Busy-bit bookkeeping: external destinations become busy now and
-        # ready at completion (cleared in complete handling via readiness).
+        if not self._queue_braids or len(fifo) >= self._fifo_capacity:
+            self._free_beus &= ~(1 << beu.beu_id)
+        # External destinations turn busy here; the issue note clears
+        # them, once issue fixes the value's ready time.
         if winst.dest_external:
             beu.busybits.mark_busy(winst.seq)
         return True
@@ -207,11 +235,9 @@ class BraidCore(TimingCore):
     issue_horizon = TimingCore.window_issue_horizon
 
     def issue_stage(self, cycle: int) -> None:
-        window_size = self.config.beu_window
-        strict = not self.config.beu_window_ooo
-        if self.config.beu_exception_mode:
-            window_size = 1  # strictly in-order during exception handling
-            strict = True
+        window_size = self._issue_window
+        strict = self._strict_issue
+        queue_braids = self._queue_braids
         notes = self._issue_notes
         beus = self.beus
         due = self.due_windows(cycle)
@@ -224,23 +250,29 @@ class BraidCore(TimingCore):
             if not fifo:
                 continue
             if strict:
-                self.issue_in_order(
+                issued = self.issue_in_order(
                     fifo, index, cycle, beu.fus, window_size,
-                    internal_reads=beu.internal_reads,
-                    internal_writes=beu.internal_writes,
-                    on_issue=notes[index],
+                    beu.internal_reads, beu.internal_writes, notes[index],
                 )
             else:
-                self.issue_skipahead(
+                issued = self.issue_skipahead(
                     fifo, index, cycle, min(window_size, len(fifo)), beu.fus,
-                    internal_reads=beu.internal_reads,
-                    internal_writes=beu.internal_writes,
-                    on_issue=notes[index],
+                    beu.internal_reads, beu.internal_writes, None,
+                    notes[index],
                 )
+            # An issue frees FIFO room; without braid queueing the BEU
+            # takes a new braid only once drained.
+            if issued and (queue_braids or not fifo):
+                self._free_beus |= low
 
     def core_invariants(self, cycle: int):
         if self._open_beu is not None and self._open_beu not in self.beus:
             yield "open-braid pointer references a foreign BEU"
+        if self._free_beus != self._scan_free_beus():
+            yield (
+                f"free-BEU mask {self._free_beus:#x} disagrees with the "
+                f"BEUs ({self._scan_free_beus():#x})"
+            )
         capacity = self.config.cluster_entries
         total = 0
         for beu in self.beus:

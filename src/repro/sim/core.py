@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.registers import Register
 from ..uarch.bypass import BypassNetwork
@@ -126,9 +126,13 @@ class WInst:
         self.dyn = dyn
         self.facts = facts
         self.seq = dyn.seq
-        self.deps: List[Tuple["WInst", bool]] = []
+        #: ``(producer, internal)`` pairs; a list only once dispatch
+        #: resolves a non-empty dependence row
+        self.deps: Sequence[Tuple["WInst", bool]] = ()
         self.arch_reads = 0
-        self.waiters: List["WInst"] = []
+        #: consumers waiting on this result; created by the first
+        #: subscriber and dropped at completion
+        self.waiters: Optional[List["WInst"]] = None
         self.pending = 0
         self.captured = False
         self.fetch_cycle = fetch_cycle
@@ -921,9 +925,10 @@ class TimingCore:
         a blocked entry is skipped, not a barrier.  Returns the number
         issued.
 
-        The window is snapshotted first so removals during the scan do
-        not shift younger entries into examined positions (the hardware
-        examines one fixed window per cycle).  ``max_issues`` bounds the
+        The scan examines the ``depth`` entries that were in the window
+        when it began (the hardware examines one fixed window per cycle):
+        an issued entry is deleted in place, so the cursor stays put and
+        only a skipped entry advances it.  ``max_issues`` bounds the
         total for paradigms sharing a global issue budget across windows.
         ``window`` (the active-window index number) stays due when
         anything issued or an entry is blocked on a per-cycle resource.
@@ -931,8 +936,11 @@ class TimingCore:
         issued = 0
         live = False
         try_issue = self.try_issue
-        for winst in [fifo[i] for i in range(depth)]:
+        position = 0
+        for _ in range(depth):
+            winst = fifo[position]
             if winst.pending or winst.issue_wake > cycle:
+                position += 1
                 continue
             if not try_issue(
                 winst, cycle, fu_pool,
@@ -941,8 +949,9 @@ class TimingCore:
             ):
                 if self._note_issue_block(winst, cycle):
                     live = True
+                position += 1
                 continue
-            fifo.remove(winst)
+            del fifo[position]
             if on_issue is not None:
                 on_issue(winst)
             issued += 1
@@ -1230,7 +1239,7 @@ class TimingCore:
                 arch_reads = arch_rows[seq]
                 row = dep_rows[seq]
                 if row:
-                    deps = winst.deps
+                    deps = winst.deps = []
                     for pidx, internal in row:
                         producer = live.get(pidx)
                         if producer is None:
@@ -1256,7 +1265,10 @@ class TimingCore:
             pending = 0
             for producer, _internal in winst.deps:
                 if not producer.done:
-                    producer.waiters.append(winst)
+                    if producer.waiters is None:
+                        producer.waiters = [winst]
+                    else:
+                        producer.waiters.append(winst)
                     pending += 1
             winst.pending = pending
 
@@ -1464,12 +1476,20 @@ class TimingCore:
             if rd._used + reads > rd.ports:
                 self._issue_wake = 0
                 return False
-        if internal_reads is not None and internal_read_count:
-            if internal_reads.available(cycle) < internal_read_count:
+        ir = internal_reads if internal_read_count else None
+        if ir is not None:
+            if ir._cycle != cycle:
+                ir._cycle = cycle
+                ir._used = 0
+            if ir._used + internal_read_count > ir.ports:
                 self._issue_wake = 0
                 return False
-        if internal_writes is not None and winst.dest_internal:
-            if internal_writes.available(cycle) < 1:
+        iw = internal_writes if winst.dest_internal else None
+        if iw is not None:
+            if iw._cycle != cycle:
+                iw._cycle = cycle
+                iw._used = 0
+            if iw._used >= iw.ports:
                 self._issue_wake = 0
                 return False
 
@@ -1483,10 +1503,12 @@ class TimingCore:
         if reads:
             rd._used += reads
             rd.total_grants += reads
-        if internal_reads is not None and internal_read_count:
-            internal_reads.acquire(cycle, internal_read_count)
-        if internal_writes is not None and winst.dest_internal:
-            internal_writes.acquire(cycle, 1)
+        if ir is not None:
+            ir._used += internal_read_count
+            ir.total_grants += internal_read_count
+        if iw is not None:
+            iw._used += 1
+            iw.total_grants += 1
 
         winst.issue_cycle = cycle
         winst.complete_cycle = cycle + latency
@@ -1520,14 +1542,14 @@ class TimingCore:
             _, _, winst = heappop(events)
             winst.done = True
             waiters = winst.waiters
-            if waiters:
+            if waiters is not None:
+                winst.waiters = None
                 for waiter in waiters:
                     waiter.pending -= 1
                     if waiter.pending == 0:
                         self._ready_unissued += 1
                         if has_on_ready:
                             self.on_ready(waiter, cycle)
-                waiters.clear()
             if winst.dest_external:
                 pending_writeback.append(winst)
             else:

@@ -140,11 +140,3 @@ def descriptor_for_key(key: str) -> CoreDescriptor:
             f"no timing core registered under key {key!r}; "
             f"registered keys: {', '.join(registry)}"
         ) from None
-
-
-def paradigm_configs(width: int = 8) -> Dict[str, MachineConfig]:
-    """One default config per registered paradigm at ``width`` (key-ordered)."""
-    return {
-        key: descriptor.config_factory(width)
-        for key, descriptor in core_registry().items()
-    }

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import os
+from contextlib import contextmanager
 from typing import Optional
 
 from .config import MachineConfig
@@ -25,6 +27,27 @@ _FALLBACK_EXTRA = {
     "sampled": "sample_fallback_exact",
     "interval": "interval_fallback_exact",
 }
+
+
+@contextmanager
+def collector_paused():
+    """Pause CPython's cyclic garbage collector for the enclosed run.
+
+    Usable as ``with collector_paused():`` or as a decorator.  Phase one
+    leaves a few hundred thousand long-lived objects on the heap, and
+    every full collection during a run rescans all of them, while the
+    kernel's own allocations form no reference cycles
+    (``tests/test_run_gc.py`` pins this), so reference counting alone
+    frees them.  The collector is re-enabled on exit only if it was on
+    when the scope began.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def build_core(workload: PreparedWorkload, config: MachineConfig) -> TimingCore:
@@ -101,6 +124,7 @@ def simulate(
     )
 
 
+@collector_paused()
 def run_tier(
     workload: PreparedWorkload,
     config: MachineConfig,
@@ -117,10 +141,11 @@ def run_tier(
     Plans the tier, builds the core, attaches the checkers and then the
     observer, and runs either the whole trace or the plan's windows
     (:func:`~repro.sim.sampling.drive_windows`) before the tier's
-    estimator turns the measurements into a result.  ``checkers`` is
-    called with the fresh core and returns the validation session
-    (anything with ``finish(expect_full)``) or None; the validation
-    entry points pass their own lockstep checker this way.
+    estimator turns the measurements into a result, all of it inside
+    :func:`collector_paused`.  ``checkers`` is called with the fresh
+    core and returns the validation session (anything with
+    ``finish(expect_full)``) or None; the validation entry points pass
+    their own lockstep checker this way.
     """
     if fidelity is None:
         fidelity = "sampled" if sampling is not None else "exact"
