@@ -18,7 +18,7 @@ breaking rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..dataflow.graph import BlockGraph
 from ..dataflow.liveness import LivenessAnalysis
@@ -62,9 +62,6 @@ class TranslationReport:
     @property
     def total_braids(self) -> int:
         return sum(len(block.braids) for block in self.blocks)
-
-    def braids_by_block(self) -> Dict[int, List[Braid]]:
-        return {t.original.index: t.braids for t in self.blocks}
 
 
 def schedule_braids(

@@ -33,8 +33,7 @@ from ..analysis.avf import avf_report
 from ..harness.parallel import TaskOutcome, run_tasks_hardened
 from ..service.retry import RetryPolicy
 from ..sim.config import MachineConfig
-from ..sim.run import build_core, collector_paused
-from ..validate.lockstep import LockstepChecker
+from ..validate.lockstep import lockstep_simulate
 from ..validate.runner import CORE_FACTORIES
 from .inject import known_structures, run_injection, structures_for
 from .model import InjectionResult
@@ -323,11 +322,9 @@ def run_campaign(
             workloads[(benchmark, core_key)] = workload
             # Fault-free baseline: proves the oracle is clean and fixes
             # the cycle range injections are drawn from.
-            with collector_paused():
-                core = build_core(workload, config)
-                checker = LockstepChecker(workload).attach(core)
-                result = core.run()
-                divergences = checker.finish(expect_full=True)
+            result, divergences = lockstep_simulate(
+                workload, config, fidelity="exact"
+            )
             if divergences:
                 raise CampaignError(
                     f"fault-free baseline diverged: "

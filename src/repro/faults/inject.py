@@ -47,7 +47,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..sim.config import CoreKind, MachineConfig
 from ..sim.core import SimulationError, TimingCore, flip_bit as _flip_bit
 from ..sim.registry import core_registry, descriptor_for
-from ..sim.run import build_core, collector_paused
+from ..sim.run import run_tier
 from ..validate.lockstep import DivergenceError, LockstepChecker
 from .model import FaultOutcome, InjectionResult, InjectorError
 
@@ -270,7 +270,6 @@ class FaultSession:
         core.fault_hook = None  # single-event upset: exactly one flip
 
 
-@collector_paused()
 def run_injection(
     workload,
     config: MachineConfig,
@@ -291,15 +290,18 @@ def run_injection(
     if max_cycles is None:
         max_cycles = 8 * max(1, baseline_cycles) + 10_000
 
-    core = build_core(workload, config)
-    checker = LockstepChecker(workload, fail_fast=True).attach(core)
-    session = FaultSession(structure, inject_cycle, rng).attach(core)
+    checker = LockstepChecker(workload, fail_fast=True)
+    session = FaultSession(structure, inject_cycle, rng)
+
+    def checkers(core):
+        checker.attach(core)
+        session.attach(core)
+        return checker
 
     outcome = FaultOutcome.MASKED
     error: Optional[str] = None
     try:
-        core.run(max_cycles=max_cycles)
-        divergences = checker.finish(expect_full=True)
+        run_tier(workload, config, max_cycles=max_cycles, checkers=checkers)
     except DivergenceError as exc:
         outcome = FaultOutcome.SDC
         error = str(exc).splitlines()[0]
@@ -314,9 +316,9 @@ def run_injection(
         outcome = FaultOutcome.CRASH
         error = f"{type(exc).__name__}: {exc}"
     else:
-        if divergences:
+        if checker.divergences:
             outcome = FaultOutcome.SDC
-            error = divergences[0].render()
+            error = checker.divergences[0].render()
     return InjectionResult(
         benchmark=workload.name,
         machine=config.name,

@@ -11,19 +11,19 @@ Regenerate any of the paper's tables/figures directly::
     python -m repro.harness cache-clear     # wipe the persistent cache
 
 Experiment ids follow DESIGN.md section 3 (F1, VC, T1-T3, F5-F14, D1,
-A1-A2).  ``--sample`` (or ``REPRO_SAMPLE``) switches the timing runs to
-interval-sampled estimation; sampled figures carry a note with the worst
-IPC confidence interval of their points.  ``--fidelity`` (or
-``REPRO_FIDELITY``) picks the tier explicitly — ``exact``, ``sampled``,
-or ``interval``, the cheapest analytic model, tunable via ``--interval``
-(``REPRO_INTERVAL``).
+A1-A2).  ``--fidelity`` picks the tier of every timing run — ``exact``,
+``sampled`` (interval-sampled estimation, tuned by ``--sample``), or
+``interval`` (the cheapest analytic model, tuned by ``--interval``).
+Without ``--fidelity`` the tier is the one whose tuning flag was given,
+and exact when neither was (:func:`repro.sim.run.resolve_tier`).
+Sampled figures carry a note with the worst IPC confidence interval of
+their points.
 
 ``validate`` runs the differential validation sweep instead of an
 experiment: every selected benchmark on every selected core under the
-lockstep architectural oracle (plus the sampled tier with ``--sample``
-or ``--fidelity sampled``, the interval tier with ``--interval`` or
-``--fidelity interval``, per-cycle invariants with ``--invariants``),
-then the translator fuzzer::
+lockstep architectural oracle (plus the selected tier when it is not
+exact, per-cycle invariants with ``--invariants``), then the translator
+fuzzer::
 
     python -m repro.harness validate                       # quick suite
     python -m repro.harness validate --benchmarks gcc,mcf,swim
@@ -95,9 +95,8 @@ def _run_cache_command(command: str) -> None:
 
 
 def _tier_args(args, parser):
-    """``--sample``/``--interval``/``--fidelity`` as
-    ``(sampling, interval, fidelity)``; ``--interval`` alone implies the
-    interval tier."""
+    """The parsed ``--sample``/``--interval`` tunings, as
+    ``(sampling, interval)``."""
     sampling = interval = None
     if args.sample is not None:
         from ..sim.sampling import SamplingConfig
@@ -113,27 +112,27 @@ def _tier_args(args, parser):
             interval = IntervalConfig.parse(args.interval)
         except ValueError as error:
             parser.error(f"--interval: {error}")
-    fidelity = args.fidelity
-    if fidelity is None and interval is not None:
-        fidelity = "interval"
-    return sampling, interval, fidelity
+    return sampling, interval
+
+
+def _context(args, parser, **kwargs) -> ExperimentContext:
+    """A command's context, its tier and caches from the shared flags."""
+    from .artifacts import ArtifactCache
+
+    sampling, interval = _tier_args(args, parser)
+    try:
+        return ExperimentContext(
+            cache=ArtifactCache(enabled=False) if args.no_cache else None,
+            sampling=sampling, fidelity=args.fidelity, interval=interval,
+            result_cache=args.result_cache, **kwargs,
+        )
+    except ValueError as error:
+        parser.error(str(error))
 
 
 def _run_validate(args, parser) -> int:
     """The ``validate`` command: differential validation sweep + fuzzing."""
     from ..validate import DEFAULT_CORES, run_validation
-    from . import ExperimentContext
-    from .artifacts import ArtifactCache
-
-    sampling, interval, fidelity = _tier_args(args, parser)
-    if fidelity == "sampled" and sampling is None:
-        from ..sim.sampling import SamplingConfig
-
-        sampling = SamplingConfig()
-    if fidelity == "interval" and interval is None:
-        from ..sim.interval import IntervalConfig
-
-        interval = IntervalConfig()
 
     if args.benchmarks in (None, "quick"):
         from ..workloads import QUICK_BENCHMARKS
@@ -154,20 +153,18 @@ def _run_validate(args, parser) -> int:
             key.strip() for key in args.cores.split(",") if key.strip()
         )
 
-    cache = ArtifactCache(enabled=False) if args.no_cache else None
-    context = ExperimentContext(
-        benchmarks=benchmarks, scale=args.scale, jobs=1, cache=cache,
-    )
+    context = _context(args, parser, benchmarks=benchmarks,
+                       scale=args.scale, jobs=1)
     try:
         report = run_validation(
             context,
             benchmarks,
             cores=cores,
-            sampling=sampling,
+            sampling=context.sampling,
             invariants=args.invariants,
             fuzz_samples=args.fuzz,
             fuzz_seed=args.fuzz_seed,
-            interval=interval,
+            interval=context.interval,
         )
     except ValueError as error:
         parser.error(str(error))
@@ -181,8 +178,6 @@ def _run_faults(args, parser) -> int:
 
     from ..faults import CampaignError, CampaignSpec, run_campaign
     from ..validate import DEFAULT_CORES
-    from . import ExperimentContext
-    from .artifacts import ArtifactCache
     from .parallel import jobs_from_env
 
     # Injection campaigns default to one small benchmark at a reduced
@@ -212,10 +207,8 @@ def _run_faults(args, parser) -> int:
 
     scale = args.scale if args.scale is not None else 0.2
     jobs = args.jobs if args.jobs is not None else jobs_from_env()
-    cache = ArtifactCache(enabled=False) if args.no_cache else None
-    context = ExperimentContext(
-        benchmarks=benchmarks, scale=scale, jobs=1, cache=cache,
-    )
+    context = _context(args, parser, benchmarks=benchmarks, scale=scale,
+                       jobs=1)
     spec = CampaignSpec(
         benchmarks=benchmarks,
         cores=cores,
@@ -257,8 +250,6 @@ def _run_trace(args, parser) -> int:
     )
     from ..sim.run import simulate
     from ..validate import CORE_FACTORIES
-    from . import ExperimentContext
-    from .artifacts import ArtifactCache
 
     fmt = args.format if args.format in ("konata", "chrome") else "chrome"
     bench = args.bench
@@ -268,19 +259,8 @@ def _run_trace(args, parser) -> int:
             f"--core: unknown core {core_key!r}; "
             f"choose from {', '.join(sorted(CORE_FACTORIES))}"
         )
-    sampling = None
-    if args.sample is not None:
-        from ..sim.sampling import SamplingConfig
-
-        try:
-            sampling = SamplingConfig.parse(args.sample)
-        except ValueError as error:
-            parser.error(f"--sample: {error}")
-
-    cache = ArtifactCache(enabled=False) if args.no_cache else None
-    context = ExperimentContext(
-        benchmarks=(bench,), scale=args.scale, jobs=1, cache=cache,
-    )
+    context = _context(args, parser, benchmarks=(bench,), scale=args.scale,
+                       jobs=1)
     factory, braided = CORE_FACTORIES[core_key]
     config = factory()
     try:
@@ -290,7 +270,11 @@ def _run_trace(args, parser) -> int:
     observer = Observer(
         trace=True, cpi=True, metrics=True, trace_capacity=args.limit,
     )
-    result = simulate(workload, config, sampling=sampling, observe=observer)
+    result = simulate(
+        workload, config, fidelity=context.fidelity,
+        sampling=context.sampling, interval=context.interval,
+        observe=observer,
+    )
 
     records = observer.trace_records()
     suffix = "konata" if fmt == "konata" else "json"
@@ -344,6 +328,7 @@ def main(argv=None) -> int:
         return service_main(argv)
 
     from ..sim.registry import core_keys
+    from ..sim.run import FIDELITIES
 
     registered = ",".join(core_keys())
     parser = argparse.ArgumentParser(
@@ -385,27 +370,27 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--sample", nargs="?", const="default", default=None, metavar="SPEC",
-        help="interval-sampled timing simulation (overrides REPRO_SAMPLE): "
-             "bare --sample uses the default configuration, or pass a spec "
-             "like stride=16,warmup=512,interval=500,seed=0",
+        help="sampled-tier tuning: bare --sample uses the default "
+             "configuration, or pass a spec like "
+             "stride=16,warmup=512,interval=500,seed=0",
     )
     parser.add_argument(
-        "--fidelity", choices=("exact", "sampled", "interval"), default=None,
-        help="fidelity tier for timing runs (overrides REPRO_FIDELITY): "
-             "exact simulation, sampled estimation, or the analytic "
-             "interval model; default: sampled when --sample is given, "
-             "exact otherwise",
+        "--fidelity", choices=FIDELITIES, default=None,
+        help="fidelity tier for timing runs: exact simulation, sampled "
+             "estimation, or the analytic interval model.  An explicit "
+             "tier wins and ignores the other tier's tuning; without "
+             "one, the tier is the one whose tuning (--sample or "
+             "--interval) was given, exact when neither was, and an "
+             "error when both were",
     )
     parser.add_argument(
         "--interval", nargs="?", const="default", default=None, metavar="SPEC",
-        help="interval-tier tuning (overrides REPRO_INTERVAL), e.g. "
-             "windows=8,window=500,warmup=512,seed=0,bound=10; implies "
-             "--fidelity interval when no tier is named",
+        help="interval-tier tuning, e.g. "
+             "windows=8,window=500,warmup=512,seed=0,bound=10",
     )
     parser.add_argument(
         "--result-cache", action="store_true",
-        help="also persist finished timing results in the artifact cache "
-             "(overrides REPRO_RESULT_CACHE)",
+        help="also persist finished timing results in the artifact cache",
     )
     parser.add_argument(
         "--cores", default=None, metavar="LIST",
@@ -526,8 +511,6 @@ def main(argv=None) -> int:
             )
         selected.append(experiment_id)
 
-    sampling, interval, fidelity = _tier_args(args, parser)
-
     benchmarks = None
     if args.benchmarks == "quick":
         from ..workloads import QUICK_BENCHMARKS
@@ -554,14 +537,8 @@ def main(argv=None) -> int:
         )
     render = renderers[args.format]
 
-    from .artifacts import ArtifactCache
-
-    cache = ArtifactCache(enabled=False) if args.no_cache else None
-    context = ExperimentContext(
-        benchmarks=benchmarks, scale=args.scale, jobs=args.jobs, cache=cache,
-        sampling=sampling, result_cache=True if args.result_cache else None,
-        fidelity=fidelity, interval=interval,
-    )
+    context = _context(args, parser, benchmarks=benchmarks,
+                       scale=args.scale, jobs=args.jobs)
 
     profile_tmp = None
     if args.profile:

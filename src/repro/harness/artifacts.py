@@ -34,9 +34,10 @@ Layout and knobs:
   (``stats()["evictions"]`` counts what was actually removed).
 
 Besides phase-one artifacts the cache can hold finished timing results
-(``result_key``), used by the opt-in ``REPRO_RESULT_CACHE`` knob; result
-keys embed the machine configuration and the sampling configuration, so
-exact and sampled runs of the same point never collide.
+(``result_key``), used by the opt-in ``--result-cache`` flag; result
+keys embed the machine configuration and the fidelity tier with its
+tuning, so the exact, sampled and interval runs of one point never
+collide.
 """
 
 from __future__ import annotations
@@ -380,17 +381,15 @@ class ArtifactCache:
         predictor: str,
         max_instructions: int,
         config: Any,
-        sampling_token: Optional[Tuple] = None,
-        fidelity_token: Optional[Tuple] = None,
+        tier_token: Tuple,
     ) -> Tuple:
-        """Key for a finished timing result (``REPRO_RESULT_CACHE``).
+        """Key for a finished timing result (``--result-cache``).
 
         ``config`` is the full :class:`~repro.sim.config.MachineConfig`
         (its dataclass repr is part of the digest, so any knob change is a
-        new key); ``sampling_token`` distinguishes exact runs (``None``)
-        from each sampled configuration, and ``fidelity_token`` (the
-        resolved fidelity plus its tier config token) keeps the
-        exact/sampled/interval tiers of one point apart.
+        new key); ``tier_token`` (the resolved fidelity tier and its
+        tuning's cache token) keeps the tiers of one point, and each
+        tuning of a tier, apart.
         """
         return (
             "result",
@@ -403,6 +402,5 @@ class ArtifactCache:
             predictor,
             max_instructions,
             config,
-            sampling_token,
-            fidelity_token,
+            tier_token,
         )

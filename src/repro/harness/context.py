@@ -15,20 +15,13 @@ Environment knobs:
   (all 26; the default);
 * ``REPRO_SCALE`` — dynamic-length multiplier (default 1.0);
 * ``REPRO_JOBS`` — worker processes for sweeps (default: CPU count);
-* ``REPRO_SAMPLE`` — interval-sampled timing simulation: unset/``off`` is
-  exact mode (the default), ``1``/``default`` enables sampling with the
-  default :class:`~repro.sim.sampling.SamplingConfig`, and a spec like
-  ``stride=16,warmup=512`` tunes it;
-* ``REPRO_FIDELITY`` — explicit fidelity tier for every timing run:
-  ``exact``, ``sampled``, or ``interval`` (the analytic tier); unset keeps
-  the legacy rule (sampled when a sampling config is active, else exact);
-* ``REPRO_INTERVAL`` — tuning spec for the interval tier, e.g.
-  ``windows=8,window=500,bound=10``
-  (see :class:`~repro.sim.interval.IntervalConfig`);
-* ``REPRO_RESULT_CACHE`` — opt-in persistence of finished timing results
-  (keyed by machine and sampling configuration) in the artifact cache;
 * ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` / ``REPRO_CACHE_LIMIT_MB`` —
   persistent artifact cache location / kill switch / LRU size bound.
+
+The fidelity tier and the result-cache opt-in are constructor arguments
+only (the harness CLI's ``--fidelity``/``--sample``/``--interval`` and
+``--result-cache``): no environment variable changes them, so a
+context's tier depends only on how it was built.
 """
 
 from __future__ import annotations
@@ -40,10 +33,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.pipeline import BraidCompilation, braidify
 from ..isa.program import Program
 from ..sim.config import MachineConfig
-from ..sim.interval import IntervalConfig, interval_from_env
+from ..sim.interval import IntervalConfig
 from ..sim.results import SimResult
-from ..sim.run import FIDELITIES, simulate
-from ..sim.sampling import SamplingConfig, sampling_from_env
+from ..sim.run import resolve_tier, simulate
+from ..sim.sampling import SamplingConfig
 from ..sim.workload import PreparedWorkload, prepare_workload
 from ..obs.metrics import MetricsRegistry
 from ..obs.runlog import RunLog
@@ -56,29 +49,6 @@ from .parallel import (
     run_point_groups_parallel,
 )
 from .sweep import SweepPoint
-
-_ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
-_ENV_FIDELITY = "REPRO_FIDELITY"
-
-
-def result_cache_from_env() -> bool:
-    """Resolve the timing-result persistence opt-in (``REPRO_RESULT_CACHE``)."""
-    value = os.environ.get(_ENV_RESULT_CACHE, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
-
-
-def fidelity_from_env() -> Optional[str]:
-    """Resolve ``REPRO_FIDELITY``: unset/``auto`` keeps the legacy rule."""
-    value = os.environ.get(_ENV_FIDELITY, "").strip().lower()
-    if not value or value == "auto":
-        return None
-    if value not in FIDELITIES:
-        raise ValueError(
-            f"{_ENV_FIDELITY} must be one of {FIDELITIES} (or 'auto'), "
-            f"got {value!r}"
-        )
-    return value
-
 
 def benchmarks_from_env(default: str = "full") -> Tuple[str, ...]:
     """Resolve the benchmark selection from ``REPRO_BENCHMARKS``.
@@ -130,7 +100,7 @@ class ExperimentContext:
         jobs: Optional[int] = None,
         cache: Optional[ArtifactCache] = None,
         sampling: Optional[SamplingConfig] = None,
-        result_cache: Optional[bool] = None,
+        result_cache: bool = False,
         fidelity: Optional[str] = None,
         interval: Optional[IntervalConfig] = None,
     ) -> None:
@@ -141,18 +111,15 @@ class ExperimentContext:
         self.max_instructions = max_instructions
         self.jobs = jobs if jobs is not None else jobs_from_env()
         self.cache = cache if cache is not None else ArtifactCache.from_env()
-        #: None simulates every instruction; a SamplingConfig switches all
-        #: timing runs of this context to interval-sampled estimation.
-        self.sampling = sampling if sampling is not None else sampling_from_env()
-        self.result_cache = (
-            result_cache if result_cache is not None else result_cache_from_env()
-        )
-        #: explicit fidelity tier for every timing run (None: legacy rule —
-        #: sampled when a sampling config is active, exact otherwise)
-        self.fidelity = fidelity if fidelity is not None else fidelity_from_env()
-        #: tuning for the analytic interval tier (used when the effective
-        #: fidelity is "interval")
-        self.interval = interval if interval is not None else interval_from_env()
+        #: also persist finished timing results in the artifact cache
+        self.result_cache = result_cache
+        #: the tier every timing run of this context uses
+        #: (:func:`~repro.sim.run.resolve_tier`), and its tuning under the
+        #: keyword :func:`~repro.sim.run.simulate` takes it by (the
+        #: other tier's keyword is None)
+        self.fidelity, tuning = resolve_tier(fidelity, sampling, interval)
+        self.sampling = tuning if self.fidelity == "sampled" else None
+        self.interval = tuning if self.fidelity == "interval" else None
         #: harness-level telemetry (run_many dedup/memoization counters)
         self.telemetry = MetricsRegistry()
         #: structured JSONL sweep telemetry (REPRO_RUNLOG; defaults to a
@@ -222,20 +189,6 @@ class ExperimentContext:
         return self._workloads[key]
 
     # -------------------------------------------------------------------- runs
-    @property
-    def effective_fidelity(self) -> str:
-        """The tier every timing run of this context actually uses."""
-        if self.fidelity is not None:
-            return self.fidelity
-        return "sampled" if self.sampling is not None else "exact"
-
-    def _fidelity_token(self) -> Tuple:
-        """Cache-key component identifying the resolved fidelity tier."""
-        mode = self.effective_fidelity
-        if mode == "interval":
-            return self.interval.cache_token()
-        return (mode,)
-
     def run(
         self,
         name: str,
@@ -254,12 +207,11 @@ class ExperimentContext:
             disk_key = None
             result_cache_hit = False
             if self.result_cache:
+                tuning = self.sampling or self.interval
                 disk_key = self.cache.result_key(
                     name, self.scale, braided, perfect, internal_limit,
                     self.predictor, self.max_instructions, config,
-                    self.sampling.cache_token()
-                    if self.sampling is not None else None,
-                    self._fidelity_token(),
+                    (self.fidelity, tuning and tuning.cache_token()),
                 )
                 result = self.cache.get(disk_key)
                 result_cache_hit = result is not None
@@ -269,8 +221,8 @@ class ExperimentContext:
                     internal_limit=internal_limit,
                 )
                 result = simulate(
-                    workload, config, sampling=self.sampling,
-                    fidelity=self.fidelity, interval=self.interval,
+                    workload, config, fidelity=self.fidelity,
+                    sampling=self.sampling, interval=self.interval,
                     progress=progress,
                 )
                 if disk_key is not None:
@@ -304,9 +256,9 @@ class ExperimentContext:
     ) -> Dict[SweepPoint, SimResult]:
         """Simulate a batch of sweep points, deduplicated and memoized.
 
-        Identical requests — same (workload, config, sampling, fidelity)
-        — coalesce to one simulation; the context-wide sampling/fidelity
-        settings make point identity sufficient.  Coalesced and
+        Identical requests — same (workload, config) — coalesce to one
+        simulation; the context-wide tier makes point identity
+        sufficient.  Coalesced and
         already-memoized requests are counted in the context's telemetry
         registry (``run_many.deduped`` / ``run_many.memoized``).
 

@@ -635,15 +635,14 @@ def sampling_validation(ctx: ExperimentContext) -> ExperimentResult:
     Validates the sampling error budget end to end: every cell simulates
     its point twice — exactly and with the context's sampling
     configuration (default :class:`~repro.sim.sampling.SamplingConfig`
-    when the context runs exact) — and reports the IPC ratio.  The
+    when the context runs another tier) — and reports the IPC ratio.  The
     anchored sample plan needs enough outer-loop iterations to engage
     (``--scale`` >= 2 or so); on shorter traces sampling falls back to
     exact mode and every cell is exactly 1.00.
     """
-    from ..sim.run import simulate
-    from ..sim.sampling import SamplingConfig
+    from ..sim.run import resolve_tier, simulate
 
-    sampling = ctx.sampling if ctx.sampling is not None else SamplingConfig()
+    _, sampling = resolve_tier("sampled", ctx.sampling)
     configs = {
         key: (descriptor.config_factory(8), descriptor.braided)
         for key, descriptor in core_registry().items()
@@ -716,7 +715,9 @@ def cpi_stack_experiment(ctx: ExperimentContext) -> ExperimentResult:
             workload = ctx.workload(name, braided=braided)
             observe = Observer(cpi=True)
             cell = simulate(
-                workload, config, sampling=ctx.sampling, observe=observe
+                workload, config, fidelity=ctx.fidelity,
+                sampling=ctx.sampling, interval=ctx.interval,
+                observe=observe,
             )
             instructions = cell.instructions or 1
             result.rows[f"{name}/{label}"] = {

@@ -181,7 +181,7 @@ def latency_histograms(
 
 
 # --------------------------------------------------------------- heartbeats
-def interval_from_env() -> float:
+def heartbeat_period_from_env() -> float:
     """Heartbeat interval in seconds from ``REPRO_PROGRESS_INTERVAL``."""
     raw = os.environ.get(ENV_PROGRESS_INTERVAL, "").strip()
     if not raw:
@@ -247,7 +247,7 @@ class ProgressPublisher:
                 attempt = 0
         return cls(
             Path(directory), job_id, attempt=attempt,
-            interval=interval_from_env(),
+            interval=heartbeat_period_from_env(),
         )
 
     def start_cell(self, cell: str, done: int, total: int) -> None:

@@ -26,15 +26,14 @@ from .registry import (
     descriptor_for_key,
     register_core,
 )
-from .interval import IntervalConfig, interval_from_env, simulate_interval
+from .interval import IntervalConfig
 from .results import SimResult, StallCounters
-from .run import FIDELITIES, build_core, simulate
+from .run import FIDELITIES, build_core, resolve_tier, simulate
 from .sampling import (
     SamplePlan,
     SamplingConfig,
     detect_anchors,
     plan_windows,
-    sampling_from_env,
 )
 from .workload import PreparedWorkload, WorkloadStats, prepare_workload
 from .functional import (
@@ -80,15 +79,13 @@ __all__ = [
     "StallCounters",
     "FIDELITIES",
     "build_core",
+    "resolve_tier",
     "simulate",
     "IntervalConfig",
-    "interval_from_env",
-    "simulate_interval",
     "SamplePlan",
     "SamplingConfig",
     "detect_anchors",
     "plan_windows",
-    "sampling_from_env",
     "PreparedWorkload",
     "WorkloadStats",
     "prepare_workload",

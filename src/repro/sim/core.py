@@ -31,7 +31,6 @@ import heapq
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..isa.registers import Register
 from ..uarch.bypass import BypassNetwork
 from ..uarch.checkpoint import CheckpointManager
 from ..uarch.funit import FunctionalUnitPool
@@ -1311,24 +1310,7 @@ class TimingCore:
                 "structure_full" if self._stall_accept else stall
             )
 
-    @staticmethod
-    def _reg_key(reg: Register) -> Tuple[str, int]:
-        return (reg.rclass.value, reg.index)
-
     # ------------------------------------------------------------------ issue
-    def deps_complete(self, winst: WInst, cycle: int) -> bool:
-        for producer, internal in winst.deps:
-            if producer is None:
-                continue
-            if producer.complete_cycle is None:
-                return False
-            visible = producer.complete_cycle
-            if not internal:
-                visible += self.dep_delay(producer, winst)
-            if visible > cycle:
-                return False
-        return True
-
     def try_issue(
         self,
         winst: WInst,

@@ -25,14 +25,12 @@ this tier decides:
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .config import MachineConfig
 from .results import SimResult
-from .run import MAX_CYCLES, simulate
 from .sampling import (
     SamplePlan,
     WindowRun,
@@ -44,8 +42,6 @@ from .sampling import (
     parse_spec,
 )
 from .workload import PreparedWorkload
-
-_ENV_INTERVAL = "REPRO_INTERVAL"
 
 #: config validity floor — anchoring needs a first and a last window.
 #: (Fitting fewer windows than the 5-covariate model needs degenerates
@@ -120,11 +116,6 @@ class IntervalConfig:
         if "bound" in values:
             values["error_bound_pct"] = values.pop("bound")
         return cls(**values)  # type: ignore[arg-type]
-
-
-def interval_from_env() -> IntervalConfig:
-    """Resolve ``REPRO_INTERVAL`` (a spec string; unset means defaults)."""
-    return IntervalConfig.parse(os.environ.get(_ENV_INTERVAL, ""))
 
 
 def plan_calibration(
@@ -210,21 +201,6 @@ def estimate_interval(
             plan.units, plan.chosen, cpis, covariates, result.cycles
         )
     return result
-
-
-def simulate_interval(
-    workload: PreparedWorkload,
-    config: MachineConfig,
-    interval: Optional[IntervalConfig] = None,
-    max_cycles: int = MAX_CYCLES,
-    validation=None,
-    observe=None,
-) -> SimResult:
-    """:func:`~repro.sim.run.simulate` on the interval tier."""
-    return simulate(
-        workload, config, max_cycles=max_cycles, validation=validation,
-        observe=observe, fidelity="interval", interval=interval,
-    )
 
 
 def _cv_relative_error(

@@ -50,6 +50,40 @@ def collector_paused():
             gc.enable()
 
 
+def resolve_tier(
+    fidelity: Optional[str] = None, sampling=None, interval=None
+):
+    """The one rule that picks a run's tier: ``(name, tuning)``.
+
+    An explicit ``fidelity`` wins, with its own tuning or that tier's
+    defaults; tuning given for another tier is ignored.  Without one,
+    the tier is the one whose tuning was given (both is a
+    :class:`ValueError`), and exact (tuning None) when neither was.
+    """
+    if fidelity is None:
+        tunings = (("sampled", sampling), ("interval", interval))
+        given = [name for name, tuning in tunings if tuning is not None]
+        if len(given) > 1:
+            raise ValueError(
+                "both a sampling and an interval tuning were given; "
+                "name the tier with fidelity"
+            )
+        fidelity = given[0] if given else "exact"
+    if fidelity == "exact":
+        return fidelity, None
+    if fidelity == "sampled":
+        from .sampling import SamplingConfig
+
+        return fidelity, sampling if sampling is not None else SamplingConfig()
+    if fidelity == "interval":
+        from .interval import IntervalConfig
+
+        return fidelity, interval if interval is not None else IntervalConfig()
+    raise ValueError(
+        f"unknown fidelity {fidelity!r}; choose from {FIDELITIES}"
+    )
+
+
 def build_core(workload: PreparedWorkload, config: MachineConfig) -> TimingCore:
     """Instantiate the timing core registered for ``config.kind``."""
     return descriptor_for(config.kind).core_class(workload, config)
@@ -81,15 +115,13 @@ def simulate(
 ) -> SimResult:
     """Run ``workload`` on the machine described by ``config``.
 
-    ``fidelity`` picks the tier explicitly: ``"exact"`` simulates every
-    instruction (and ignores ``sampling``), ``"sampled"`` measures every
-    stride-th unit (``sampling``, a
-    :class:`~repro.sim.sampling.SamplingConfig`, or the defaults),
+    ``fidelity`` names the tier: ``"exact"`` simulates every
+    instruction, ``"sampled"`` measures every stride-th unit (tuned by
+    ``sampling``, a :class:`~repro.sim.sampling.SamplingConfig`), and
     ``"interval"`` measures only a few calibration windows and predicts
-    the rest analytically (``interval``, an
-    :class:`~repro.sim.interval.IntervalConfig`, or the defaults).
-    ``None`` (the default) keeps the legacy rule: sampled when
-    ``sampling`` is given, exact otherwise.
+    the rest analytically (tuned by ``interval``, an
+    :class:`~repro.sim.interval.IntervalConfig`).  :func:`resolve_tier`
+    is the rule that picks the tier when ``fidelity`` is None.
 
     ``validation`` (a :class:`~repro.validate.ValidationConfig`) attaches
     lockstep and/or invariant checkers to the run; the default consults
@@ -138,8 +170,9 @@ def run_tier(
 ) -> SimResult:
     """The run setup behind every tier (see :func:`simulate`).
 
-    Plans the tier, builds the core, attaches the checkers and then the
-    observer, and runs either the whole trace or the plan's windows
+    Resolves the tier (:func:`resolve_tier`), plans it, builds the
+    core, attaches the checkers and then the observer, and runs either
+    the whole trace or the plan's windows
     (:func:`~repro.sim.sampling.drive_windows`) before the tier's
     estimator turns the measurements into a result, all of it inside
     :func:`collector_paused`.  ``checkers`` is called with the fresh
@@ -147,29 +180,18 @@ def run_tier(
     ``finish(expect_full)``) or None; the validation entry points pass
     their own lockstep checker this way.
     """
-    if fidelity is None:
-        fidelity = "sampled" if sampling is not None else "exact"
+    fidelity, tier = resolve_tier(fidelity, sampling, interval)
     plan = None
     if fidelity == "sampled":
-        from .sampling import SamplingConfig, estimate_sampled, plan_windows
+        from .sampling import estimate_sampled, plan_windows
 
-        tier = sampling if sampling is not None else SamplingConfig()
         plan = plan_windows(workload.trace, tier)
         estimate = estimate_sampled
     elif fidelity == "interval":
-        from .interval import (
-            IntervalConfig,
-            estimate_interval,
-            plan_calibration,
-        )
+        from .interval import estimate_interval, plan_calibration
 
-        tier = interval if interval is not None else IntervalConfig()
         plan = plan_calibration(len(workload.trace), tier)
         estimate = estimate_interval
-    elif fidelity != "exact":
-        raise ValueError(
-            f"unknown fidelity {fidelity!r}; choose from {FIDELITIES}"
-        )
     core = build_core(workload, config)
     session = checkers(core) if checkers is not None else None
     if observe is not None:

@@ -43,15 +43,14 @@ neighbours, clamped to the measured CPI range, and reports a
 finite-population-corrected standard error.  Sampling is systematic, not
 random, so a fixed :class:`SamplingConfig` gives bit-identical results.
 
-Knobs: ``--sample`` on ``python -m repro.harness`` or ``REPRO_SAMPLE``
-(``1``/``on`` for defaults, or e.g. ``stride=7,seed=1``).  Exact mode
-remains the default everywhere.
+Knobs: ``--sample`` on ``python -m repro.harness`` (bare for the
+defaults, or e.g. ``stride=7,seed=1``).  Exact mode remains the default
+everywhere.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -59,8 +58,6 @@ from .config import MachineConfig
 from .results import SimResult, StallCounters
 from .run import MAX_CYCLES
 from .workload import PreparedWorkload
-
-_ENV_SAMPLE = "REPRO_SAMPLE"
 
 #: Plans with fewer than this many *sampled* windows fall back to exact
 #: simulation: extrapolating from a single window has no error estimate
@@ -175,14 +172,6 @@ class SamplingConfig:
         """Parse ``interval=500,stride=5,warmup=512,seed=0`` (all optional)."""
         keys = dict.fromkeys(("interval", "stride", "warmup", "seed"), int)
         return cls(**parse_spec(text, "sampling", keys))
-
-
-def sampling_from_env() -> Optional[SamplingConfig]:
-    """Resolve ``REPRO_SAMPLE``: unset/``0``/``off`` means exact mode."""
-    value = os.environ.get(_ENV_SAMPLE, "").strip()
-    if not value or value.lower() in ("0", "off", "false", "no", "none", "exact"):
-        return None
-    return SamplingConfig.parse(value)
 
 
 def detect_anchors(trace: Sequence) -> Optional[List[int]]:

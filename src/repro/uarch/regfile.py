@@ -61,9 +61,6 @@ class RegisterFileModel:
         self.in_flight = 0
         self.alloc_stalls = 0
 
-    def can_allocate(self) -> bool:
-        return self.in_flight < self.entries
-
     def allocate(self) -> bool:
         """Claim an entry for a new in-flight destination value."""
         if self.in_flight >= self.entries:

@@ -273,10 +273,9 @@ class TestResultCache:
             path.name.startswith("result-") for path in tmp_path.iterdir()
         )
 
-    def test_off_by_default(self, tmp_path, monkeypatch):
+    def test_off_by_default(self, tmp_path):
         from repro.sim import ooo_config
 
-        monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
         ctx = ExperimentContext(
             benchmarks=("gcc",), max_instructions=5_000, jobs=1,
             cache=ArtifactCache(root=tmp_path),
@@ -291,14 +290,16 @@ class TestResultCache:
         from repro.sim import ooo_config
         from repro.sim.sampling import SamplingConfig
 
-        exact = ArtifactCache.result_key(
-            "gcc", 1.0, False, False, 8, "perceptron", 100, ooo_config(8), None
-        )
-        sampled = ArtifactCache.result_key(
-            "gcc", 1.0, False, False, 8, "perceptron", 100, ooo_config(8),
-            SamplingConfig().cache_token(),
-        )
-        assert exact != sampled
+        def key(tier_token):
+            return ArtifactCache.result_key(
+                "gcc", 1.0, False, False, 8, "perceptron", 100,
+                ooo_config(8), tier_token,
+            )
+
+        exact = key(("exact", None))
+        sampled = key(("sampled", SamplingConfig().cache_token()))
+        restrided = key(("sampled", SamplingConfig(stride=4).cache_token()))
+        assert len({exact, sampled, restrided}) == 3
 
 
 class TestEffectiveJobs:

@@ -22,11 +22,7 @@ import pytest
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.context import ExperimentContext
 from repro.sim.config import braid_config, ooo_config
-from repro.sim.interval import (
-    IntervalConfig,
-    plan_calibration,
-    simulate_interval,
-)
+from repro.sim.interval import IntervalConfig, plan_calibration
 from repro.sim.run import build_core, simulate
 
 
@@ -122,14 +118,14 @@ class TestPlanCalibration:
 class TestSimulateInterval:
     def test_deterministic(self, ctx):
         workload = ctx.workload("gcc")
-        first = simulate_interval(workload, ooo_config())
-        second = simulate_interval(workload, ooo_config())
+        first = simulate(workload, ooo_config(), fidelity="interval")
+        second = simulate(workload, ooo_config(), fidelity="interval")
         assert first.cycles == second.cycles
         assert first.extra == second.extra
 
     def test_result_shape(self, ctx):
         workload = ctx.workload("gcc")
-        result = simulate_interval(workload, ooo_config())
+        result = simulate(workload, ooo_config(), fidelity="interval")
         assert result.fidelity == "interval"
         assert result.sampled
         assert result.instructions == len(workload.trace)
@@ -144,7 +140,7 @@ class TestSimulateInterval:
             cache=ArtifactCache(enabled=False),
         )
         workload = small.workload("gcc")
-        result = simulate_interval(workload, ooo_config())
+        result = simulate(workload, ooo_config(), fidelity="interval")
         assert result.extra.get("interval_fallback_exact") == 1.0
         exact = build_core(workload, ooo_config()).run()
         assert result.cycles == exact.cycles
@@ -157,7 +153,7 @@ class TestSimulateInterval:
         """The honesty contract: actual IPC error <= the stated bound."""
         workload = ctx.workload(name, braided=braided)
         exact = build_core(workload, factory()).run()
-        result = simulate_interval(workload, factory())
+        result = simulate(workload, factory(), fidelity="interval")
         error_pct = 100.0 * abs(result.cycles - exact.cycles) / exact.cycles
         assert error_pct <= result.extra["interval_error_bound_pct"], (
             f"{name}: {error_pct:.2f}% error exceeds stated "
@@ -166,7 +162,7 @@ class TestSimulateInterval:
 
     def test_model_cpi_stack_sums_to_cycles(self, ctx):
         workload = ctx.workload("gcc")
-        result = simulate_interval(workload, ooo_config())
+        result = simulate(workload, ooo_config(), fidelity="interval")
         assert result.cpi_stack, "interval run should ship a model CPI stack"
         assert all(value >= 0.0 for value in result.cpi_stack.values())
         assert math.isclose(
@@ -175,8 +171,8 @@ class TestSimulateInterval:
 
     def test_simulate_dispatches_interval(self, ctx):
         workload = ctx.workload("gcc")
-        direct = simulate_interval(workload, ooo_config())
-        routed = simulate(workload, ooo_config(), fidelity="interval")
+        direct = simulate(workload, ooo_config(), fidelity="interval")
+        routed = simulate(workload, ooo_config(), interval=IntervalConfig())
         assert routed.fidelity == "interval"
         assert routed.cycles == direct.cycles
 
