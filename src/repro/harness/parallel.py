@@ -5,8 +5,10 @@ runs tasks on dedicated worker processes instead — one fleet,
 :func:`run_tasks_hardened`, with per-task wall-clock deadlines and watchdog
 kill, classified retry with backoff, quarantine (not abort) of tasks that
 keep failing, heartbeats, and crash-safe file-inbox result delivery.  Fault
-campaigns (:mod:`repro.faults`) and the service supervisor call it
-directly.
+campaigns (:mod:`repro.faults`) call it directly with a fixed task list.
+The service supervisor runs one fleet per drain and feeds it through the
+``refill`` callback: each worker that frees up gets the next claimed job,
+so one long job holds only its own worker.
 
 Sweeps call it through :func:`run_point_groups_parallel`.  The parent
 warms phase one (programs, braid compilations, prepared workloads) before
@@ -25,6 +27,7 @@ default is ``os.cpu_count()``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -380,9 +383,15 @@ class _HardenedWorker:
 
 
 def _run_tasks_serial(
-    fn, tasks, policy: RetryPolicy, on_result=None
+    fn, tasks, policy: RetryPolicy, on_result=None, refill=None
 ) -> List[TaskOutcome]:
-    """In-process fallback (jobs=1 / no fork): retries but no watchdog."""
+    """In-process fallback (jobs=1 / no fork): retries but no watchdog.
+
+    Each task settles before the next is taken, so ``refill`` is called
+    only once the task list and every earlier refill have settled.
+    """
+    if refill is not None:
+        tasks = itertools.chain(tasks, iter(refill, None))
     outcomes = []
     for task_id, payload in tasks:
         outcome = TaskOutcome(task_id=task_id, status="quarantined")
@@ -465,12 +474,20 @@ def run_tasks_hardened(
     progress_probe: Optional[Callable[[str], Optional[Dict]]] = None,
     hang_grace: float = 2.0,
     extension_cap: float = 4.0,
+    refill: Optional[Callable[[], Optional[Tuple[str, Any]]]] = None,
 ) -> List[TaskOutcome]:
     """Run ``fn`` over ``tasks`` on workers that are allowed to die.
 
-    ``tasks`` is a sequence of ``(task_id, payload)``; outcomes come back
-    in task order.  Guarantees the sweeps, the campaign runner and the
-    service supervisor need:
+    ``tasks`` is a sequence of ``(task_id, payload)``.  ``refill``
+    (optional) offers more work one task at a time: it returns the next
+    ``(task_id, payload)``, or ``None`` when there is no more, after
+    which it is never called again.  It is called only when a worker is
+    idle and nothing — no listed task, no retry waiting out its backoff —
+    is pending, so offered-but-unsettled tasks never exceed the worker
+    count; the service supervisor claims each job there, just in time.
+    Outcomes come back in offer order: ``tasks`` first, then each
+    refill.  Guarantees the sweeps, the campaign runner and the service
+    supervisor need:
 
     * **watchdog kill** — a task that exceeds the policy deadline of wall
       clock gets its worker killed and respawned;
@@ -507,11 +524,14 @@ def run_tasks_hardened(
     serially in-process with the same classification/retry/quarantine
     semantics but no wall-clock watchdog — an in-simulator watchdog
     (:class:`~repro.sim.core.SimulationHang`) still bounds hangs there.
+    ``jobs > 1`` always forks, even for a single known task; the worker
+    count is then clamped to the host CPUs and, without ``refill``, to
+    the task count.
     """
     if policy is None:
         policy = RetryPolicy()
     tasks = list(tasks)
-    if not tasks:
+    if not tasks and refill is None:
         return []
     if jobs > 1:
         try:
@@ -523,10 +543,11 @@ def run_tasks_hardened(
             )
             jobs = 1
     if jobs <= 1:
-        return _run_tasks_serial(fn, tasks, policy, on_result)
+        return _run_tasks_serial(fn, tasks, policy, on_result, refill)
 
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
-    jobs = max(jobs, 1)
+    if refill is None:
+        jobs = min(jobs, len(tasks))
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     inbox_dir = tempfile.TemporaryDirectory(prefix="repro-hardened-")
     inbox = inbox_dir.name
     wake_r, wake_w = os.pipe()
@@ -575,11 +596,24 @@ def run_tasks_hardened(
             pending.append((not_before, index, attempt + 1))
 
     try:
-        while len(outcomes) < len(tasks):
+        while refill is not None or len(outcomes) < len(tasks):
             now = time.monotonic()
-            # Dispatch ready tasks to idle workers.
+            # Dispatch ready tasks to idle workers, refilling an idle
+            # worker only when nothing at all is pending.
             for worker in workers:
-                if worker.assignment is not None or not pending:
+                if worker.assignment is not None:
+                    continue
+                if not pending and refill is not None:
+                    offered = refill()
+                    if offered is None:
+                        refill = None
+                    else:
+                        partial[len(tasks)] = TaskOutcome(
+                            task_id=offered[0], status="quarantined"
+                        )
+                        pending.append((0.0, len(tasks), 1))
+                        tasks.append(offered)
+                if not pending:
                     continue
                 slot = None
                 for position, item in enumerate(pending):

@@ -9,7 +9,7 @@ and :class:`~repro.sim.results.SimResult` carries as plain dictionaries.
 
 :meth:`MetricsRegistry.render_prometheus` serializes a registry into the
 Prometheus text exposition format (version 0.0.4), which is what the
-service supervisor publishes each round; :func:`prometheus_errors` is the
+service supervisor publishes as jobs settle; :func:`prometheus_errors` is the
 dependency-free validator CI asserts against (same style as
 :func:`~repro.obs.tracing.chrome_schema_errors`), and
 :func:`parse_prometheus` round-trips a rendered document back into

@@ -19,7 +19,7 @@ Observability (:mod:`~repro.service.telemetry`) rides the same
 primitives: every journal event carries wall + monotonic timestamps the
 state fold ignores, workers publish atomic heartbeat files the watchdog
 and the live ``status --follow`` table read back, and the supervisor
-exports Prometheus metrics and a health file each round.
+exports Prometheus metrics and a health file as jobs settle.
 
 Light modules (:mod:`~repro.service.retry`, :mod:`~repro.service.journal`,
 :mod:`~repro.service.jobstore`, :mod:`~repro.service.chaos`) are imported

@@ -114,7 +114,6 @@ def _cmd_serve(args, parser) -> int:
     )
     config = ServiceConfig(
         jobs=args.jobs,
-        batch=args.batch,
         poll=args.poll,
         drain_when_idle=args.drain_when_idle,
         policy=policy,
@@ -131,7 +130,7 @@ def _cmd_serve(args, parser) -> int:
         store.close()
     counters = summary["counters"]
     print(
-        f"served {summary['rounds']} round(s): "
+        f"served {summary['rounds']} fleet(s): "
         f"{counters['completed']} done, {counters['failed']} failed, "
         f"{counters['coalesced']} coalesced, {counters['active']} pending"
     )
@@ -480,10 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="hardened worker processes (default 1: serial in-process)",
-    )
-    serve.add_argument(
-        "--batch", type=int, default=8, metavar="N",
-        help="jobs claimed per dispatch round (default 8)",
     )
     serve.add_argument(
         "--poll", type=float, default=0.5, metavar="SECONDS",

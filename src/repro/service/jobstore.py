@@ -504,12 +504,12 @@ class JobStore:
 
     @property
     def health_path(self) -> Path:
-        """The supervisor's liveness file (atomic JSON, one per round)."""
+        """The supervisor's liveness file (atomic JSON, rewritten live)."""
         return self.root / "health.json"
 
     @property
     def metrics_path(self) -> Path:
-        """Prometheus text-exposition export (atomic, one per round)."""
+        """Prometheus text-exposition export (atomic, rewritten live)."""
         return self.root / "metrics.prom"
 
     def progress(self, job_id: str) -> Optional[Dict[str, Any]]:

@@ -86,9 +86,17 @@ class JsonlJournal:
         if readonly:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        mode = "a" if (existing and resume) else "w"
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if mode == "w":
+        fresh = not (existing and resume)
+        # Always O_APPEND (mode "a"), truncating a journal that is not
+        # resumed: every write lands at the current end of file, so two
+        # handles on one journal can never overwrite each other's lines.
+        self._handle = open(
+            self.path, "a", encoding="utf-8",
+            opener=lambda path, flags: os.open(
+                path, flags | (os.O_TRUNC if fresh else 0), 0o666
+            ),
+        )
+        if fresh:
             header = {"kind": self.kind, "version": self.version}
             if self.digest is not None:
                 header["digest"] = self.digest

@@ -1,12 +1,16 @@
 """Supervisor: schedules durable jobs onto the hardened worker fleet.
 
-One loop: recover, then repeatedly claim a fair-share batch of queued
-jobs and dispatch it through
+One loop: recover, then for each non-empty queue prewarm phase one for
+every queued job and run one fleet of
 :func:`~repro.harness.parallel.run_tasks_hardened` — the same
-crash-hardened runner the fault campaigns use, now driven by the shared
+crash-hardened runner the fault campaigns use, driven by the shared
 :class:`~repro.service.retry.RetryPolicy` so worker deaths and watchdog
 timeouts retry with capped deterministic backoff while permanent task
-errors fail fast.
+errors fail fast.  The fleet forks after the prewarm, so its workers
+inherit the warm state copy-on-write, and it asks the supervisor for
+work through its ``refill`` callback: each worker that frees up gets the
+next job in fair-share order, claimed at that moment.  A long job holds
+only its own worker, and ``start`` stamps the real dispatch time.
 
 Durability protocol per job (each step is one fsynced journal event):
 
@@ -20,10 +24,11 @@ Durability protocol per job (each step is one fsynced journal event):
    ``requeue`` when the result-store write itself failed transiently
    (simulated disk-quota exhaustion in the chaos harness).
 
-SIGTERM/SIGINT request a graceful drain: the in-flight batch settles,
-the queue is left untouched, a ``drain`` event and a fresh ``state.json``
-snapshot are written, and the exit is clean.  SIGKILL needs no protocol
-at all — that is the point of the journal.
+SIGTERM/SIGINT request a graceful drain: nothing more is claimed, the
+in-flight jobs settle, the rest of the queue is left untouched, a
+``drain`` event and a fresh ``state.json`` snapshot are written, and the
+exit is clean.  SIGKILL needs no protocol at all — that is the point of
+the journal.
 """
 
 from __future__ import annotations
@@ -32,12 +37,12 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..harness.parallel import run_tasks_hardened
 from ..obs.metrics import MetricsRegistry
 from .chaos import FAIL_WRITE, KILL_SUPERVISOR, chaos_point
-from .jobstore import JobRecord, JobStore
+from .jobstore import JobStore
 from .jobs import execute_job, prepare
 from .journal import write_text_atomic
 from .retry import RETRYABLE, RetryPolicy
@@ -56,9 +61,11 @@ class ServiceConfig:
 
     #: hardened worker processes (1 = serial in-process, no watchdog)
     jobs: int = 1
-    #: max jobs claimed per dispatch round (drain granularity)
+    #: inert: jobs are claimed one per free worker, not in rounds; the
+    #: field stays only because the benchmark reads it
     batch: int = 8
-    #: idle poll interval in seconds when watching for new submissions
+    #: idle poll interval in seconds when watching for new submissions,
+    #: and the longest a drain goes between metrics/health refreshes
     poll: float = 0.5
     #: exit when the queue is empty instead of watching (batch mode)
     drain_when_idle: bool = False
@@ -92,6 +99,7 @@ class Supervisor:
         self._settled = counters["completed"] + counters["failed"]
         self._base_attempts: Dict[str, int] = {}
         self._started = time.monotonic()
+        self._published = self._started
         self._rounds = 0
 
     # --------------------------------------------------------------- signals
@@ -121,29 +129,26 @@ class Supervisor:
         self.publish_observability()
         try:
             while not self._drain_requested:
-                batch = self._claim_batch()
-                if not batch:
+                queued = self.store.runnable()
+                if not queued:
                     if self.config.drain_when_idle:
                         break
                     time.sleep(self.config.poll)
-                    # Idle rounds still refresh metrics + the health
+                    # Idle polls still refresh metrics + the health
                     # heartbeat, so liveness is observable while waiting.
                     self.publish_observability()
                     continue
                 self._rounds += 1
-                prepare(batch)
+                prepare(queued)
                 run_tasks_hardened(
                     execute_job,
-                    [
-                        (job.job_id,
-                         (job.job_id, job.kind, dict(job.params)))
-                        for job in batch
-                    ],
+                    [],
                     jobs=self.config.jobs,
                     policy=self.config.policy,
                     on_result=self._settle,
                     progress_probe=probe,
                     hang_grace=self.config.effective_hang_grace(),
+                    refill=self._claim_next,
                 )
                 self.publish_observability()
         finally:
@@ -212,6 +217,7 @@ class Supervisor:
         Telemetry publication must never take the supervisor down: a
         full disk here degrades observability, not durability.
         """
+        self._published = time.monotonic()
         try:
             write_text_atomic(
                 self.store.metrics_path,
@@ -228,19 +234,22 @@ class Supervisor:
             pass
 
     # -------------------------------------------------------------- dispatch
-    def _claim_batch(self) -> List[JobRecord]:
-        """Claim up to ``batch`` runnable jobs, retiring exhausted ones.
+    def _claim_next(self) -> Optional[Tuple[str, Any]]:
+        """Claim the next runnable job for a free worker (fleet refill).
 
-        A queued job whose accumulated attempts already exhaust the
-        retry budget (it kept getting requeued by transient settle
-        failures) is failed here, non-permanently, instead of looping
-        forever.
+        Returns the fleet task, or ``None`` — the fleet then lets its
+        in-flight jobs settle and ends — once the queue is empty or a
+        drain was requested.  A queued job whose accumulated attempts
+        already exhaust the retry budget (it kept getting requeued by
+        transient settle failures) is failed here, non-permanently,
+        instead of looping forever.
         """
         policy = self.config.policy
-        batch: List[JobRecord] = []
-        for job in self.store.runnable():
-            if len(batch) >= self.config.batch:
-                break
+        while not self._drain_requested:
+            queued = self.store.runnable()
+            if not queued:
+                return None
+            job = queued[0]
             if job.attempts >= policy.max_attempts:
                 self.store.fail(
                     job.job_id,
@@ -255,8 +264,8 @@ class Supervisor:
                 continue
             self._base_attempts[job.job_id] = job.attempts
             self.store.claim(job.job_id)
-            batch.append(job)
-        return batch
+            return job.job_id, (job.job_id, job.kind, dict(job.params))
+        return None
 
     def _settle(self, outcome) -> None:
         """Journal one settled task (the hardened runner's on_result)."""
@@ -293,6 +302,10 @@ class Supervisor:
             )
             self.telemetry.counter("service.jobs_failed")
             self._count_settled()
+        # One fleet serves the whole drain: keep metrics.prom and
+        # health.json live, at most once per poll interval.
+        if time.monotonic() - self._published >= self.config.poll:
+            self.publish_observability()
 
     def _count_settled(self) -> None:
         self._settled += 1

@@ -23,7 +23,7 @@ describes does:
   :func:`latency_histograms` fold the timestamped journal into per-job
   timelines and queue-wait / run-time / retry-latency
   :class:`~repro.obs.metrics.BoundedHistogram` digests, which the
-  supervisor exports in Prometheus text format every round.
+  supervisor exports in Prometheus text format as jobs settle.
 
 When nothing arms the environment variables every hook here is one
 ``dict.get`` away from a no-op — the same zero-cost-when-off discipline
@@ -366,7 +366,7 @@ def write_health(
     counters: Mapping[str, int],
     draining: bool = False,
 ) -> None:
-    """Atomic supervisor heartbeat: pid, round, uptime, store counters."""
+    """Atomic supervisor heartbeat: pid, fleet count, uptime, counters."""
     write_json_atomic(Path(path), {
         "pid": os.getpid(),
         "ts": round(time.time(), 6),

@@ -203,6 +203,116 @@ class TestHardenedWorkers:
         assert sorted(o.task_id for o in settled) == ["a", "b", "c"]
 
 
+def _pid(payload):
+    return os.getpid()
+
+
+def _flaky_first_attempt(payload):
+    """Fail the "flaky" task's first attempt retryably."""
+    if payload == "flaky" and os.environ["REPRO_TASK_ATTEMPT"] == "1":
+        raise OSError("transient infra failure")
+    return payload
+
+
+#: the in-process path and the forked fleet
+FLEET_JOBS = [1, pytest.param(2, marks=needs_fork)]
+
+
+class _Refill:
+    """A refill callback over a task list that checks the fleet's contract.
+
+    Each call asserts that a worker is free (offered-but-unsettled tasks
+    stay below ``jobs``) and that no earlier call returned ``None``.
+    """
+
+    def __init__(self, tasks, jobs):
+        self.tasks = list(tasks)
+        self.jobs = jobs
+        self.offered = []
+        self.settled = []
+        self.calls = []
+        self.exhausted = False
+
+    def __call__(self):
+        assert not self.exhausted, "refill called after it returned None"
+        assert len(self.offered) - len(self.settled) < self.jobs
+        self.calls.append(time.monotonic())
+        if not self.tasks:
+            self.exhausted = True
+            return None
+        task = self.tasks.pop(0)
+        self.offered.append(task[0])
+        return task
+
+    def on_result(self, outcome):
+        self.settled.append(outcome.task_id)
+
+
+@dataclasses.dataclass(frozen=True)
+class _WindowPolicy(RetryPolicy):
+    """A retry policy that records each backoff window it hands out."""
+
+    windows: list = dataclasses.field(default_factory=list, compare=False)
+
+    def delay(self, task_id, attempt):
+        delay = super().delay(task_id, attempt)
+        now = time.monotonic()
+        self.windows.append((now, now + delay))
+        return delay
+
+
+class TestRefill:
+    @pytest.mark.parametrize("jobs", FLEET_JOBS)
+    def test_every_offer_runs_once_in_offer_order(self, jobs):
+        ids = [f"t{i}" for i in range(6)]
+        refill = _Refill([(task_id, i) for i, task_id in enumerate(ids)],
+                         jobs)
+        outcomes = run_tasks_hardened(
+            _double, [], jobs=jobs, policy=RetryPolicy(deadline=30.0),
+            on_result=refill.on_result, refill=refill,
+        )
+        assert [o.task_id for o in outcomes] == ids
+        assert [o.result for o in outcomes] == [0, 2, 4, 6, 8, 10]
+        assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert sorted(refill.settled) == ids  # one on_result per task
+        assert refill.exhausted
+
+    @pytest.mark.parametrize("jobs", FLEET_JOBS)
+    def test_no_refill_while_a_retry_is_pending(self, jobs):
+        policy = _WindowPolicy(backoff=0.2, deadline=30.0)
+        refill = _Refill([(name, name) for name in ("flaky", "b", "c", "d")],
+                         jobs)
+        outcomes = run_tasks_hardened(
+            _flaky_first_attempt, [], jobs=jobs, policy=policy,
+            on_result=refill.on_result, refill=refill,
+        )
+        assert [o.result for o in outcomes] == ["flaky", "b", "c", "d"]
+        assert outcomes[0].attempts == 2
+        assert len(policy.windows) == 1
+        start, end = policy.windows[0]
+        assert not [t for t in refill.calls if start <= t < end]
+
+    @pytest.mark.parametrize("jobs", FLEET_JOBS)
+    def test_none_ends_the_fleet(self, jobs):
+        refill = _Refill([], jobs)
+        outcomes = run_tasks_hardened(
+            _double, [("a", 1), ("b", 2)], jobs=jobs,
+            policy=RetryPolicy(deadline=30.0), refill=refill,
+        )
+        assert [o.result for o in outcomes] == [2, 4]
+        assert refill.exhausted and len(refill.calls) == 1
+        assert run_tasks_hardened(_double, [], jobs=jobs,
+                                  refill=_Refill([], jobs)) == []
+
+    @needs_fork
+    def test_one_refilled_task_still_runs_in_a_child(self):
+        outcomes = run_tasks_hardened(
+            _pid, [], jobs=2, policy=RetryPolicy(deadline=30.0),
+            refill=_Refill([("only", None)], 2),
+        )
+        assert outcomes[0].ok and outcomes[0].result != os.getpid()
+
+
 def _sweep_context() -> ExperimentContext:
     return ExperimentContext(
         benchmarks=("gcc",), max_instructions=20_000, jobs=2,

@@ -135,7 +135,8 @@ class TestSupervisorKill:
         env.update(spec.environ(root / "chaos-marks"))
         return subprocess.run(
             [sys.executable, "-m", "repro.harness", "serve",
-             "--store", str(root), "--drain-when-idle", "--timeout", "60"],
+             "--store", str(root), "--drain-when-idle", "--jobs", "2",
+             "--timeout", "60"],
             env=env, cwd=str(REPO), capture_output=True, text=True,
             timeout=300,
         )
@@ -164,6 +165,8 @@ class TestSupervisorKill:
         reference.close()
 
         # Chaos: subprocess supervisor, SIGKILLed after its first settle.
+        # Jobs are claimed one per free worker, so two workers keep a
+        # second job in flight when the kill lands.
         root = tmp_path / "chaos"
         store = JobStore(root)
         chaos_ids = [submit(store, b, c) for b, c in jobs]

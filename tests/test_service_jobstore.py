@@ -367,3 +367,32 @@ class TestJsonlJournalUnit:
         JsonlJournal(path, kind="test", version=1, digest="aaa").close()
         with pytest.raises(JournalError):
             JsonlJournal(path, kind="test", version=1, digest="bbb")
+
+    def test_two_handles_on_a_new_journal_never_overwrite(self, tmp_path):
+        # The creating handle must append at end of file too: a plain
+        # "w" handle would write its next line at its own offset, over
+        # the line the second handle appended in between.
+        path = tmp_path / "j.jsonl"
+        first = JsonlJournal(path, kind="test", version=1)
+        second = JsonlJournal(path, kind="test", version=1)
+        for n in range(3):
+            first.append({"event": "first", "n": n})
+            second.append({"event": "second", "n": n})
+        first.close()
+        second.close()
+        reloaded = JsonlJournal(path, kind="test", version=1, readonly=True)
+        assert [(r["event"], r["n"]) for r in reloaded.records] == [
+            (who, n) for n in range(3) for who in ("first", "second")
+        ]
+        assert reloaded.skipped == 0
+
+    def test_fresh_journal_truncates_without_resume(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = JsonlJournal(path, kind="test", version=1)
+        journal.append({"event": "old"})
+        journal.close()
+        restarted = JsonlJournal(path, kind="test", version=1, resume=False)
+        restarted.append({"event": "new"})
+        restarted.close()
+        reloaded = JsonlJournal(path, kind="test", version=1, readonly=True)
+        assert [r["event"] for r in reloaded.records] == ["new"]

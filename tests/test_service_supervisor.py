@@ -8,13 +8,20 @@ code path the ``serve`` CLI drives.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.service import ChaosSpec, JobRequest, JobStore
+from repro.service import supervisor as supervisor_module
 from repro.service.jobs import normalize_params
-from repro.service.jobstore import DONE, FAILED
+from repro.service.jobstore import DONE, FAILED, QUEUED
 from repro.service.retry import RetryPolicy
 from repro.service.supervisor import ServiceConfig, Supervisor, serve
+from repro.service.telemetry import read_health
 
 #: tiny sims: the protocols under test do not care about run length
 SIZING = {"scale": 0.05, "max_instructions": 3000}
@@ -22,7 +29,8 @@ SIZING = {"scale": 0.05, "max_instructions": 3000}
 
 def batch_config(**kwargs):
     kwargs.setdefault("policy", RetryPolicy(backoff=0.01, deadline=60.0))
-    return ServiceConfig(jobs=1, drain_when_idle=True, **kwargs)
+    kwargs.setdefault("jobs", 1)
+    return ServiceConfig(drain_when_idle=True, **kwargs)
 
 
 def submit(store, kind, params, client="default"):
@@ -85,6 +93,122 @@ class TestServe:
         assert summary["drained"] is True
         assert store.journal.records[-1]["event"] == "drain"
         assert (tmp_path / "store" / "state.json").exists()
+        store.close()
+
+
+def _two_forked_workers() -> bool:
+    try:
+        multiprocessing.get_context("fork")
+    except ValueError:
+        return False
+    return (os.cpu_count() or 1) >= 2
+
+
+#: the fleet clamps its workers to the host CPUs
+needs_two_workers = pytest.mark.skipif(
+    not _two_forked_workers(),
+    reason="requires the fork start method and two CPUs",
+)
+
+
+def running_high_water(records) -> int:
+    """Most jobs ``running`` at once over every prefix of the journal."""
+    running = peak = 0
+    for record in records:
+        event = record.get("event")
+        if event == "start":
+            running += 1
+        elif event in ("done", "failed", "requeue"):
+            running -= 1
+        peak = max(peak, running)
+    return peak
+
+
+class TestOneFleet:
+    """One fleet per drain, each free worker refilled with the next job."""
+
+    MIXED = [("faults", {"benchmarks": "gcc", "cores": "ooo", "runs": 4})] + [
+        ("simulate", {"benchmark": bench, "core": core})
+        for bench, core in (("gcc", "braid"), ("mcf", "inorder"),
+                            ("gcc", "ooo"), ("mcf", "depsteer"))
+    ]
+
+    def drain(self, root, jobs):
+        store = JobStore(root)
+        ids = [submit(store, kind, params) for kind, params in self.MIXED]
+        summary = serve(store, batch_config(jobs=jobs))
+        payloads = [json.dumps(store.result(j), sort_keys=True) for j in ids]
+        records = list(store.journal.records)
+        store.close()
+        return ids, summary, payloads, records
+
+    @needs_two_workers
+    def test_short_jobs_pass_a_long_campaign(self, tmp_path):
+        ids, summary, payloads, records = self.drain(tmp_path / "fleet", 2)
+        assert summary["rounds"] == 1
+        campaign, short = ids[0], set(ids[1:])
+        events = [(r["event"], r["job"]) for r in records
+                  if r.get("event") in ("start", "done")]
+        campaign_done = events.index(("done", campaign))
+        assert events.index(("start", campaign)) == 0
+        # Every short job starts and finishes while the campaign runs:
+        # it holds only its own worker, not a barrier across the fleet.
+        assert {job for event, job in events[1:campaign_done]
+                if event == "done"} == short
+        assert running_high_water(records) == 2
+
+        _, serial, serial_payloads, serial_records = self.drain(
+            tmp_path / "serial", 1
+        )
+        assert serial["rounds"] == 1
+        assert running_high_water(serial_records) == 1
+        assert payloads == serial_payloads
+
+    @pytest.mark.parametrize("jobs", [
+        1, pytest.param(2, marks=needs_two_workers),
+    ])
+    def test_drain_requested_in_a_settle_claims_nothing_more(
+        self, tmp_path, jobs
+    ):
+        store = JobStore(tmp_path / "store")
+        ids = [submit(store, "simulate", {"benchmark": bench, "core": core})
+               for bench, core in (("gcc", "braid"), ("mcf", "inorder"),
+                                   ("gcc", "ooo"), ("mcf", "depsteer"))]
+        supervisor = Supervisor(store, batch_config(jobs=jobs))
+        settle = supervisor._settle
+
+        def settle_then_drain(outcome):
+            settle(outcome)
+            supervisor.request_drain()
+
+        supervisor._settle = settle_then_drain
+        summary = supervisor.run()
+        assert summary["drained"] is True
+        statuses = [store.job(j).status for j in ids]
+        # Jobs in flight at the request settle; the rest stay queued.
+        assert statuses == [DONE] * jobs + [QUEUED] * (len(ids) - jobs)
+        assert running_high_water(store.journal.records) == jobs
+        store.close()
+
+    def test_health_advances_during_one_drain(self, tmp_path, monkeypatch):
+        store = JobStore(tmp_path / "store")
+        for bench in ("gcc", "mcf", "bzip2"):
+            submit(store, "simulate", {"benchmark": bench, "core": "ooo"})
+        poll = 0.05
+        seen = []
+        execute = supervisor_module.execute_job
+
+        def slow_execute(payload):
+            seen.append(read_health(store.health_path)["uptime_seconds"])
+            time.sleep(2 * poll)
+            return execute(payload)
+
+        monkeypatch.setattr(supervisor_module, "execute_job", slow_execute)
+        summary = serve(store, batch_config(poll=poll))
+        assert summary["rounds"] == 1
+        # Each settle past the poll interval republished health.json
+        # before the next job started, within the one fleet.
+        assert seen == sorted(seen) and seen[-1] >= seen[0] + 3 * poll
         store.close()
 
 
