@@ -2,9 +2,11 @@
 """CI smoke test for service observability.
 
 Serves a small mixed batch with heartbeats armed while *concurrently*
-tailing the journal with a :class:`JournalFollower` and polling the
-progress directory — the same consumers ``status --follow`` drives —
-then audits everything the run left behind:
+following the store through a read-only :class:`JobStore` refreshed
+each poll and polling the progress directory — the same consumers
+``status --follow`` drives.  After the supervisor's store is open, a
+second writable handle submits one more job, as a ``submit`` during
+``serve`` would.  Then it audits everything the run left behind:
 
 1. **Live heartbeats** — each running job publishes a fresh progress
    file while it runs (observed live, within a few heartbeat
@@ -18,7 +20,10 @@ then audits everything the run left behind:
    counters; ``health.json`` names the serving pid and round;
 4. **Telemetry non-interference** — the same job served with
    heartbeats off and with an aggressive heartbeat interval produces
-   bit-identical result payloads.
+   bit-identical result payloads;
+5. **Live submissions** — the job the second handle submitted finishes
+   ``done`` in the same drain, with a seq no other job has, and the
+   follower skipped no line and saw no rotation.
 
 Exits non-zero with a diagnostic on any violation.
 
@@ -64,7 +69,7 @@ def submit(store, kind, params):
 
 
 def serve_watched(root):
-    """Serve a batch while following the journal; returns the evidence."""
+    """Serve a batch while following the store; returns the evidence."""
     store = JobStore(root)
     jobs = [
         submit(store, "simulate", {"benchmark": "gcc", "core": "braid"}),
@@ -72,11 +77,18 @@ def serve_watched(root):
         submit(store, "sweep",
                {"benchmarks": "gcc", "cores": "braid,inorder"}),
     ]
-    follower = store.journal.follow()
-    followed = list(follower.poll())
+    follower = JobStore(root, readonly=True)
+    followed = list(follower.journal.records)
     supervisor = Supervisor(store, ServiceConfig(
         jobs=1, drain_when_idle=True, heartbeat=HEARTBEAT,
     ))
+    # A submit from another process after the supervisor's store is
+    # open, as ``submit`` while ``serve`` runs.
+    late = JobStore(root)
+    jobs.append(submit(
+        late, "simulate", {"benchmark": "gcc", "core": "inorder"}
+    ))
+    late.close()
     box = {}
 
     def run():
@@ -93,7 +105,7 @@ def serve_watched(root):
     while thread.is_alive():
         if time.monotonic() > deadline:
             fail("serve did not drain within 120s")
-        followed.extend(follower.poll())
+        followed.extend(follower.refresh())
         polls += 1
         for job_id in jobs:
             beat = read_progress(store.progress_dir, job_id)
@@ -104,8 +116,24 @@ def serve_watched(root):
     thread.join()
     if "error" in box:
         fail(f"supervisor raised: {box['error']!r}")
-    followed.extend(follower.poll())
+    followed.extend(follower.refresh())
+    follower.close()
     return store, jobs, followed, follower, live_beats, polls
+
+
+def check_live_submission(store, jobs):
+    if len(jobs) != 4:
+        fail(f"expected four jobs, got {jobs}")
+    late = store.job(jobs[3])
+    if late.status != "done":
+        fail(f"{late.job_id} from the second handle ended {late.status!r}")
+    seqs = [job.seq for job in store.jobs.values()]
+    if seqs.count(late.seq) != 1:
+        fail(f"{late.job_id} shares seq {late.seq} with another job")
+    print(
+        f"service_obs_smoke: live submission ok ({late.job_id} done in "
+        f"the same drain, seq {late.seq} unique)"
+    )
 
 
 def check_heartbeats(store, jobs, live_beats):
@@ -146,8 +174,9 @@ def check_event_ordering(store, jobs, followed):
         monos = [record["mono"] for record in events]
         if monos != sorted(monos):
             fail(f"{job_id}: monotonic stamps run backwards: {monos}")
-    # The follower saw the same stream the journal kept (same count and
-    # the same settle events), delivered incrementally while serving.
+    # The follower saw the same stream the supervisor's store holds
+    # (same count and the same settle events), delivered incrementally
+    # while serving.
     followed_events = [r for r in followed if "event" in r]
     if len(followed_events) != len(journal_ids):
         fail(
@@ -220,11 +249,13 @@ def main() -> int:
     store, jobs, followed, follower, live_beats, polls = serve_watched(
         base / "store"
     )
-    if follower.skipped or follower.rotations:
+    journal = follower.journal
+    if journal.skipped or journal.rotations:
         fail(
-            f"follower skipped {follower.skipped} line(s), saw "
-            f"{follower.rotations} rotation(s) on a healthy journal"
+            f"follower skipped {journal.skipped} line(s), saw "
+            f"{journal.rotations} rotation(s) on a healthy journal"
         )
+    check_live_submission(store, jobs)
     check_heartbeats(store, jobs, live_beats)
     check_event_ordering(store, jobs, followed)
     check_metrics(store, jobs)

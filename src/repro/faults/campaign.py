@@ -142,7 +142,7 @@ class CampaignJournal:
 
     A thin layer over the shared
     :class:`~repro.service.journal.JsonlJournal` durability idiom
-    (fsynced appends, digest-guarded header, torn-tail-tolerant load):
+    (locked fsynced appends, digest-guarded header, torn-tail repair):
     resuming against a journal written by a different grid is refused
     rather than silently mixing incompatible records, and a torn final
     line (the crash caught a write mid-record) just reruns that task.

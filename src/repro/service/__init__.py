@@ -15,6 +15,12 @@ monolithic process that must never die.  SIGKILL the supervisor
 mid-campaign, restart it, and the service resumes from the journal with
 no lost or duplicated results, bit-identical to an uninterrupted run.
 
+Any number of :class:`JobStore` handles may share one store: every
+handle reads the journal through the one incremental
+:class:`JsonlJournal` reader, and every mutation runs under the
+journal's writer lock, so a ``submit`` made while ``serve`` runs is
+picked up by that supervisor.
+
 Observability (:mod:`~repro.service.telemetry`) rides the same
 primitives: every journal event carries wall + monotonic timestamps the
 state fold ignores, workers publish atomic heartbeat files the watchdog
@@ -32,7 +38,7 @@ cycle.
 from __future__ import annotations
 
 from .chaos import ChaosSpec
-from .journal import JournalError, JournalFollower, JsonlJournal
+from .journal import JournalError, JsonlJournal
 from .jobstore import (
     JobRecord,
     JobRequest,
@@ -52,7 +58,6 @@ from .telemetry import (
 __all__ = [
     "ChaosSpec",
     "JournalError",
-    "JournalFollower",
     "JsonlJournal",
     "JobRecord",
     "JobRequest",

@@ -17,10 +17,11 @@ point::
 journals the request; an identical request coalesces onto the existing
 job and the CLI says so.  ``serve`` runs a supervisor against the store
 (SIGTERM drains gracefully; SIGKILL is recovered from the journal on the
-next start).  ``status`` opens the store read-only — safe to run while a
-supervisor is live; ``--follow`` tails the journal incrementally (a
-:class:`~repro.service.journal.JournalFollower`, not a full re-read per
-tick) and renders a live job table with worker progress bars.
+next start); a ``submit`` made while ``serve`` runs is picked up by that
+supervisor.  ``status`` opens the store read-only — safe to run while a
+supervisor is live; ``--follow`` refreshes that store each frame (only
+the journal bytes appended since the last frame are read) and renders a
+live job table with worker progress bars.
 ``events`` prints a job's timestamped timeline and the durations it
 implies; ``metrics`` prints the supervisor's Prometheus exposition (or
 renders one on the fly from the store when no supervisor has published).
@@ -37,8 +38,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from .jobstore import (
     RUNNING,
@@ -73,10 +75,19 @@ def _parse_params(pairs: List[str], parser) -> Dict[str, Any]:
     return params
 
 
-def _store(args, readonly: bool = False) -> JobStore:
+@contextmanager
+def _store(args, parser, readonly: bool = False) -> Iterator[JobStore]:
+    """The store the command names, closed on exit; unusable: usage error."""
     root = Path(args.store) if args.store else default_store_dir()
-    quota = args.quota if getattr(args, "quota", None) else quota_from_env()
-    return JobStore(root, quota=quota, readonly=readonly)
+    try:
+        quota = getattr(args, "quota", None) or quota_from_env()
+        store = JobStore(root, quota=quota, readonly=readonly)
+    except ServiceError as error:
+        parser.error(str(error))
+    try:
+        yield store
+    finally:
+        store.close()
 
 
 def _cmd_submit(args, parser) -> int:
@@ -85,20 +96,18 @@ def _cmd_submit(args, parser) -> int:
     params = _parse_params(args.params, parser)
     try:
         params = normalize_params(args.kind, params)
-        store = _store(args)
     except ServiceError as error:
         parser.error(str(error))
-    try:
-        job_id, coalesced = store.submit(
-            JobRequest(kind=args.kind, params=params, client=args.client)
-        )
-    except QuotaExceeded as error:
-        print(f"rejected: {error}", file=sys.stderr)
-        return 1
-    except ServiceError as error:
-        parser.error(str(error))
-    finally:
-        store.close()
+    with _store(args, parser) as store:
+        try:
+            job_id, coalesced = store.submit(JobRequest(
+                kind=args.kind, params=params, client=args.client,
+            ))
+        except QuotaExceeded as error:
+            print(f"rejected: {error}", file=sys.stderr)
+            return 1
+        except ServiceError as error:
+            parser.error(str(error))
     verb = "coalesced onto" if coalesced else "queued as"
     print(f"{verb} {job_id}")
     return 0
@@ -120,14 +129,8 @@ def _cmd_serve(args, parser) -> int:
         heartbeat=args.heartbeat,
         hang_grace=args.hang_grace,
     )
-    try:
-        store = _store(args)
-    except ServiceError as error:
-        parser.error(str(error))
-    try:
+    with _store(args, parser) as store:
         summary = serve(store, config, handle_signals=True)
-    finally:
-        store.close()
     counters = summary["counters"]
     print(
         f"served {summary['rounds']} fleet(s): "
@@ -178,26 +181,16 @@ def _progress_bar(beat: Dict[str, Any], width: int = 20) -> str:
 
 def _status_document(store: JobStore) -> Dict[str, Any]:
     """The machine-readable ``status --json`` payload."""
-    jobs = {}
-    for job in sorted(store.jobs.values(), key=lambda j: j.seq):
-        summary = job.summary()
-        if job.status == RUNNING:
-            summary["progress"] = store.progress(job.job_id)
-        jobs[job.job_id] = summary
     return {
         "store": str(store.root),
         "counters": store.counters(),
-        "jobs": jobs,
+        "jobs": store.summaries(),
         "health": read_health(store.health_path),
     }
 
 
 def _cmd_status(args, parser) -> int:
-    try:
-        store = _store(args, readonly=True)
-    except ServiceError as error:
-        parser.error(str(error))
-    try:
+    with _store(args, parser, readonly=True) as store:
         if args.follow:
             return _follow_status(args, store)
         if args.job:
@@ -205,9 +198,7 @@ def _cmd_status(args, parser) -> int:
                 job = store.job(args.job)
             except ServiceError as error:
                 parser.error(str(error))
-            doc = job.summary()
-            if job.status == RUNNING:
-                doc["progress"] = store.progress(job.job_id)
+            doc = store.summaries()[job.job_id]
             result = store.result(args.job) if job.status == "done" else None
             if args.json:
                 doc["timeline"] = {
@@ -237,41 +228,11 @@ def _cmd_status(args, parser) -> int:
         for job in sorted(store.jobs.values(), key=lambda j: j.seq):
             print(_job_line(job, store.progress_dir))
         return 0
-    finally:
-        store.close()
 
 
-class _JournalView:
-    """Incremental fold over followed journal events.
-
-    Borrows :meth:`JobStore._apply` verbatim — the one fold in the
-    codebase — so the live ``--follow`` table cannot drift from store
-    semantics, while each refresh costs only the *new* bytes the
-    :class:`~repro.service.journal.JournalFollower` delivers.
-    """
-
-    _apply = JobStore._apply
-
-    def __init__(self) -> None:
-        self.jobs: Dict[str, JobRecord] = {}
-        self._by_key: Dict[str, str] = {}
-        self._clients: List[str] = []
-        self._counters: Dict[str, int] = {
-            "submitted": 0,
-            "coalesced": 0,
-            "completed": 0,
-            "failed": 0,
-            "requeued": 0,
-            "recovered": 0,
-            "orphaned_events": 0,
-        }
-        self._seq = 0
-
-
-def _render_follow(view: _JournalView, progress_dir: Path,
-                   health_path: Path) -> str:
+def _render_follow(store: JobStore) -> str:
     lines = []
-    health = read_health(health_path)
+    health = read_health(store.health_path)
     if health is None:
         lines.append("supervisor: no health file yet")
     else:
@@ -282,7 +243,7 @@ def _render_follow(view: _JournalView, progress_dir: Path,
             f"up {health.get('uptime_seconds', 0):.1f}s"
         )
     by_status: Dict[str, int] = {}
-    for job in view.jobs.values():
+    for job in store.jobs.values():
         by_status[job.status] = by_status.get(job.status, 0) + 1
     lines.append(
         "jobs: " + ", ".join(
@@ -290,18 +251,14 @@ def _render_follow(view: _JournalView, progress_dir: Path,
             for name in ("queued", "running", "done", "failed")
         )
     )
-    for job in sorted(view.jobs.values(), key=lambda j: j.seq):
-        lines.append(_job_line(job, progress_dir))
+    for job in sorted(store.jobs.values(), key=lambda j: j.seq):
+        lines.append(_job_line(job, store.progress_dir))
     return "\n".join(lines)
 
 
 def _follow_status(args, store: JobStore) -> int:
-    """Live job table: incremental journal tail + heartbeat files."""
-    follower = store.journal.follow()
-    progress_dir = store.progress_dir
-    health_path = store.health_path
-    store.close()
-    view = _JournalView()
+    """Live job table: the read-only store refreshed each frame, plus
+    the workers' heartbeat files."""
     deadline = (
         time.monotonic() + args.follow_for
         if args.follow_for is not None else None
@@ -309,9 +266,8 @@ def _follow_status(args, store: JobStore) -> int:
     tty = sys.stdout.isatty()
     try:
         while True:
-            for record in follower.poll():
-                view._apply(record)
-            frame = _render_follow(view, progress_dir, health_path)
+            store.refresh()
+            frame = _render_follow(store)
             if tty:
                 sys.stdout.write("\x1b[2J\x1b[H")
             else:
@@ -353,11 +309,7 @@ def _format_event(record: Dict[str, Any]) -> str:
 
 
 def _cmd_events(args, parser) -> int:
-    try:
-        store = _store(args, readonly=True)
-    except ServiceError as error:
-        parser.error(str(error))
-    try:
+    with _store(args, parser, readonly=True) as store:
         if args.job is None:
             events = [
                 record for record in store.journal.records
@@ -392,18 +344,12 @@ def _cmd_events(args, parser) -> int:
         if beat is not None:
             print(f"progress: {describe_progress(beat)}")
         return 0
-    finally:
-        store.close()
 
 
 def _cmd_metrics(args, parser) -> int:
     from ..obs.metrics import parse_prometheus, prometheus_errors
 
-    try:
-        store = _store(args, readonly=True)
-    except ServiceError as error:
-        parser.error(str(error))
-    try:
+    with _store(args, parser, readonly=True) as store:
         live = False
         try:
             text = store.metrics_path.read_text(encoding="utf-8")
@@ -433,8 +379,6 @@ def _cmd_metrics(args, parser) -> int:
         else:
             sys.stdout.write(text)
         return 1 if errors else 0
-    finally:
-        store.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,9 +12,14 @@ Every state change is one durably-appended event — ``submit``,
 ``coalesce``, ``start``, ``done``, ``failed``, ``requeue``, ``recover``,
 ``drain`` — and the in-memory view is a pure fold over those events, so
 a SIGKILL at any point leaves a journal whose replay reconstructs
-exactly what had settled.  The fold is shared between live appends and
-restart (:meth:`JobStore._apply`), which is what makes the recovery
-path impossible to drift from the live path.
+exactly what had settled.  One fold (:meth:`JobStore._apply`) serves
+open, live appends and :meth:`JobStore.refresh`, which is what makes
+the recovery path impossible to drift from the live path.
+
+Any number of handles, in any processes, may share one store.  Every
+mutation folds what other handles appended and decides (dedup, quota,
+``seq``, claimability) under the journal's writer lock, so two handles
+never hand out one ``seq`` or queue one request twice.
 
 Request identity is content-addressed: :func:`request_key` hashes the
 canonicalized ``(kind, params)``, so two clients submitting the same
@@ -30,10 +35,11 @@ with no journal record — costs one idempotent re-run).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -117,6 +123,23 @@ def request_key(kind: str, params: Mapping[str, Any]) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
+def _mutation(method):
+    """Run a :class:`JobStore` mutation under the journal's writer lock,
+    after folding what other handles appended: it decides on the
+    journal's current state."""
+
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        if self.readonly:
+            raise ServiceError("job store opened read-only")
+        with self.journal.locked() as records:
+            for record in records:
+                self._apply(record)
+            return method(self, *args, **kwargs)
+
+    return locked
+
+
 @dataclass(frozen=True)
 class JobRequest:
     """One submission: what to run, for whom."""
@@ -174,7 +197,7 @@ class JobStore:
 
     ``quota`` bounds each client's *active* (queued + running) jobs at
     submit time; ``readonly=True`` opens the store for inspection
-    without touching the journal (the ``status`` CLI path).
+    without locking or writing the journal (the ``status`` CLI path).
     """
 
     def __init__(
@@ -194,7 +217,6 @@ class JobStore:
                 self.root / "journal.jsonl",
                 kind="service-journal",
                 version=SERVICE_FORMAT_VERSION,
-                resume=True,
                 readonly=readonly,
             )
         except JournalError as error:
@@ -206,6 +228,12 @@ class JobStore:
         self.results = ArtifactCache(
             root=self.root / "results", enabled=True, limit_bytes=limit,
         )
+        self._reset()
+
+    # ------------------------------------------------------------------ fold
+    def _reset(self) -> None:
+        """Fold :attr:`journal` ``.records`` from scratch: at open, and
+        when a read-only handle finds the journal replaced."""
         self.jobs: Dict[str, JobRecord] = {}
         #: request key -> job id (dedup index)
         self._by_key: Dict[str, str] = {}
@@ -221,10 +249,20 @@ class JobStore:
             "orphaned_events": 0,
         }
         self._seq = 0
+        self._rotations = self.journal.rotations
         for record in self.journal.records:
             self._apply(record)
 
-    # ------------------------------------------------------------------ fold
+    def refresh(self) -> List[Dict[str, Any]]:
+        """Fold the events appended since this handle last read them."""
+        records = self.journal.read()
+        if self._rotations != self.journal.rotations:
+            self._reset()
+        else:
+            for record in records:
+                self._apply(record)
+        return records
+
     def _apply(self, record: Dict[str, Any]) -> None:
         """Fold one journal event into the in-memory view.
 
@@ -290,8 +328,7 @@ class JobStore:
             self._counters["orphaned_events"] += 1
 
     def _append(self, record: Dict[str, Any]) -> None:
-        if self.readonly:
-            raise ServiceError("job store opened read-only")
+        """Append and fold one event; only inside a :func:`_mutation`."""
         # Every journaled event is stamped with wall + monotonic time and
         # the writing pid.  The fold above reads none of those fields —
         # pinned by a property test — so timestamps feed the latency
@@ -303,6 +340,7 @@ class JobStore:
         self._apply(stamped)
 
     # ------------------------------------------------------------ submission
+    @_mutation
     def submit(self, request: JobRequest) -> Tuple[str, bool]:
         """Durably enqueue one request; returns ``(job_id, coalesced)``.
 
@@ -379,6 +417,7 @@ class JobStore:
             queues = next_round
         return ordered
 
+    @_mutation
     def claim(self, job_id: str) -> JobRecord:
         """Mark one queued job running (journaled before dispatch)."""
         job = self.job(job_id)
@@ -397,6 +436,7 @@ class JobStore:
     def _result_key(self, key: str) -> Tuple:
         return ("jobresult", SERVICE_FORMAT_VERSION, key)
 
+    @_mutation
     def complete(self, job_id: str, result: Any, attempts: int) -> None:
         """Publish a result durably, then journal ``done``.
 
@@ -429,6 +469,7 @@ class JobStore:
         job = self.job(job_id)
         return self.results.get(self._result_key(job.key))
 
+    @_mutation
     def fail(
         self, job_id: str, error: str, permanent: bool, attempts: int
     ) -> None:
@@ -440,6 +481,7 @@ class JobStore:
             "attempts": attempts,
         })
 
+    @_mutation
     def requeue(self, job_id: str, error: str, attempts: int) -> None:
         """Put a job back in the queue after a transient settle failure."""
         self._append({
@@ -467,6 +509,7 @@ class JobStore:
                 broken.append(job_id)
         return broken
 
+    @_mutation
     def recover(self) -> Dict[str, List[str]]:
         """Reclaim interrupted jobs and heal lost results; journaled.
 
@@ -521,6 +564,7 @@ class JobStore:
         self.job(job_id)  # loud on unknown ids
         return job_timeline(self.journal.records, job_id)
 
+    @_mutation
     def drain(self, graceful: bool = True) -> None:
         """Journal a (timestamped) drain marker at supervisor shutdown."""
         self._append({"event": "drain", "graceful": graceful})
@@ -537,22 +581,24 @@ class JobStore:
             registry.counter(f"service.{name}", value)
         self.results.publish_metrics(registry, prefix="service.results")
 
+    def summaries(self) -> Dict[str, Dict[str, Any]]:
+        """Every job's summary by id; a running job's carries its last
+        heartbeat, so a snapshot answers "stuck or slow?" on its own."""
+        out = {}
+        for job_id, job in self.jobs.items():
+            out[job_id] = job.summary()
+            if job.status == RUNNING:
+                out[job_id]["progress"] = self.progress(job_id)
+        return out
+
     def write_state(self) -> None:
         """Atomic-rename snapshot for operators (journal stays the truth)."""
         if self.readonly:
             return
-        jobs = {}
-        for job_id in sorted(self.jobs):
-            summary = self.jobs[job_id].summary()
-            if self.jobs[job_id].status == RUNNING:
-                # Fold the worker's last heartbeat into the snapshot so
-                # state.json answers "stuck or slow?" on its own.
-                summary["progress"] = self.progress(job_id)
-            jobs[job_id] = summary
         write_json_atomic(self.root / "state.json", {
             "version": SERVICE_FORMAT_VERSION,
             "counters": self.counters(),
-            "jobs": jobs,
+            "jobs": self.summaries(),
         })
 
     def state_snapshot(self) -> Optional[Dict[str, Any]]:

@@ -2,16 +2,22 @@
 
 One durability idiom, used everywhere a record must survive SIGKILL:
 
-* every append is ``write + flush + fsync`` of one complete JSON line, so
-  a kill point leaves either the whole record or a torn final line — never
-  a half-applied state;
+* every append is ``write + flush + fsync`` of one complete JSON line
+  under an exclusive ``fcntl.flock``, so a kill point leaves either the
+  whole record or a torn final line, and writers never interleave;
 * line 1 is a header naming the journal kind, format version, and an
-  optional content digest; resuming against a journal written by a
-  different producer is refused loudly instead of silently mixing records;
-* loading tolerates a torn tail: an unparseable line is skipped and
-  counted (:func:`parse_jsonl_lines`, which the run log's reader shares),
-  and because every record is one idempotent event, the worst a torn tail
-  costs is redoing the work the lost record described.
+  optional content digest; a journal written by a different producer is
+  refused loudly instead of silently mixing records;
+* one incremental reader, :meth:`JsonlJournal.read`, serves every
+  handle: it parses only the complete lines past its byte offset, so
+  opening is "read from offset 0" and catching up costs only the new
+  bytes.  A torn tail stays unread; a damaged line is skipped and
+  counted (:func:`parse_jsonl_lines`, which the run log's reader
+  shares);
+* a writer's lock session reads first, then settles the bytes past the
+  last newline, which only a dead writer leaves: a record missing just
+  its newline gets it, anything else is cut and counted, so the next
+  record never lands glued to a torn one.
 
 :class:`~repro.faults.campaign.CampaignJournal` and
 :class:`~repro.service.jobstore.JobStore` are both thin layers over this
@@ -22,10 +28,12 @@ clean resume.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 
 def parse_jsonl_lines(
@@ -54,12 +62,27 @@ def parse_jsonl_lines(
     return records, skipped
 
 
+def _line(record: Dict[str, Any]) -> bytes:
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
 class JournalError(RuntimeError):
-    """An unusable journal: missing/mismatched header or a dead handle."""
+    """An unusable journal: a bad header, or a handle that cannot write."""
 
 
 class JsonlJournal:
-    """Append-only fsynced JSONL file with a digest-guarded header."""
+    """Append-only fsynced JSONL file with a digest-guarded header.
+
+    Opening reads every record into :attr:`records`; each :meth:`read`
+    then returns, and adds to :attr:`records`, only the complete records
+    appended since.  A writing handle appends under :meth:`locked`; a
+    read-only handle never locks and never writes.
+
+    A file replaced or truncated under its handle is a rotation.  A
+    read-only handle counts it in :attr:`rotations`, drops what it read
+    and replays the new file; a writing handle raises
+    :class:`JournalError` rather than append into a file nobody reads.
+    """
 
     def __init__(
         self,
@@ -74,33 +97,42 @@ class JsonlJournal:
         self.kind = kind
         self.version = version
         self.digest = digest
-        self.readonly = readonly
-        #: records restored from disk (header excluded), journal order
+        #: records read or appended (header excluded), journal order
         self.records: List[Dict[str, Any]] = []
-        #: unparseable lines skipped during load (torn tail / bad disk)
+        #: unparseable lines skipped (damaged bytes, a dead writer's tail)
         self.skipped = 0
+        #: times a read-only handle found its file replaced or truncated
+        self.rotations = 0
+        #: byte offset of the first unread byte
+        self.offset = 0
+        #: (st_dev, st_ino) of the file being read
+        self._identity: Optional[Tuple[int, int]] = None
         self._handle = None
-        existing = self.path.exists() and self.path.stat().st_size > 0
-        if existing and (resume or readonly):
-            self._load()
+        self._locked = False
         if readonly:
+            self.read()
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not (existing and resume)
-        # Always O_APPEND (mode "a"), truncating a journal that is not
-        # resumed: every write lands at the current end of file, so two
-        # handles on one journal can never overwrite each other's lines.
-        self._handle = open(
-            self.path, "a", encoding="utf-8",
-            opener=lambda path, flags: os.open(
-                path, flags | (os.O_TRUNC if fresh else 0), 0o666
-            ),
-        )
-        if fresh:
-            header = {"kind": self.kind, "version": self.version}
-            if self.digest is not None:
-                header["digest"] = self.digest
-            self._write_line(header)
+        # O_CREAT|O_APPEND: creating never races another opener, and
+        # every write lands at the current end of file.
+        self._handle = open(self.path, "ab")
+        stat = os.fstat(self._handle.fileno())
+        self._identity = (stat.st_dev, stat.st_ino)
+        try:
+            with self._flock():
+                if resume:
+                    self.read()
+                if self.offset == 0:
+                    # Starting over, an empty file, or a torn header.
+                    os.ftruncate(self._handle.fileno(), 0)
+                    header = {"kind": kind, "version": version}
+                    if digest is not None:
+                        header["digest"] = digest
+                    self._write(_line(header))
+                self._settle_tail()
+        except BaseException:
+            self.close()
+            raise
         self._fsync_parent()
 
     def _fsync_parent(self) -> None:
@@ -116,200 +148,155 @@ class JsonlJournal:
         finally:
             os.close(fd)
 
-    def _load(self) -> None:
-        # errors="replace": a line of damaged bytes must cost that one
-        # record (it fails the JSON parse below and is counted), never
-        # the whole journal.
-        with open(self.path, "r", encoding="utf-8",
-                  errors="replace") as handle:
-            lines = handle.read().splitlines()
-        if not lines:
-            return
+    def _check_header(self, line: bytes) -> None:
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
+            header = json.loads(line)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict):
             raise JournalError(
                 f"journal {self.path} has no readable header; "
                 f"delete it to start over"
-            ) from None
-        if header.get("kind") != self.kind:
-            raise JournalError(
-                f"journal {self.path} was written by {header.get('kind')!r}, "
-                f"not {self.kind!r}; refusing to mix records"
             )
-        if header.get("version") != self.version:
+        for field in ("kind", "version", "digest"):
+            expected = getattr(self, field)
+            if expected is not None and header.get(field) != expected:
+                raise JournalError(
+                    f"journal {self.path} has {field} "
+                    f"{header.get(field)!r}, not {expected!r}; refusing to "
+                    f"mix records (delete it or rerun with the original "
+                    f"parameters)"
+                )
+
+    def _rotate(self) -> None:
+        if self._handle is not None:
             raise JournalError(
-                f"journal {self.path} uses format version "
-                f"{header.get('version')!r}, this build writes "
-                f"{self.version!r}; delete it to start over"
+                f"journal {self.path} was replaced, truncated or removed "
+                f"under a writing handle; reopen it"
             )
-        if self.digest is not None and header.get("digest") != self.digest:
-            raise JournalError(
-                f"journal {self.path} belongs to a different producer "
-                f"(digest {header.get('digest')!r} != {self.digest!r}); "
-                f"delete it or rerun with the original parameters"
-            )
-        # A torn tail from a mid-write kill (or a damaged line) loses its
-        # event; the work it described simply reruns.
-        self.records, self.skipped = parse_jsonl_lines(lines[1:])
-
-    def _write_line(self, record: Dict[str, Any]) -> None:
-        if self._handle is None:
-            raise JournalError(
-                f"journal {self.path} was opened read-only"
-            )
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record (complete before this call returns)."""
-        self._write_line(record)
-        self.records.append(record)
-
-    def follow(self) -> "JournalFollower":
-        """An incremental tail reader over this journal's file."""
-        return JournalFollower(self.path, kind=self.kind,
-                               version=self.version)
-
-    def close(self) -> None:
-        if self._handle is None:
-            return
-        try:
-            self._handle.close()
-        except OSError:
-            pass
-        self._handle = None
-
-
-class JournalFollower:
-    """Incremental ``tail -f`` reader for a :class:`JsonlJournal` file.
-
-    Each :meth:`poll` returns the complete records appended since the
-    last poll, never blocking and never raising on in-flight writes:
-
-    * a **torn tail** (bytes after the last newline — the writer is
-      mid-``write`` or was killed inside one) is left unconsumed; the
-      offset only ever advances past complete lines, so the record is
-      delivered whole on a later poll or never;
-    * a complete-but-unparseable line (damaged middle) is consumed,
-      counted in :attr:`skipped`, and skipped;
-    * **rotation/truncation** (the file shrank, or its header line
-      changed — someone deleted and recreated the store) is detected by
-      re-reading the header each poll; the follower resets to the new
-      file's beginning and counts it in :attr:`rotations` rather than
-      serving records from a stale offset.
-
-    ``kind``/``version`` mismatches in a header raise
-    :class:`JournalError` loudly, same as :class:`JsonlJournal` resume —
-    following the wrong journal is an operator error, not a tail state.
-    """
-
-    def __init__(
-        self,
-        path: Path,
-        kind: Optional[str] = None,
-        version: Optional[int] = None,
-    ) -> None:
-        self.path = Path(path)
-        self.kind = kind
-        self.version = version
-        #: byte offset of the first unconsumed byte (past the header)
-        self.offset = 0
-        #: complete-but-unparseable lines consumed and dropped
+        self.rotations += 1
+        self.records = []
         self.skipped = 0
-        #: times the file was detected replaced or truncated
-        self.rotations = 0
-        self._header_line: Optional[bytes] = None
-        self._inode: Optional[int] = None
+        self.offset = 0
+        self._identity = None
 
-    def _check_header(self, line: bytes) -> None:
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise JournalError(
-                f"journal {self.path} has no readable header"
-            ) from None
-        if not isinstance(header, dict):
-            raise JournalError(f"journal {self.path} has no readable header")
-        if self.kind is not None and header.get("kind") != self.kind:
-            raise JournalError(
-                f"journal {self.path} was written by "
-                f"{header.get('kind')!r}, not {self.kind!r}; "
-                f"refusing to follow"
-            )
-        if self.version is not None and header.get("version") != self.version:
-            raise JournalError(
-                f"journal {self.path} uses format version "
-                f"{header.get('version')!r}, this build reads "
-                f"{self.version!r}; refusing to follow"
-            )
+    def read(self) -> List[Dict[str, Any]]:
+        """Complete records appended since the last read (possibly []).
 
-    def poll(self) -> List[Dict[str, Any]]:
-        """Complete records appended since the last poll (possibly [])."""
+        Never blocks and never consumes a torn tail: the offset only
+        advances past complete lines, so a record mid-write is delivered
+        whole by a later read.
+        """
         try:
             with open(self.path, "rb") as handle:
-                head = handle.readline()
-                if not head.endswith(b"\n"):
-                    # The header itself is still being written (or the
-                    # file is empty): nothing is consumable yet.
-                    return []
                 stat = os.fstat(handle.fileno())
-                rotated = (
-                    head != self._header_line
-                    or stat.st_ino != self._inode  # replaced, same header
-                    or stat.st_size < self.offset  # truncated in place
-                )
-                if rotated:
-                    if self._header_line is not None:
-                        self.rotations += 1
-                    self._check_header(head)
-                    self._header_line = head
-                    self._inode = stat.st_ino
-                    self.offset = len(head)
-                handle.seek(self.offset)
+                if self._identity is not None and (
+                    (stat.st_dev, stat.st_ino) != self._identity
+                    or stat.st_size < self.offset
+                ):
+                    self._rotate()
+                if self.offset == 0:
+                    header = handle.readline()
+                    if not header.endswith(b"\n"):
+                        return []  # empty, or the header is mid-write
+                    self._check_header(header)
+                    self._identity = (stat.st_dev, stat.st_ino)
+                    self.offset = len(header)
+                else:
+                    handle.seek(self.offset)
                 chunk = handle.read()
-        except OSError:
+        except FileNotFoundError:
+            if self._handle is not None:
+                self._rotate()
             return []
-        # Only complete lines are consumed; a torn tail (if any) stays.
         consumed = chunk.rfind(b"\n") + 1
-        records, skipped = parse_jsonl_lines(
-            chunk[:consumed].split(b"\n")
-        )
-        self.skipped += skipped
+        records, skipped = parse_jsonl_lines(chunk[:consumed].split(b"\n"))
         self.offset += consumed
+        self.skipped += skipped
+        self.records.extend(records)
         return records
 
+    def _settle_tail(self) -> List[Dict[str, Any]]:
+        """Under the lock: settle the bytes past the last complete line."""
+        if os.fstat(self._handle.fileno()).st_size == self.offset:
+            return []
+        with open(self.path, "rb") as handle:
+            handle.seek(self.offset)
+            tail = handle.read()
+        records, skipped = parse_jsonl_lines([tail])
+        self.skipped += skipped
+        if records:
+            # The whole record made it to disk; only its newline did not.
+            self.offset += len(tail)
+            self._write(b"\n")
+            self.records.extend(records)
+        else:
+            os.ftruncate(self._handle.fileno(), self.offset)
+        return records
 
-def write_json_atomic(path: Path, payload: Any) -> None:
-    """Publish a JSON file via temp-file + fsync + atomic rename.
-
-    Any kill point leaves either the previous file or the complete new
-    one — the state-snapshot half of the journal/snapshot durability
-    pair.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+    @contextmanager
+    def _flock(self) -> Iterator[None]:
+        # flock does not count nesting: an inner unlock would release the
+        # outer session, so a nested session is refused outright.
+        if self._locked:
+            raise JournalError(f"journal {self.path} is already locked")
+        # The lock lives on a descriptor of the session's own, never on
+        # the append handle a forked worker inherits: a writer killed
+        # mid-session then always releases it.
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            fd = os.open(self.path, os.O_RDONLY)
+        except FileNotFoundError:
+            self._rotate()  # raises: only writing handles lock
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            self._locked = True
+            yield
+        finally:
+            self._locked = False
+            os.close(fd)
+
+    @contextmanager
+    def locked(self) -> Iterator[List[Dict[str, Any]]]:
+        """One writer's session: yields the records other handles appended
+        since this one last read, with any torn tail settled, and holds
+        the lock until the block ends."""
+        if self._handle is None:
+            raise JournalError(f"journal {self.path} was opened read-only")
+        with self._flock():
+            records = self.read()
+            records += self._settle_tail()
+            yield records
+
+    def _write(self, data: bytes) -> None:
+        self._handle.write(data)
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        self.offset += len(data)
+
+    def append(self, record: Dict[str, Any]) -> None:
+        """Durably append one record (complete before this call returns).
+
+        Inside :meth:`locked` the record joins that session; otherwise
+        the append is a session of its own.
+        """
+        if not self._locked:
+            with self.locked():
+                return self.append(record)
+        self._write(_line(record))
+        self.records.append(record)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()  # every write was flushed and fsynced
+            self._handle = None
 
 
 def write_text_atomic(path: Path, text: str) -> None:
     """Publish a text file via temp-file + fsync + atomic rename.
 
-    Same kill-safety contract as :func:`write_json_atomic`; used for the
-    supervisor's Prometheus exposition file.
+    Any kill point leaves either the previous file or the complete new
+    one — the state-snapshot half of the journal/snapshot durability
+    pair.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -326,6 +313,11 @@ def write_text_atomic(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_json_atomic(path: Path, payload: Any) -> None:
+    """:func:`write_text_atomic` of sorted, indented JSON."""
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
 def read_json(path: Path) -> Optional[Any]:

@@ -10,7 +10,10 @@ errors fail fast.  The fleet forks after the prewarm, so its workers
 inherit the warm state copy-on-write, and it asks the supervisor for
 work through its ``refill`` callback: each worker that frees up gets the
 next job in fair-share order, claimed at that moment.  A long job holds
-only its own worker, and ``start`` stamps the real dispatch time.
+only its own worker, and ``start`` stamps the real dispatch time.  The
+idle poll and every refill first refresh the store from its journal, so
+a job submitted by another process while the supervisor runs is served
+in the same drain.
 
 Durability protocol per job (each step is one fsynced journal event):
 
@@ -129,6 +132,7 @@ class Supervisor:
         self.publish_observability()
         try:
             while not self._drain_requested:
+                self.store.refresh()  # see submits made while serving
                 queued = self.store.runnable()
                 if not queued:
                     if self.config.drain_when_idle:
@@ -246,6 +250,7 @@ class Supervisor:
         """
         policy = self.config.policy
         while not self._drain_requested:
+            self.store.refresh()
             queued = self.store.runnable()
             if not queued:
                 return None

@@ -10,6 +10,7 @@ truncate-at-every-offset test drives exactly that property.
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -102,6 +103,83 @@ class TestSubmitAndDedup:
         with pytest.raises(ServiceError):
             store.submit(JobRequest(kind="mine-bitcoin", params={}))
         store.close()
+
+
+def submit_overlapping(root, client, barrier):
+    """Twenty submissions over ten distinct requests, from one process
+    whose store was opened before any process submitted."""
+    store = JobStore(root)
+    barrier.wait(timeout=60)
+    for n in range(20):
+        submit_sim(store, benchmark=f"bench{n % 10}", client=client)
+    store.close()
+
+
+class TestTwoHandles:
+    def test_concurrent_processes_never_share_a_seq(self, tmp_path):
+        root = tmp_path / "store"
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(4)
+        workers = [
+            context.Process(target=submit_overlapping,
+                            args=(root, f"c{i}", barrier))
+            for i in range(4)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert [worker.exitcode for worker in workers] == [0] * 4
+        store = JobStore(root, readonly=True)
+        assert sorted(job.seq for job in store.jobs.values()) == list(
+            range(1, 11)
+        )
+        counters = store.counters()
+        assert counters["submitted"] == 10
+        assert counters["coalesced"] == 70
+        assert counters["torn_lines"] == 0
+        store.close()
+
+    def test_cross_handle_submits_get_distinct_seqs_and_coalesce(
+        self, tmp_path
+    ):
+        first = fresh_store(tmp_path)
+        second = fresh_store(tmp_path)
+        a, _ = submit_sim(first, benchmark="gcc")
+        b, _ = submit_sim(second, benchmark="mcf")
+        assert first.job(a).seq == 1 and second.job(b).seq == 2
+        # Each handle folds the other's submit before deciding, so an
+        # identical request through either one coalesces onto job a.
+        for store in (first, second):
+            dup, coalesced = submit_sim(store, benchmark="gcc")
+            assert coalesced and dup == a
+        for store in (first, second):
+            store.refresh()
+            counters = store.counters()
+            assert counters["submitted"] == 2
+            assert counters["coalesced"] == 2
+            assert sorted(job.seq for job in store.jobs.values()) == [1, 2]
+        first.close()
+        second.close()
+
+    def test_quota_counts_the_other_handles_jobs(self, tmp_path):
+        first = fresh_store(tmp_path, quota=1)
+        second = fresh_store(tmp_path, quota=1)
+        submit_sim(first, benchmark="gcc", client="c")
+        with pytest.raises(QuotaExceeded):
+            submit_sim(second, benchmark="mcf", client="c")
+        first.close()
+        second.close()
+
+    def test_claim_sees_the_other_handles_claim(self, tmp_path):
+        first = fresh_store(tmp_path)
+        job_id, _ = submit_sim(first)
+        second = fresh_store(tmp_path)
+        first.claim(job_id)
+        with pytest.raises(ServiceError, match="status is 'running'"):
+            second.claim(job_id)
+        first.close()
+        second.close()
 
 
 class TestQuota:
@@ -335,10 +413,15 @@ class TestTornTailProperty:
         store.complete(j2, {"ipc": 0.9}, attempts=1)
         assert store.result(j2) == {"ipc": 0.9}
         store.close()
-        # And the repaired history itself replays.
+        # And the repaired history itself replays: the torn bytes were
+        # cut before the re-claim, so its start event was not glued onto
+        # them and lost.
         final = fresh_store(tmp_path)
         assert final.job(j2).status == DONE
         assert final.counters()["completed"] == 2
+        assert final.counters()["torn_lines"] == 0
+        events = [e["event"] for e in final.timeline(j2)["events"]]
+        assert events == ["submit", "start", "done"]
         final.close()
 
 

@@ -85,6 +85,32 @@ class TestServe:
             store.close()
         assert results[0] == results[1]
 
+    def test_jobs_submitted_by_another_handle_run_in_the_same_drain(
+        self, tmp_path, monkeypatch
+    ):
+        store = JobStore(tmp_path / "store")
+        other = JobStore(tmp_path / "store")
+        first = submit(other, "simulate",
+                       {"benchmark": "gcc", "core": "braid"})
+        later = []
+        execute = supervisor_module.execute_job
+
+        def execute_and_submit(payload):
+            if not later:  # the first job: submit one more while running
+                later.append(submit(other, "simulate",
+                                    {"benchmark": "mcf", "core": "ooo"}))
+            return execute(payload)
+
+        monkeypatch.setattr(supervisor_module, "execute_job",
+                            execute_and_submit)
+        summary = serve(store, batch_config(jobs=1))
+        assert summary["rounds"] == 1
+        assert store.job(first).status == DONE
+        assert store.job(later[0]).status == DONE
+        assert [store.job(j).seq for j in (first, later[0])] == [1, 2]
+        other.close()
+        store.close()
+
     def test_drain_request_stops_the_loop(self, tmp_path):
         store = JobStore(tmp_path / "store")
         supervisor = Supervisor(store, ServiceConfig())
