@@ -1,8 +1,7 @@
 """Experiment harness: regenerate every table and figure of the paper."""
 
 from .artifacts import ArtifactCache, CACHE_FORMAT_VERSION, default_cache_dir
-from .context import ExperimentContext, benchmarks_from_env, scale_from_env
-from .parallel import jobs_from_env
+from .context import ExperimentContext
 from .sweep import Cell, SweepPoint, sweep_experiment
 from .experiments import (
     abl_beu_occupancy,
@@ -54,9 +53,6 @@ ALL_EXPERIMENTS = {
 
 __all__ = [
     "ExperimentContext",
-    "benchmarks_from_env",
-    "scale_from_env",
-    "jobs_from_env",
     "ArtifactCache",
     "CACHE_FORMAT_VERSION",
     "default_cache_dir",

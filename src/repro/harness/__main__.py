@@ -4,7 +4,7 @@ Regenerate any of the paper's tables/figures directly::
 
     python -m repro.harness F13 T1          # specific experiments
     python -m repro.harness all             # everything
-    REPRO_BENCHMARKS=quick python -m repro.harness F9 F10
+    python -m repro.harness F9 F10 --benchmarks quick
     python -m repro.harness F9 --scale 64 --sample stride=16   # sampled mode
     python -m repro.harness F9 --fidelity interval             # analytic mode
     python -m repro.harness cache-info      # persistent cache report
@@ -59,12 +59,21 @@ hardened worker fleet with quotas and full SIGKILL recovery::
 ``CS`` (an ordinary experiment id) prints CPI stall-attribution stacks;
 ``--format bars`` renders them as stacked bars.  ``--profile`` wraps the
 run (workers included) in cProfile and prints an aggregated top-N report.
+
+Every run setting is a flag: ``--benchmarks`` takes ``full``, ``quick``,
+``int``, ``fp`` or a comma-separated list
+(:func:`~repro.workloads.suite.select_benchmarks`), and each command
+keeps its own default — every benchmark for experiments, the quick four
+for ``validate``, gcc for ``faults``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+import tempfile
 import time
 
 from . import ALL_EXPERIMENTS, ExperimentContext
@@ -115,6 +124,16 @@ def _tier_args(args, parser):
     return sampling, interval
 
 
+def _benchmarks(args, parser, default: str):
+    """The ``--benchmarks`` selection, or the command's ``default``."""
+    from ..workloads.suite import select_benchmarks
+
+    try:
+        return select_benchmarks(args.benchmarks, default)
+    except ValueError as error:
+        parser.error(f"--benchmarks: {error}")
+
+
 def _context(args, parser, **kwargs) -> ExperimentContext:
     """A command's context, its tier and caches from the shared flags."""
     from .artifacts import ArtifactCache
@@ -134,19 +153,7 @@ def _run_validate(args, parser) -> int:
     """The ``validate`` command: differential validation sweep + fuzzing."""
     from ..validate import DEFAULT_CORES, run_validation
 
-    if args.benchmarks in (None, "quick"):
-        from ..workloads import QUICK_BENCHMARKS
-
-        benchmarks = QUICK_BENCHMARKS
-    elif args.benchmarks == "full":
-        from ..workloads.profiles import ALL_BENCHMARKS
-
-        benchmarks = ALL_BENCHMARKS
-    else:
-        benchmarks = tuple(
-            name.strip() for name in args.benchmarks.split(",") if name.strip()
-        )
-
+    benchmarks = _benchmarks(args, parser, "quick")
     cores = DEFAULT_CORES
     if args.cores:
         cores = tuple(
@@ -178,22 +185,11 @@ def _run_faults(args, parser) -> int:
 
     from ..faults import CampaignError, CampaignSpec, run_campaign
     from ..validate import DEFAULT_CORES
-    from .parallel import jobs_from_env
 
     # Injection campaigns default to one small benchmark at a reduced
     # scale: each (structure, run) cell is a full simulation, so the grid
     # multiplies fast.
-    if args.benchmarks in (None, "quick"):
-        benchmarks = ("gcc",)
-    elif args.benchmarks == "full":
-        from ..workloads.profiles import ALL_BENCHMARKS
-
-        benchmarks = ALL_BENCHMARKS
-    else:
-        benchmarks = tuple(
-            name.strip() for name in args.benchmarks.split(",") if name.strip()
-        )
-
+    benchmarks = _benchmarks(args, parser, "gcc")
     cores = DEFAULT_CORES
     if args.cores:
         cores = tuple(
@@ -206,7 +202,6 @@ def _run_faults(args, parser) -> int:
         )
 
     scale = args.scale if args.scale is not None else 0.2
-    jobs = args.jobs if args.jobs is not None else jobs_from_env()
     context = _context(args, parser, benchmarks=benchmarks, scale=scale,
                        jobs=1)
     spec = CampaignSpec(
@@ -217,7 +212,7 @@ def _run_faults(args, parser) -> int:
         seed=args.seed,
         scale=scale,
         timeout=args.timeout,
-        jobs=jobs,
+        jobs=args.jobs if args.jobs is not None else os.cpu_count() or 1,
     )
     journal_path = Path(args.journal) if args.journal else None
     started = time.time()
@@ -344,12 +339,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--benchmarks",
         default=None,
-        help="comma-separated benchmark names, 'quick', or 'full' "
-             "(overrides REPRO_BENCHMARKS)",
+        help="'full', 'quick', 'int', 'fp', or comma-separated benchmark "
+             "names (default: full; validate: quick; faults: gcc)",
     )
     parser.add_argument(
         "--scale", type=float, default=None,
-        help="dynamic-length multiplier (overrides REPRO_SCALE)",
+        help="dynamic-length multiplier (default 1.0; faults: 0.2)",
     )
     parser.add_argument(
         "--format",
@@ -361,8 +356,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for timing sweeps (overrides REPRO_JOBS; "
-             "default: CPU count; 1 runs everything in-process)",
+        help="worker processes for timing sweeps (default: CPU count; "
+             "1 runs everything in-process)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -511,15 +506,7 @@ def main(argv=None) -> int:
             )
         selected.append(experiment_id)
 
-    benchmarks = None
-    if args.benchmarks == "quick":
-        from ..workloads import QUICK_BENCHMARKS
-
-        benchmarks = QUICK_BENCHMARKS
-    elif args.benchmarks and args.benchmarks != "full":
-        benchmarks = tuple(
-            name.strip() for name in args.benchmarks.split(",") if name.strip()
-        )
+    benchmarks = _benchmarks(args, parser, "full")
 
     from .figures import render_bars, render_series, render_stacked
 
@@ -540,20 +527,20 @@ def main(argv=None) -> int:
     context = _context(args, parser, benchmarks=benchmarks,
                        scale=args.scale, jobs=args.jobs)
 
-    profile_tmp = None
-    if args.profile:
-        import os
-        import tempfile
+    from ..obs.profiling import (
+        aggregate_profiles,
+        maybe_profiled,
+        profiling_into,
+    )
 
-        from ..obs.profiling import ENV_PROFILE_DIR
-
-        profile_tmp = tempfile.TemporaryDirectory(prefix="repro-profile-")
-        # Workers inherit the environment at fork time, so exporting here
-        # covers the whole sweep, pool included.
-        os.environ[ENV_PROFILE_DIR] = profile_tmp.name
-    try:
-        from ..obs.profiling import maybe_profiled
-
+    with contextlib.ExitStack() as stack:
+        if args.profile:
+            # Workers fork inside the block and inherit the setting, so
+            # the whole sweep, pool included, is profiled.
+            directory = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-profile-")
+            )
+            stack.enter_context(profiling_into(directory))
         for experiment_id in selected:
             started = time.time()
             result = maybe_profiled(
@@ -562,16 +549,8 @@ def main(argv=None) -> int:
             print(render(result))
             print(f"   [{time.time() - started:.1f}s]")
             print()
-        if profile_tmp is not None:
-            from ..obs.profiling import aggregate_profiles
-
-            print(aggregate_profiles(profile_tmp.name), file=sys.stderr)
-    finally:
-        if profile_tmp is not None:
-            import os
-
-            os.environ.pop(ENV_PROFILE_DIR, None)
-            profile_tmp.cleanup()
+        if args.profile:
+            print(aggregate_profiles(directory), file=sys.stderr)
     return 0
 
 

@@ -11,8 +11,8 @@ directory so repeated bench runs skip phase one entirely.
 Layout and knobs:
 
 * the cache root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``;
-* ``$REPRO_NO_CACHE=1`` (or ``ArtifactCache(enabled=False)``, or the harness
-  ``--no-cache`` flag) disables all reads and writes;
+* ``ArtifactCache(enabled=False)`` (the harness ``--no-cache`` flag)
+  disables all reads and writes;
 * ``$REPRO_CACHE_LIMIT_MB`` bounds the cache size: after every write the
   least-recently-used entries (reads touch mtime) are evicted until the
   total is back under the limit;
@@ -60,7 +60,6 @@ from typing import Any, Dict, List, Optional, Tuple
 CACHE_FORMAT_VERSION = 4
 
 _ENV_DIR = "REPRO_CACHE_DIR"
-_ENV_DISABLE = "REPRO_NO_CACHE"
 _ENV_LIMIT = "REPRO_CACHE_LIMIT_MB"
 
 #: ``*.tmp`` files older than this are orphans from a killed writer; a
@@ -77,11 +76,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro"
-
-
-def cache_disabled_by_env() -> bool:
-    value = os.environ.get(_ENV_DISABLE, "").strip().lower()
-    return value not in ("", "0", "false", "no")
 
 
 def cache_limit_from_env() -> Optional[int]:
@@ -126,10 +120,9 @@ class ArtifactCache:
 
     @classmethod
     def from_env(cls) -> "ArtifactCache":
-        return cls(
-            enabled=not cache_disabled_by_env(),
-            limit_bytes=cache_limit_from_env(),
-        )
+        """The deployment's cache: root and size bound from the
+        environment (``REPRO_CACHE_DIR``, ``REPRO_CACHE_LIMIT_MB``)."""
+        return cls(limit_bytes=cache_limit_from_env())
 
     def _sweep_orphans(self) -> int:
         """Remove stale ``*.tmp`` files a killed writer left behind.

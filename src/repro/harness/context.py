@@ -8,20 +8,14 @@ persistent :class:`~repro.harness.artifacts.ArtifactCache`.  Timing results
 themselves are memoized per sweep point, so figures that share points (e.g.
 the 8-wide out-of-order baseline used by F5/F9–F14) simulate them once.
 
-Environment knobs:
-
-* ``REPRO_BENCHMARKS`` — comma-separated benchmark names, ``quick`` (the
-  four-program subset), ``int`` / ``fp`` (one SPEC suite), or ``full``
-  (all 26; the default);
-* ``REPRO_SCALE`` — dynamic-length multiplier (default 1.0);
-* ``REPRO_JOBS`` — worker processes for sweeps (default: CPU count);
-* ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` / ``REPRO_CACHE_LIMIT_MB`` —
-  persistent artifact cache location / kill switch / LRU size bound.
-
-The fidelity tier and the result-cache opt-in are constructor arguments
-only (the harness CLI's ``--fidelity``/``--sample``/``--interval`` and
-``--result-cache``): no environment variable changes them, so a
-context's tier depends only on how it was built.
+Every setting of a context is a constructor argument — the benchmark
+selection (default: all 26), the dynamic-length multiplier (default
+1.0), the sweep worker count (default: CPU count), the artifact cache
+(default: :meth:`~repro.harness.artifacts.ArtifactCache.from_env`), the
+fidelity tier and the result-cache opt-in — so a context depends only on
+how it was built.  The harness CLI fills them from its flags
+(``--benchmarks``, ``--scale``, ``--jobs``, ``--no-cache``,
+``--fidelity``/``--sample``/``--interval``, ``--result-cache``).
 """
 
 from __future__ import annotations
@@ -41,49 +35,10 @@ from ..sim.workload import PreparedWorkload, prepare_workload
 from ..obs.metrics import MetricsRegistry
 from ..obs.runlog import RunLog
 from ..workloads.profiles import ALL_BENCHMARKS, FP_BENCHMARKS, INT_BENCHMARKS
-from ..workloads.suite import QUICK_BENCHMARKS, build_program
+from ..workloads.suite import build_program
 from .artifacts import ArtifactCache
-from .parallel import (
-    effective_jobs,
-    jobs_from_env,
-    run_point_groups_parallel,
-)
+from .parallel import effective_jobs, run_point_groups_parallel
 from .sweep import SweepPoint
-
-def benchmarks_from_env(default: str = "full") -> Tuple[str, ...]:
-    """Resolve the benchmark selection from ``REPRO_BENCHMARKS``.
-
-    Accepts ``full`` (all 26), ``quick`` (the four-program subset), the
-    suite selectors ``int`` / ``fp``, or an explicit comma-separated list.
-    """
-    value = os.environ.get("REPRO_BENCHMARKS", default).strip()
-    if value == "full":
-        return ALL_BENCHMARKS
-    if value == "quick":
-        return QUICK_BENCHMARKS
-    if value == "int":
-        return INT_BENCHMARKS
-    if value == "fp":
-        return FP_BENCHMARKS
-    names = tuple(name.strip() for name in value.split(",") if name.strip())
-    unknown = [name for name in names if name not in ALL_BENCHMARKS]
-    if unknown:
-        raise ValueError(f"unknown benchmarks in REPRO_BENCHMARKS: {unknown}")
-    return names
-
-
-def scale_from_env(default: float = 1.0) -> float:
-    """Resolve the dynamic-length multiplier from ``REPRO_SCALE``."""
-    value = os.environ.get("REPRO_SCALE", "").strip()
-    if not value:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SCALE must be a number (dynamic-length multiplier), "
-            f"got {value!r}"
-        ) from None
 
 
 class ExperimentContext:
@@ -105,11 +60,11 @@ class ExperimentContext:
         interval: Optional[IntervalConfig] = None,
     ) -> None:
         self.benchmarks: Tuple[str, ...] = (
-            tuple(benchmarks) if benchmarks is not None else benchmarks_from_env()
+            tuple(benchmarks) if benchmarks is not None else ALL_BENCHMARKS
         )
-        self.scale = scale if scale is not None else scale_from_env()
+        self.scale = scale if scale is not None else 1.0
         self.max_instructions = max_instructions
-        self.jobs = jobs if jobs is not None else jobs_from_env()
+        self.jobs = jobs if jobs is not None else os.cpu_count() or 1
         self.cache = cache if cache is not None else ArtifactCache.from_env()
         #: also persist finished timing results in the artifact cache
         self.result_cache = result_cache

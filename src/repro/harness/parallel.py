@@ -20,9 +20,9 @@ sweep task that dies with its worker (OOM kill, segfault, interpreter
 abort) re-runs serially in the parent, so the sweep keeps every result.
 
 Without the fork start method the fleet runs tasks serially in-process.
-
-Knobs: ``REPRO_JOBS`` / ``--jobs`` on ``python -m repro.harness``; the
-default is ``os.cpu_count()``.
+The worker count comes from the caller (``--jobs`` on
+``python -m repro.harness``; an experiment context defaults to
+``os.cpu_count()``).
 """
 
 from __future__ import annotations
@@ -43,27 +43,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..service.retry import PERMANENT, RetryPolicy
 from ..sim.results import SimResult
 from .sweep import SweepPoint
-
-_ENV_JOBS = "REPRO_JOBS"
-
-
-def jobs_from_env(default: Optional[int] = None) -> int:
-    """Resolve the worker count from ``REPRO_JOBS`` (default: CPU count)."""
-    value = os.environ.get(_ENV_JOBS, "").strip()
-    if value:
-        try:
-            jobs = int(value)
-        except ValueError:
-            raise ValueError(
-                f"{_ENV_JOBS} must be a positive integer, got {value!r}"
-            ) from None
-        if jobs < 1:
-            raise ValueError(f"{_ENV_JOBS} must be >= 1, got {jobs}")
-        return jobs
-    if default is not None:
-        return default
-    return os.cpu_count() or 1
-
 
 _NOTED: Set[str] = set()
 
@@ -303,10 +282,6 @@ def _hardened_worker(fn, task_queue, inbox, wake) -> None:
         if item is None:
             return
         task_id, attempt, payload = item
-        # Publish the attempt number where the task function (and the
-        # service progress publisher) can read it without a signature
-        # change: ProgressPublisher.from_env consumes it.
-        os.environ["REPRO_TASK_ATTEMPT"] = str(attempt)
         try:
             result = fn(payload)
             message = (task_id, attempt, "ok", result, None)
@@ -397,7 +372,6 @@ def _run_tasks_serial(
         outcome = TaskOutcome(task_id=task_id, status="quarantined")
         for attempt in range(1, policy.max_attempts + 1):
             outcome.attempts = attempt
-            os.environ["REPRO_TASK_ATTEMPT"] = str(attempt)
             try:
                 outcome.result = fn(payload)
             except Exception as error:

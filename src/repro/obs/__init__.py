@@ -10,12 +10,7 @@ bit-identical to the seed.
 from .cpi import STALL_CAUSES, classify_cycle, classify_stall, empty_stack
 from .metrics import BoundedHistogram, MetricsRegistry
 from .observer import Observer
-from .profiling import (
-    ENV_PROFILE_DIR,
-    aggregate_profiles,
-    maybe_profiled,
-    profile_dir,
-)
+from .profiling import aggregate_profiles, maybe_profiled, profiling_into
 from .runlog import ENV_RUNLOG, RunLog
 from .tracing import (
     RingLog,
@@ -34,10 +29,9 @@ __all__ = [
     "BoundedHistogram",
     "MetricsRegistry",
     "Observer",
-    "ENV_PROFILE_DIR",
     "aggregate_profiles",
     "maybe_profiled",
-    "profile_dir",
+    "profiling_into",
     "ENV_RUNLOG",
     "RunLog",
     "RingLog",

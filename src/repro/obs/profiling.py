@@ -1,12 +1,13 @@
 """Opt-in cProfile support for harness runs (``--profile``).
 
 Workers of a parallel sweep are separate processes, so profiling works by
-convention: the parent sets ``REPRO_PROFILE_DIR`` and every process wraps
-its unit of work in :func:`maybe_profiled`, dumping one ``.prof`` file per
-call into the shared directory.  The parent then merges them with
-:func:`aggregate_profiles` and prints the top-N cumulative entries.
+inheritance: the parent enters :func:`profiling_into` before the fleet
+forks, every process wraps its unit of work in :func:`maybe_profiled`,
+and each call dumps one ``.prof`` file into the shared directory.  The
+parent then merges them with :func:`aggregate_profiles` and prints the
+top-N cumulative entries.
 
-When the environment variable is unset, :func:`maybe_profiled` calls the
+Outside :func:`profiling_into`, :func:`maybe_profiled` calls the
 function directly — zero overhead on the normal path.
 """
 
@@ -16,26 +17,34 @@ import cProfile
 import io
 import os
 import pstats
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
-
-ENV_PROFILE_DIR = "REPRO_PROFILE_DIR"
+from typing import Callable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
 _counter = 0
 
+#: where :func:`maybe_profiled` dumps (None: profiling off); a module
+#: setting, so workers forked while it is set inherit it
+_directory: Optional[Path] = None
 
-def profile_dir() -> Optional[Path]:
-    raw = os.environ.get(ENV_PROFILE_DIR)
-    if not raw:
-        return None
-    return Path(raw)
+
+@contextmanager
+def profiling_into(directory) -> Iterator[None]:
+    """Profile every :func:`maybe_profiled` call, in this process and in
+    workers forked inside the block, into ``directory``."""
+    global _directory
+    _directory = Path(directory)
+    try:
+        yield
+    finally:
+        _directory = None
 
 
 def maybe_profiled(fn: Callable[[], T]) -> T:
-    """Run ``fn`` under cProfile when ``REPRO_PROFILE_DIR`` is set."""
-    directory = profile_dir()
+    """Run ``fn`` under cProfile inside :func:`profiling_into`."""
+    directory = _directory
     if directory is None:
         return fn()
     global _counter

@@ -50,7 +50,6 @@ from .jobstore import (
     QuotaExceeded,
     ServiceError,
     default_store_dir,
-    quota_from_env,
 )
 from .retry import RetryPolicy
 from .telemetry import describe_progress, read_health, read_progress
@@ -80,7 +79,8 @@ def _store(args, parser, readonly: bool = False) -> Iterator[JobStore]:
     """The store the command names, closed on exit; unusable: usage error."""
     root = Path(args.store) if args.store else default_store_dir()
     try:
-        quota = getattr(args, "quota", None) or quota_from_env()
+        # --quota 0 (or no --quota) leaves quotas off.
+        quota = getattr(args, "quota", None) or None
         store = JobStore(root, quota=quota, readonly=readonly)
     except ServiceError as error:
         parser.error(str(error))
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--quota", type=int, default=None, metavar="N",
-        help="per-client active-job quota (overrides REPRO_SERVICE_QUOTA)",
+        help="per-client active-job quota (default: none)",
     )
 
     serve = sub.add_parser(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import tempfile
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .chaos import KILL_WORKER, chaos_point
@@ -276,7 +277,6 @@ def _simulate_cell(
 
 def _run_faults(params: Mapping[str, Any]) -> Dict[str, Any]:
     from ..faults import CampaignSpec, run_campaign
-    from pathlib import Path
 
     context = _context_for(params["scale"], DEFAULT_MAX_INSTRUCTIONS)
     spec = CampaignSpec(
@@ -312,21 +312,29 @@ def _run_faults(params: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
 
-def execute_job(payload: Tuple[str, str, Mapping[str, Any]]) -> Any:
+def execute_job(
+    payload: Tuple[str, str, Mapping[str, Any]],
+    progress_dir: Optional[Path] = None,
+    heartbeat: float = 0.0,
+) -> Any:
     """Worker-side entry: one job, start to JSON result.
 
     ``payload`` is ``(job_id, kind, params)``; the chaos kill-worker
     point fires first, so an injected worker death looks exactly like an
     OOM kill landing before any work happened.
 
-    When the supervisor has armed ``REPRO_PROGRESS_DIR``, simulation
-    instructions stream per-job heartbeats through the resumable run
-    seam; heartbeats never change the result payload (pure telemetry,
-    written to a side file), so chaos bit-identity is unaffected.
+    With a ``progress_dir`` and a positive ``heartbeat`` (seconds; the
+    supervisor passes its store's progress directory and
+    ``ServiceConfig.heartbeat``), simulation instructions stream per-job
+    heartbeats through the resumable run seam; heartbeats never change
+    the result payload (pure telemetry, written to a side file), so
+    chaos bit-identity is unaffected.  The defaults leave heartbeats off.
     """
     job_id, kind, params = payload
     chaos_point(KILL_WORKER, job_id)
-    progress = ProgressPublisher.from_env(job_id)
+    progress = None
+    if progress_dir is not None and heartbeat > 0:
+        progress = ProgressPublisher(progress_dir, job_id, interval=heartbeat)
     if kind == "simulate":
         context = _context_for(params["scale"], params["max_instructions"])
         if progress is not None:

@@ -31,6 +31,10 @@ quarantined by the cache and healed by :meth:`JobStore.recover`, and a
 ``done`` journal record is only ever written *after* its result file is
 durable, so a journaled result always exists (the reverse — a result
 with no journal record — costs one idempotent re-run).
+
+The store root defaults to ``$REPRO_SERVICE_DIR`` (a deployment path),
+else ``~/.cache/repro/service``; the per-client quota is the ``quota``
+argument only (``submit --quota``).
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .telemetry import event_stamp, job_timeline, read_progress
 SERVICE_FORMAT_VERSION = 1
 
 _ENV_STORE = "REPRO_SERVICE_DIR"
-_ENV_QUOTA = "REPRO_SERVICE_QUOTA"
 
 #: job kinds the executors understand (see :mod:`repro.service.jobs`)
 JOB_KINDS = ("simulate", "sweep", "faults")
@@ -76,22 +79,6 @@ def default_store_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro" / "service"
-
-
-def quota_from_env() -> Optional[int]:
-    """Per-client active-job quota from ``REPRO_SERVICE_QUOTA`` (None: off)."""
-    value = os.environ.get(_ENV_QUOTA, "").strip()
-    if not value:
-        return None
-    try:
-        quota = int(value)
-    except ValueError:
-        raise ServiceError(
-            f"{_ENV_QUOTA} must be a positive integer, got {value!r}"
-        ) from None
-    if quota < 1:
-        raise ServiceError(f"{_ENV_QUOTA} must be >= 1, got {quota}")
-    return quota
 
 
 def _canonical(value: Any) -> Any:

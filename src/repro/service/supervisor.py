@@ -13,7 +13,10 @@ next job in fair-share order, claimed at that moment.  A long job holds
 only its own worker, and ``start`` stamps the real dispatch time.  The
 idle poll and every refill first refresh the store from its journal, so
 a job submitted by another process while the supervisor runs is served
-in the same drain.
+in the same drain.  With heartbeats on, the function each fleet runs is
+:func:`~repro.service.jobs.execute_job` bound to the store's progress
+directory and the heartbeat interval, so workers — forked or in-process —
+get both as arguments.
 
 Durability protocol per job (each step is one fsynced journal event):
 
@@ -36,7 +39,7 @@ the journal.
 
 from __future__ import annotations
 
-import os
+import functools
 import signal
 import time
 from dataclasses import dataclass, field
@@ -49,13 +52,7 @@ from .jobstore import JobStore
 from .jobs import execute_job, prepare
 from .journal import write_text_atomic
 from .retry import RETRYABLE, RetryPolicy
-from .telemetry import (
-    ENV_PROGRESS_DIR,
-    ENV_PROGRESS_INTERVAL,
-    latency_histograms,
-    progress_probe,
-    write_health,
-)
+from .telemetry import latency_histograms, progress_probe, write_health
 
 
 @dataclass
@@ -125,38 +122,39 @@ class Supervisor:
             self.telemetry.counter(
                 f"service.recovered_{name}", len(recovery[name])
             )
-        probe = None
+        probe = progress_dir = None
         if self.config.heartbeat > 0:
-            probe = progress_probe(self.store.progress_dir)
-        saved_env = self._arm_progress()
+            progress_dir = self.store.progress_dir
+            progress_dir.mkdir(parents=True, exist_ok=True)
+            probe = progress_probe(progress_dir)
         self.publish_observability()
-        try:
-            while not self._drain_requested:
-                self.store.refresh()  # see submits made while serving
-                queued = self.store.runnable()
-                if not queued:
-                    if self.config.drain_when_idle:
-                        break
-                    time.sleep(self.config.poll)
-                    # Idle polls still refresh metrics + the health
-                    # heartbeat, so liveness is observable while waiting.
-                    self.publish_observability()
-                    continue
-                self._rounds += 1
-                prepare(queued)
-                run_tasks_hardened(
-                    execute_job,
-                    [],
-                    jobs=self.config.jobs,
-                    policy=self.config.policy,
-                    on_result=self._settle,
-                    progress_probe=probe,
-                    hang_grace=self.config.effective_hang_grace(),
-                    refill=self._claim_next,
-                )
+        while not self._drain_requested:
+            self.store.refresh()  # see submits made while serving
+            queued = self.store.runnable()
+            if not queued:
+                if self.config.drain_when_idle:
+                    break
+                time.sleep(self.config.poll)
+                # Idle polls still refresh metrics + the health
+                # heartbeat, so liveness is observable while waiting.
                 self.publish_observability()
-        finally:
-            self._disarm_progress(saved_env)
+                continue
+            self._rounds += 1
+            prepare(queued)
+            run_tasks_hardened(
+                functools.partial(
+                    execute_job, progress_dir=progress_dir,
+                    heartbeat=self.config.heartbeat,
+                ),
+                [],
+                jobs=self.config.jobs,
+                policy=self.config.policy,
+                on_result=self._settle,
+                progress_probe=probe,
+                hang_grace=self.config.effective_hang_grace(),
+                refill=self._claim_next,
+            )
+            self.publish_observability()
         drained = self._drain_requested
         self.store.drain(graceful=True)
         self.store.write_state()
@@ -174,34 +172,6 @@ class Supervisor:
         }
 
     # ----------------------------------------------------------- telemetry
-    def _arm_progress(self) -> Dict[str, Optional[str]]:
-        """Point workers' heartbeat publishers at the store's progress dir.
-
-        Workers fork from this process (or run inside it when
-        ``jobs=1``), so the environment is the one channel that reaches
-        both without a task-payload change.  Returns the prior values so
-        the caller can restore them (in-process tests, nested serves).
-        """
-        saved = {
-            ENV_PROGRESS_DIR: os.environ.get(ENV_PROGRESS_DIR),
-            ENV_PROGRESS_INTERVAL: os.environ.get(ENV_PROGRESS_INTERVAL),
-        }
-        if self.config.heartbeat > 0:
-            self.store.progress_dir.mkdir(parents=True, exist_ok=True)
-            os.environ[ENV_PROGRESS_DIR] = str(self.store.progress_dir)
-            os.environ[ENV_PROGRESS_INTERVAL] = str(self.config.heartbeat)
-        else:
-            os.environ.pop(ENV_PROGRESS_DIR, None)
-        return saved
-
-    @staticmethod
-    def _disarm_progress(saved: Dict[str, Optional[str]]) -> None:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
     def metrics_registry(self) -> MetricsRegistry:
         """A fresh registry: store + cache counters, supervisor event
         counts, and the journal-derived latency histograms."""

@@ -15,18 +15,19 @@ describes does:
   chaos bit-identity are untouched;
 * **progress heartbeats** — a :class:`ProgressPublisher` in the worker
   writes one atomic JSON file per job under ``store/progress/``,
-  throttled to the configured interval; the supervisor arms it through
-  ``REPRO_PROGRESS_DIR``/``REPRO_PROGRESS_INTERVAL`` and the watchdog
-  reads the files back (:func:`read_progress`, :func:`heartbeat_age`)
-  to tell *hung* from *slow but progressing*;
+  throttled to the configured interval; the supervisor hands the
+  directory and interval to :func:`~repro.service.jobs.execute_job` as
+  arguments, and the watchdog reads the files back
+  (:func:`read_progress`, :func:`heartbeat_age`) to tell *hung* from
+  *slow but progressing*;
 * **derived latency** — :func:`job_timeline` and
   :func:`latency_histograms` fold the timestamped journal into per-job
   timelines and queue-wait / run-time / retry-latency
   :class:`~repro.obs.metrics.BoundedHistogram` digests, which the
   supervisor exports in Prometheus text format as jobs settle.
 
-When nothing arms the environment variables every hook here is one
-``dict.get`` away from a no-op — the same zero-cost-when-off discipline
+With heartbeats off a job gets no publisher at all, and the core's
+progress hook stays unset — the same zero-cost-when-off discipline
 ``obs_overhead`` pins for the core's per-cycle hooks.
 """
 
@@ -39,9 +40,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..obs.metrics import BoundedHistogram
 from .journal import read_json, write_json_atomic
-
-ENV_PROGRESS_DIR = "REPRO_PROGRESS_DIR"
-ENV_PROGRESS_INTERVAL = "REPRO_PROGRESS_INTERVAL"
 
 #: default seconds between heartbeat publications
 DEFAULT_INTERVAL = 0.25
@@ -181,24 +179,12 @@ def latency_histograms(
 
 
 # --------------------------------------------------------------- heartbeats
-def heartbeat_period_from_env() -> float:
-    """Heartbeat interval in seconds from ``REPRO_PROGRESS_INTERVAL``."""
-    raw = os.environ.get(ENV_PROGRESS_INTERVAL, "").strip()
-    if not raw:
-        return DEFAULT_INTERVAL
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_INTERVAL
-    return value if value > 0 else DEFAULT_INTERVAL
-
-
 def progress_path(directory: Path, job_id: str) -> Path:
     return Path(directory) / f"{job_id}.json"
 
 
 class ProgressPublisher:
-    """Worker-side heartbeat writer for one job attempt.
+    """Worker-side heartbeat writer for one job.
 
     Callable with the :meth:`TimingCore.run <repro.sim.core.TimingCore.run>`
     progress protocol — ``publisher(retired, total, cycle)`` — and
@@ -217,12 +203,10 @@ class ProgressPublisher:
         self,
         directory: Path,
         job_id: str,
-        attempt: int = 0,
         interval: float = DEFAULT_INTERVAL,
     ) -> None:
         self.directory = Path(directory)
         self.job_id = job_id
-        self.attempt = attempt
         self.interval = max(0.0, float(interval))
         self.published = 0
         self.cell: Optional[str] = None
@@ -231,24 +215,6 @@ class ProgressPublisher:
         self._last_publish: Optional[float] = None
         self._started = time.monotonic()
         self._last_state: Optional[Dict[str, Any]] = None
-
-    @classmethod
-    def from_env(
-        cls, job_id: str, attempt: Optional[int] = None
-    ) -> Optional["ProgressPublisher"]:
-        """The armed publisher, or None when heartbeats are off."""
-        directory = os.environ.get(ENV_PROGRESS_DIR, "").strip()
-        if not directory:
-            return None
-        if attempt is None:
-            try:
-                attempt = int(os.environ.get("REPRO_TASK_ATTEMPT", "0"))
-            except ValueError:
-                attempt = 0
-        return cls(
-            Path(directory), job_id, attempt=attempt,
-            interval=heartbeat_period_from_env(),
-        )
 
     def start_cell(self, cell: str, done: int, total: int) -> None:
         """Name the sweep cell subsequent heartbeats belong to."""
@@ -284,7 +250,6 @@ class ProgressPublisher:
             )
         state = {
             "job": self.job_id,
-            "attempt": self.attempt,
             "pid": os.getpid(),
             "ts": round(time.time(), 6),
             "mono": round(now, 6),

@@ -13,7 +13,13 @@ from .profiles import (
     profile,
     scaled,
 )
-from .suite import QUICK_BENCHMARKS, build_program, build_suite, quick_suite
+from .suite import (
+    QUICK_BENCHMARKS,
+    build_program,
+    build_suite,
+    quick_suite,
+    select_benchmarks,
+)
 
 __all__ = [
     "BenchmarkGenerator",
@@ -34,4 +40,5 @@ __all__ = [
     "build_program",
     "build_suite",
     "quick_suite",
+    "select_benchmarks",
 ]

@@ -45,6 +45,37 @@ def quick_suite(scale: float = 1.0) -> Dict[str, Program]:
     return build_suite(QUICK_BENCHMARKS, scale=scale)
 
 
+#: the named selections :func:`select_benchmarks` accepts
+_SELECTIONS = {
+    "full": ALL_BENCHMARKS,
+    "quick": QUICK_BENCHMARKS,
+    "int": INT_BENCHMARKS,
+    "fp": FP_BENCHMARKS,
+}
+
+
+def select_benchmarks(text: Optional[str], default: str) -> Tuple[str, ...]:
+    """Parse a benchmark selection: ``full`` (all 26), ``quick`` (the
+    four-program subset), ``int`` / ``fp`` (one SPEC suite), or a
+    comma-separated list of names.  ``default`` (a selection in the same
+    grammar) applies when ``text`` is None or blank.
+
+    Raises ``ValueError`` naming any unknown benchmark.
+    """
+    value = (text or "").strip() or default
+    if value in _SELECTIONS:
+        return _SELECTIONS[value]
+    names = tuple(name.strip() for name in value.split(",") if name.strip())
+    unknown = [name for name in names if name not in ALL_BENCHMARKS]
+    if unknown or not names:
+        raise ValueError(
+            f"unknown benchmark(s) {', '.join(unknown) or repr(value)}: "
+            f"select full, quick, int, fp, or a comma-separated list of "
+            f"{', '.join(ALL_BENCHMARKS)}"
+        )
+    return names
+
+
 __all__ = [
     "ALL_BENCHMARKS",
     "FP_BENCHMARKS",
@@ -53,4 +84,5 @@ __all__ = [
     "build_program",
     "build_suite",
     "quick_suite",
+    "select_benchmarks",
 ]

@@ -2,21 +2,18 @@
 
 import pytest
 
-from repro.harness import (
-    ALL_EXPERIMENTS,
-    ArtifactCache,
-    ExperimentContext,
-    benchmarks_from_env,
-    jobs_from_env,
-    scale_from_env,
-)
+from repro.harness import ALL_EXPERIMENTS, ArtifactCache, ExperimentContext
 from repro.harness.experiments import (
     fig11_braid_window,
     fig14_equal_fus,
     tab1_braids_per_block,
 )
 from repro.harness.reporting import ExperimentResult, normalize_rows
-from repro.workloads import ALL_BENCHMARKS, QUICK_BENCHMARKS
+from repro.workloads import (
+    ALL_BENCHMARKS,
+    QUICK_BENCHMARKS,
+    select_benchmarks,
+)
 
 
 class TestContext:
@@ -49,53 +46,35 @@ class TestContext:
 
 
 class TestEnvSelection:
+    """The one benchmark-selection parser every selection flag uses; the
+    environment no longer selects anything."""
+
     def test_default_full(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCHMARKS", raising=False)
-        assert benchmarks_from_env() == ALL_BENCHMARKS
-
-    def test_quick(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCHMARKS", "quick")
-        assert benchmarks_from_env() == QUICK_BENCHMARKS
+        assert select_benchmarks(None, "full") == ALL_BENCHMARKS
+        assert select_benchmarks("  ", "full") == ALL_BENCHMARKS
+        assert ExperimentContext(
+            cache=ArtifactCache(enabled=False)
+        ).benchmarks == ALL_BENCHMARKS
 
-    def test_explicit_list(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCHMARKS", "gcc, swim")
-        assert benchmarks_from_env() == ("gcc", "swim")
+    def test_quick(self):
+        assert select_benchmarks("quick", "full") == QUICK_BENCHMARKS
+        assert select_benchmarks(None, "quick") == QUICK_BENCHMARKS
 
-    def test_unknown_name_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCHMARKS", "gcc, quake3")
+    def test_explicit_list(self):
+        assert select_benchmarks("gcc, swim", "full") == ("gcc", "swim")
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="quake3"):
+            select_benchmarks("gcc, quake3", "full")
         with pytest.raises(ValueError):
-            benchmarks_from_env()
+            select_benchmarks(",", "full")
 
-    def test_suite_selectors(self, monkeypatch):
+    def test_suite_selectors(self):
         from repro.workloads.profiles import FP_BENCHMARKS, INT_BENCHMARKS
 
-        monkeypatch.setenv("REPRO_BENCHMARKS", "int")
-        assert benchmarks_from_env() == INT_BENCHMARKS
-        monkeypatch.setenv("REPRO_BENCHMARKS", "fp")
-        assert benchmarks_from_env() == FP_BENCHMARKS
-
-    def test_scale_default_and_explicit(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert scale_from_env() == 1.0
-        monkeypatch.setenv("REPRO_SCALE", "2.5")
-        assert scale_from_env() == 2.5
-
-    def test_scale_malformed_names_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "two")
-        with pytest.raises(ValueError, match="REPRO_SCALE"):
-            scale_from_env()
-
-    def test_jobs_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert jobs_from_env() == 3
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert jobs_from_env(default=2) == 2
-        monkeypatch.setenv("REPRO_JOBS", "zero")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            jobs_from_env()
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(ValueError, match="REPRO_JOBS"):
-            jobs_from_env()
+        assert select_benchmarks("int", "full") == INT_BENCHMARKS
+        assert select_benchmarks("fp", "full") == FP_BENCHMARKS
 
 
 class TestArtifactCache:

@@ -1,8 +1,11 @@
 """Tests for the command-line experiment runner."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.harness.__main__ import main
+from repro.workloads.profiles import FP_BENCHMARKS, INT_BENCHMARKS
 
 
 class TestCli:
@@ -42,6 +45,63 @@ class TestCli:
         assert main(
             ["T1", "--benchmarks", "gcc", "--sample", "stride=4,seed=2"]
         ) == 0
+
+
+SUITES = [("int", INT_BENCHMARKS), ("fp", FP_BENCHMARKS)]
+
+
+def _passing_report():
+    return SimpleNamespace(render=lambda: "report", passed=True)
+
+
+class TestBenchmarkSelection:
+    """Every command parses ``--benchmarks`` with one grammar."""
+
+    @pytest.mark.parametrize("selector, suite", SUITES)
+    def test_experiments_take_suite_selectors(self, capsys, selector,
+                                              suite):
+        assert main(["T1", "--benchmarks", selector, "--scale", "0.1",
+                     "--no-cache"]) == 0
+        rows = {line.split()[0]
+                for line in capsys.readouterr().out.splitlines()
+                if line.strip()}
+        assert rows >= set(suite)
+        assert not rows & (set(INT_BENCHMARKS + FP_BENCHMARKS) - set(suite))
+
+    @pytest.mark.parametrize("selector, suite", SUITES)
+    def test_validate_takes_suite_selectors(self, monkeypatch, selector,
+                                            suite):
+        seen = []
+
+        def validation(context, benchmarks, **kwargs):
+            seen.append(tuple(benchmarks))
+            return _passing_report()
+
+        monkeypatch.setattr("repro.validate.run_validation", validation)
+        assert main(["validate", "--benchmarks", selector, "--no-cache",
+                     "--fuzz", "0"]) == 0
+        assert seen == [suite]
+
+    @pytest.mark.parametrize("selector, suite", SUITES)
+    def test_faults_take_suite_selectors(self, monkeypatch, selector,
+                                         suite):
+        seen = []
+
+        def campaign(context, spec, **kwargs):
+            seen.append(spec.benchmarks)
+            return _passing_report()
+
+        monkeypatch.setattr("repro.faults.run_campaign", campaign)
+        assert main(["faults", "--benchmarks", selector, "--no-cache"]) == 0
+        assert seen == [suite]
+
+    @pytest.mark.parametrize("command", ["T1", "validate", "faults"])
+    def test_unknown_benchmark_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--benchmarks", "gcc,nosuch", "--no-cache"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "nosuch" in err
 
 
 class TestCacheCommands:

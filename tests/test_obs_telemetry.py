@@ -3,11 +3,12 @@
 The metrics layer must be *accounting-complete* (histogram weights cover
 every simulated cycle, occupancies never exceed their structural bounds),
 the run log must be concurrency-safe and opt-out-able, and the profiling
-helpers must be zero-cost when the environment knob is unset.
+helpers must be zero-cost outside ``profiling_into``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
@@ -20,11 +21,13 @@ from repro.obs import (
     RunLog,
     aggregate_profiles,
     maybe_profiled,
+    profiling_into,
 )
-from repro.obs.profiling import ENV_PROFILE_DIR
 from repro.obs.runlog import ENV_RUNLOG
 from repro.sim.config import braid_config, ooo_config
 from repro.sim.run import simulate
+
+from tests.test_parallel_hardened import needs_fork
 
 
 @pytest.fixture(scope="module")
@@ -139,20 +142,35 @@ class TestRunLog:
 
 
 class TestProfiling:
-    def test_disabled_is_a_straight_call(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROFILE_DIR, raising=False)
+    def test_disabled_is_a_straight_call(self, tmp_path):
         assert maybe_profiled(lambda: 41 + 1) == 42
+        with profiling_into(tmp_path):
+            pass
+        assert maybe_profiled(lambda: 41 + 1) == 42
+        assert not list(tmp_path.glob("*.prof"))
 
-    def test_profiles_are_dumped_and_aggregated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_DIR, str(tmp_path))
-        assert maybe_profiled(lambda: sum(range(1000))) == 499500
-        assert maybe_profiled(lambda: sorted(range(100))) is not None
+    def test_profiles_are_dumped_and_aggregated(self, tmp_path):
+        with profiling_into(tmp_path):
+            assert maybe_profiled(lambda: sum(range(1000))) == 499500
+            assert maybe_profiled(lambda: sorted(range(100))) is not None
         profs = list(tmp_path.glob("*.prof"))
         assert len(profs) == 2
         assert all(f"-{os.getpid()}-" in p.name for p in profs)
         report = aggregate_profiles(tmp_path, top=5)
         assert "2 sample file(s)" in report
         assert "cumulative" in report
+
+    @needs_fork
+    def test_forked_workers_inherit_the_setting(self, tmp_path):
+        with profiling_into(tmp_path):
+            child = multiprocessing.get_context("fork").Process(
+                target=maybe_profiled, args=(lambda: sum(range(10)),),
+            )
+            child.start()
+            child.join(timeout=30)
+        assert child.exitcode == 0
+        profs = list(tmp_path.glob("*.prof"))
+        assert len(profs) == 1 and f"-{child.pid}-" in profs[0].name
 
     def test_aggregate_with_no_data(self, tmp_path):
         assert "no profile data" in aggregate_profiles(tmp_path)

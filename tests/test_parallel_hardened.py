@@ -207,11 +207,18 @@ def _pid(payload):
     return os.getpid()
 
 
-def _flaky_first_attempt(payload):
-    """Fail the "flaky" task's first attempt retryably."""
-    if payload == "flaky" and os.environ["REPRO_TASK_ATTEMPT"] == "1":
-        raise OSError("transient infra failure")
-    return payload
+def _flaky_first_attempt(marker):
+    """A task function that fails the "flaky" task's first call
+    retryably.  The first call leaves ``marker`` behind — a file, so the
+    retry sees it on whichever worker runs it."""
+
+    def fn(payload):
+        if payload == "flaky" and not marker.exists():
+            marker.touch()
+            raise OSError("transient infra failure")
+        return payload
+
+    return fn
 
 
 #: the in-process path and the forked fleet
@@ -278,12 +285,13 @@ class TestRefill:
         assert refill.exhausted
 
     @pytest.mark.parametrize("jobs", FLEET_JOBS)
-    def test_no_refill_while_a_retry_is_pending(self, jobs):
+    def test_no_refill_while_a_retry_is_pending(self, jobs, tmp_path):
         policy = _WindowPolicy(backoff=0.2, deadline=30.0)
         refill = _Refill([(name, name) for name in ("flaky", "b", "c", "d")],
                          jobs)
         outcomes = run_tasks_hardened(
-            _flaky_first_attempt, [], jobs=jobs, policy=policy,
+            _flaky_first_attempt(tmp_path / "failed-once"), [], jobs=jobs,
+            policy=policy,
             on_result=refill.on_result, refill=refill,
         )
         assert [o.result for o in outcomes] == ["flaky", "b", "c", "d"]

@@ -138,33 +138,55 @@ class TestWatchdogHeartbeats:
         assert beat["job"] == "doomed"
 
 
-class TestServeHeartbeats:
-    def test_serve_leaves_final_heartbeat_and_restores_env(self, tmp_path):
-        before = os.environ.get("REPRO_PROGRESS_DIR")
-        store = JobStore(tmp_path / "store")
-        job = submit(store, "simulate",
-                     {"benchmark": "gcc", "core": "braid"})
-        from repro.service.supervisor import serve
+def _progress_env():
+    return sorted(name for name in os.environ
+                  if name.startswith("REPRO_PROGRESS"))
 
-        serve(store, batch_config(heartbeat=0.01))
-        beat = store.progress(job)
-        assert beat is not None
-        assert beat["instructions"] == beat["instructions_total"] > 0
-        assert os.environ.get("REPRO_PROGRESS_DIR") == before
-        store.close()
+
+class TestServeHeartbeats:
+    """Heartbeats reach in-process and forked workers as arguments: a
+    drain leaves the environment as it found it."""
+
+    def test_serve_leaves_final_heartbeat_and_restores_env(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import supervisor
+
+        execute = supervisor.execute_job
+
+        def no_env_channel(payload, **kwargs):
+            # Runs in the worker: a failed check fails the job.
+            assert _progress_env() == [], _progress_env()
+            return execute(payload, **kwargs)
+
+        monkeypatch.setattr(supervisor, "execute_job", no_env_channel)
+        for jobs in (1, 2):
+            store = JobStore(tmp_path / f"store-{jobs}")
+            job = submit(store, "simulate",
+                         {"benchmark": "gcc", "core": "braid"})
+            supervisor.serve(store, batch_config(jobs=jobs, heartbeat=0.01))
+            assert store.job(job).status == "done", store.job(job).error
+            beat = store.progress(job)
+            assert beat is not None
+            assert beat["instructions"] == beat["instructions_total"] > 0
+            assert "attempt" not in beat
+            assert _progress_env() == []
+            store.close()
 
     def test_heartbeat_zero_disables_progress_files(self, tmp_path):
-        store = JobStore(tmp_path / "store")
-        job = submit(store, "simulate",
-                     {"benchmark": "gcc", "core": "braid"})
         from repro.service.supervisor import serve
 
-        serve(store, batch_config(heartbeat=0.0))
-        assert store.progress(job) is None
-        # Metrics and health still publish: observability stays on.
-        assert store.metrics_path.exists()
-        assert store.health_path.exists()
-        store.close()
+        for jobs in (1, 2):
+            store = JobStore(tmp_path / f"store-{jobs}")
+            job = submit(store, "simulate",
+                         {"benchmark": "gcc", "core": "braid"})
+            serve(store, batch_config(jobs=jobs, heartbeat=0.0))
+            assert store.job(job).status == "done"
+            assert store.progress(job) is None
+            # Metrics and health still publish: observability stays on.
+            assert store.metrics_path.exists()
+            assert store.health_path.exists()
+            store.close()
 
 
 @pytest.fixture

@@ -95,11 +95,11 @@ class TestServe:
         later = []
         execute = supervisor_module.execute_job
 
-        def execute_and_submit(payload):
+        def execute_and_submit(payload, **kwargs):
             if not later:  # the first job: submit one more while running
                 later.append(submit(other, "simulate",
                                     {"benchmark": "mcf", "core": "ooo"}))
-            return execute(payload)
+            return execute(payload, **kwargs)
 
         monkeypatch.setattr(supervisor_module, "execute_job",
                             execute_and_submit)
@@ -224,10 +224,10 @@ class TestOneFleet:
         seen = []
         execute = supervisor_module.execute_job
 
-        def slow_execute(payload):
+        def slow_execute(payload, **kwargs):
             seen.append(read_health(store.health_path)["uptime_seconds"])
             time.sleep(2 * poll)
-            return execute(payload)
+            return execute(payload, **kwargs)
 
         monkeypatch.setattr(supervisor_module, "execute_job", slow_execute)
         summary = serve(store, batch_config(poll=poll))

@@ -167,13 +167,21 @@ class TestTimelines:
         store.close()
 
 
+def _small_simulate():
+    from repro.service.jobs import normalize_params
+
+    return normalize_params("simulate", {
+        "benchmark": "gcc", "core": "ooo", "scale": 0.05,
+        "max_instructions": 3000,
+    })
+
+
 class TestProgressPublisher:
     def test_publish_and_read_round_trip(self, tmp_path):
-        publisher = ProgressPublisher(tmp_path, "j1", attempt=2,
-                                      interval=0.0)
+        publisher = ProgressPublisher(tmp_path, "j1", interval=0.0)
         publisher.publish(100, 1000, 250)
         beat = read_progress(tmp_path, "j1")
-        assert beat["job"] == "j1" and beat["attempt"] == 2
+        assert beat["job"] == "j1" and "attempt" not in beat
         assert beat["instructions"] == 100
         assert beat["instructions_total"] == 1000
         assert beat["cycles"] == 250
@@ -199,18 +207,34 @@ class TestProgressPublisher:
         assert beat["cells_done"] == 1 and beat["cells_total"] == 4
         assert beat["eta_seconds"] > 0
 
-    def test_from_env_is_none_when_unarmed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROGRESS_DIR", raising=False)
-        assert ProgressPublisher.from_env("j1") is None
+    def test_from_env_is_none_when_unarmed(self, tmp_path, monkeypatch):
+        # The environment channel is gone: exported heartbeat variables
+        # arm nothing, and a job run without a directory writes nothing.
+        from repro.service.jobs import execute_job
+
+        assert not hasattr(ProgressPublisher, "from_env")
+        monkeypatch.setenv("REPRO_PROGRESS_DIR", str(tmp_path / "env"))
+        monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "0.01")
+        execute_job(("j1", "simulate", _small_simulate()))
+        assert not (tmp_path / "env").exists()
 
     def test_from_env_reads_interval_and_attempt(self, tmp_path,
                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_PROGRESS_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_PROGRESS_INTERVAL", "0.125")
+        # The interval now comes from execute_job's argument (zero means
+        # off), and no attempt is read or published.
+        from repro.service.jobs import execute_job
+
         monkeypatch.setenv("REPRO_TASK_ATTEMPT", "3")
-        publisher = ProgressPublisher.from_env("j1")
-        assert publisher.interval == 0.125
-        assert publisher.attempt == 3
+        params = _small_simulate()
+        plain = execute_job(("j1", "simulate", params))
+        assert execute_job(("j1", "simulate", params),
+                           progress_dir=tmp_path, heartbeat=0.0) == plain
+        assert read_progress(tmp_path, "j1") is None
+        assert execute_job(("j1", "simulate", params),
+                           progress_dir=tmp_path, heartbeat=0.01) == plain
+        beat = read_progress(tmp_path, "j1")
+        assert beat["instructions"] == beat["instructions_total"] > 0
+        assert "attempt" not in beat
 
     def test_publish_failure_never_raises(self, tmp_path):
         target = tmp_path / "gone"
