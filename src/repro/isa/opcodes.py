@@ -90,6 +90,10 @@ class Opcode:
     computational opcodes, to the taken/not-taken decision (bool) for
     branches, and is ``None`` for loads/stores/nops whose behaviour lives in
     the executor.
+
+    The category predicates ``is_branch``, ``is_load``, ``is_store``,
+    ``is_mem`` and ``is_nop`` are plain attributes, computed once at
+    construction.
     """
 
     name: str
@@ -107,26 +111,15 @@ class Opcode:
             object.__setattr__(self, "latency", CATEGORY_LATENCY[self.category])
         if len(self.srcs_fp) != self.num_srcs:
             object.__setattr__(self, "srcs_fp", tuple([self.dest_fp] * self.num_srcs))
-
-    @property
-    def is_branch(self) -> bool:
-        return self.category is OpCategory.BRANCH
-
-    @property
-    def is_load(self) -> bool:
-        return self.category is OpCategory.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.category is OpCategory.STORE
-
-    @property
-    def is_mem(self) -> bool:
-        return self.is_load or self.is_store
-
-    @property
-    def is_nop(self) -> bool:
-        return self.category is OpCategory.NOP
+        category = self.category
+        for name, value in (
+            ("is_branch", category is OpCategory.BRANCH),
+            ("is_load", category is OpCategory.LOAD),
+            ("is_store", category is OpCategory.STORE),
+            ("is_mem", category in (OpCategory.LOAD, OpCategory.STORE)),
+            ("is_nop", category is OpCategory.NOP),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def encoding_format(self) -> EncodingFormat:

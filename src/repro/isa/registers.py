@@ -49,9 +49,12 @@ class Register:
     A ``Register`` is only a *name*.  Whether a given operand reads or writes
     the external or internal file is carried by the instruction's braid
     annotation, not by the register itself.
+
+    ``is_zero`` (the hardwired zero registers r31 / f31) and ``is_fp`` are
+    plain attributes, computed once at interning.
     """
 
-    __slots__ = ("rclass", "index")
+    __slots__ = ("rclass", "index", "is_zero", "is_fp")
     _pool: Dict[Tuple[RegClass, int], "Register"] = {}
 
     def __new__(cls, rclass: RegClass, index: int) -> "Register":
@@ -64,6 +67,8 @@ class Register:
             reg = super().__new__(cls)
             reg.rclass = rclass
             reg.index = index
+            reg.is_fp = rclass is RegClass.FP
+            reg.is_zero = index == (FP_ZERO_INDEX if reg.is_fp else INT_ZERO_INDEX)
             cls._pool[key] = reg
         return reg
 
@@ -71,17 +76,6 @@ class Register:
         # Interned flyweight: serialize as (class, index) and rehydrate
         # through __new__, which restores identity from the pool.
         return (Register, (self.rclass, self.index))
-
-    @property
-    def is_zero(self) -> bool:
-        """True for the hardwired zero registers r31 / f31."""
-        if self.rclass is RegClass.INT:
-            return self.index == INT_ZERO_INDEX
-        return self.index == FP_ZERO_INDEX
-
-    @property
-    def is_fp(self) -> bool:
-        return self.rclass is RegClass.FP
 
     @property
     def name(self) -> str:

@@ -14,20 +14,42 @@ roles in the reproduction:
 3. **Braid semantics.**  The executor honours the S/T/I/E annotation bits:
    internal operands live in a small internal file whose values die at braid
    boundaries (``strict_internal`` turns violations into hard errors).
+
+Like braid hardware, which reads the S/T/I/E bits from the static
+instruction word once rather than per dynamic instance, every static
+instruction is decoded once (:func:`predecode`) into an :class:`Op`: the
+operation kind, each source's register bank and index (hardwired zero,
+external file or internal file), the destination's banks, and the
+opcode's semantics and immediate.  :func:`apply_instruction` is the one
+definition of instruction semantics, implemented over that op; the
+executor steps through it with ops it decoded per block, and the lockstep
+oracle (:mod:`repro.validate.lockstep`) replays retirement streams
+through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import OpCategory, to_unsigned
-from ..isa.program import BasicBlock, Program
-from ..isa.registers import NUM_INTERNAL_REGS, Register, Space
+from ..isa.opcodes import MASK64, OpCategory
+from ..isa.program import Program
+from ..isa.registers import NUM_INTERNAL_REGS, Space
 
 #: Size of one encoded instruction in bytes (the 64-bit braid word).
 INSTRUCTION_BYTES = 8
+
+#: Operand banks, numbered as :attr:`ArchState.banks` orders them; banks
+#: from :data:`INTERNAL_INT` up are the braid internal file.
+INT, FP, ZERO_INT, ZERO_FP, INTERNAL_INT, INTERNAL_FP = range(6)
+
+#: Operation kinds of a predecoded instruction.
+COMPUTE, BRANCH, LOAD, LOAD_FP, STORE, NOP = range(6)
+_KINDS = {OpCategory.BRANCH: BRANCH, OpCategory.LOAD: LOAD,
+          OpCategory.STORE: STORE, OpCategory.NOP: NOP}
+
+_DEAD: Tuple[None, ...] = (None,) * NUM_INTERNAL_REGS
 
 
 class ExecutionError(RuntimeError):
@@ -46,17 +68,17 @@ class ProgramLayout:
         self.program = program
         self.base = base
         self.block_start: List[int] = []
-        self.address_of: Dict[int, int] = {}  # id(instruction) -> address
+        self.address_of: Dict[Instruction, int] = {}
         cursor = base
         for block in program.blocks:
             self.block_start.append(cursor)
             for inst in block.instructions:
-                self.address_of[id(inst)] = cursor
+                self.address_of[inst] = cursor
                 cursor += INSTRUCTION_BYTES
         self.end = cursor
 
     def address(self, inst: Instruction) -> int:
-        return self.address_of[id(inst)]
+        return self.address_of[inst]
 
 
 @dataclass
@@ -103,62 +125,20 @@ class ArchState:
     def __init__(self) -> None:
         self.int_regs: List[int] = [0] * 32
         self.fp_regs: List[float] = [0.0] * 32
-        self.internal_int: List[Optional[int]] = [None] * NUM_INTERNAL_REGS
-        self.internal_fp: List[Optional[float]] = [None] * NUM_INTERNAL_REGS
+        self.internal_int: List[Optional[int]] = list(_DEAD)
+        self.internal_fp: List[Optional[float]] = list(_DEAD)
         self.memory: Dict[int, object] = {}
-
-    # --------------------------------------------------------------- registers
-    def read(self, reg: Register, space: Space) -> object:
-        if reg.is_zero and space is Space.EXTERNAL:
-            return 0.0 if reg.is_fp else 0
-        if space is Space.INTERNAL:
-            bank = self.internal_fp if reg.is_fp else self.internal_int
-            value = bank[reg.index]
-            if value is None:
-                raise ExecutionError(
-                    f"read of dead internal register {reg} "
-                    f"(internal values do not survive braid boundaries)"
-                )
-            return value
-        if reg.is_fp:
-            return self.fp_regs[reg.index]
-        return self.int_regs[reg.index]
-
-    def write(self, reg: Register, value: object,
-              internal: bool, external: bool) -> None:
-        if internal:
-            if reg.index >= NUM_INTERNAL_REGS:
-                raise ExecutionError(f"internal register index {reg} out of range")
-            if reg.is_fp:
-                self.internal_fp[reg.index] = float(value)
-            else:
-                self.internal_int[reg.index] = to_unsigned(int(value))
-        if external and not reg.is_zero:
-            if reg.is_fp:
-                self.fp_regs[reg.index] = float(value)
-            else:
-                self.int_regs[reg.index] = to_unsigned(int(value))
+        #: every operand bank by bank number (:data:`INT` ...); the
+        #: register lists change in place and are never rebound
+        self.banks: Tuple[Sequence, ...] = (
+            self.int_regs, self.fp_regs, (0,) * 32, (0.0,) * 32,
+            self.internal_int, self.internal_fp,
+        )
 
     def clear_internal(self) -> None:
         """Discard internal values (a braid has finished executing)."""
-        self.internal_int = [None] * NUM_INTERNAL_REGS
-        self.internal_fp = [None] * NUM_INTERNAL_REGS
-
-    # ------------------------------------------------------------------ memory
-    @staticmethod
-    def _word_address(addr: int) -> int:
-        return addr & ~0x7
-
-    def load(self, addr: int, fp: bool) -> object:
-        value = self.memory.get(self._word_address(addr), 0)
-        if fp:
-            return float(value)
-        if isinstance(value, float):
-            return to_unsigned(int(value))
-        return to_unsigned(value)
-
-    def store(self, addr: int, value: object) -> None:
-        self.memory[self._word_address(addr)] = value
+        self.internal_int[:] = _DEAD
+        self.internal_fp[:] = _DEAD
 
     def snapshot(self) -> Tuple[Tuple[int, ...], Tuple[float, ...], Tuple]:
         """Hashable view of external architectural state (for equivalence tests)."""
@@ -166,8 +146,48 @@ class ArchState:
         return tuple(self.int_regs), tuple(self.fp_regs), memory
 
 
+class Op(NamedTuple):
+    """One static instruction, decoded once for the interpreter."""
+
+    kind: int  # COMPUTE / BRANCH / LOAD / LOAD_FP / STORE / NOP
+    start: bool  # braid start bit: the internal file dies here
+    #: ``(bank, index)`` per source operand
+    reads: Tuple[Tuple[int, int], ...]
+    semantics: object
+    imm: int
+    #: ``(internal bank or None, external bank or None, index, fp)``;
+    #: ``None`` when the result is written nowhere
+    dest: Optional[Tuple[Optional[int], Optional[int], int, bool]]
+
+
+def predecode(inst: Instruction) -> Op:
+    """The :class:`Op` of ``inst``: its operands' banks, kind and semantics."""
+    # Each bank pair is (integer, floating point): a register's bank is
+    # the pair's base plus its is_fp.
+    annot = inst.annot
+    reads = tuple(
+        ((INTERNAL_INT if annot.src_space(position) is Space.INTERNAL
+          else ZERO_INT if reg.is_zero else INT) + reg.is_fp, reg.index)
+        for position, reg in enumerate(inst.srcs)
+    )
+    dest = None
+    reg = inst.dest
+    if reg is not None:
+        internal = INTERNAL_INT + reg.is_fp if annot.dest_internal else None
+        external = (INT + reg.is_fp
+                    if annot.dest_external and not reg.is_zero else None)
+        if internal is not None or external is not None:
+            dest = (internal, external, reg.index, reg.is_fp)
+    opcode = inst.opcode
+    kind = _KINDS.get(opcode.category, COMPUTE)
+    if kind == LOAD and opcode.dest_fp:
+        kind = LOAD_FP
+    return Op(kind, annot.start, reads, opcode.semantics, inst.imm, dest)
+
+
 def apply_instruction(
-    state: ArchState, inst: Instruction, strict_internal: bool = True
+    state: ArchState, inst: Instruction, strict_internal: bool = True,
+    op: Optional[Op] = None,
 ) -> Tuple[Optional[bool], Optional[int]]:
     """Apply one instruction's architectural effects to ``state``.
 
@@ -177,34 +197,61 @@ def apply_instruction(
     :class:`FunctionalExecutor` steps through it, and the lockstep
     validation oracle (:mod:`repro.validate.lockstep`) replays timing-core
     retirement streams through it, so the two can never drift apart.
+    ``op`` is ``inst``'s :func:`predecode`; callers that apply a static
+    instruction more than once decode it once and pass it.
     """
-    annot = inst.annot
-    if annot.start and strict_internal:
+    if op is None:
+        op = predecode(inst)
+    kind, start, reads, semantics, imm, dest = op
+    if start and strict_internal:
         # Internal values must not flow across braid boundaries.
         state.clear_internal()
+    banks = state.banks
+    srcs = []
+    for bank, index in reads:
+        value = banks[bank][index]
+        if value is None and bank >= INTERNAL_INT:
+            raise ExecutionError(
+                f"read of dead internal register {inst.srcs[len(srcs)]} "
+                f"(internal values do not survive braid boundaries)"
+            )
+        srcs.append(value)
 
-    srcs = tuple(
-        state.read(reg, annot.src_space(position))
-        for position, reg in enumerate(inst.srcs)
-    )
-    category = inst.opcode.category
-
-    if category is OpCategory.NOP:
+    addr = None
+    if kind == COMPUTE:
+        value = semantics(srcs, imm)
+    elif kind == BRANCH:
+        return bool(semantics(srcs, imm)), None
+    elif kind == STORE:
+        addr = (int(srcs[1]) + imm) & MASK64
+        state.memory[addr & ~0x7] = srcs[0]
+        return None, addr
+    elif kind == NOP:
         return None, None
-    if category is OpCategory.BRANCH:
-        return bool(inst.opcode.semantics(srcs, inst.imm)), None
-    if category is OpCategory.LOAD:
-        addr = to_unsigned(int(srcs[0]) + inst.imm)
-        value = state.load(addr, fp=inst.opcode.dest_fp)
-        state.write(inst.dest, value, annot.dest_internal, annot.dest_external)
-        return None, addr
-    if category is OpCategory.STORE:
-        addr = to_unsigned(int(srcs[1]) + inst.imm)
-        state.store(addr, srcs[0])
-        return None, addr
-    value = inst.opcode.semantics(srcs, inst.imm)
-    state.write(inst.dest, value, annot.dest_internal, annot.dest_external)
-    return None, None
+    else:
+        addr = (int(srcs[0]) + imm) & MASK64
+        value = state.memory.get(addr & ~0x7, 0)
+        value = float(value) if kind == LOAD_FP else int(value) & MASK64
+
+    if dest is not None:
+        internal, external, index, fp = dest
+        if internal is not None and index >= NUM_INTERNAL_REGS:
+            raise ExecutionError(
+                f"internal register index {inst.dest} out of range"
+            )
+        value = float(value) if fp else int(value) & MASK64
+        if internal is not None:
+            banks[internal][index] = value
+        if external is not None:
+            banks[external][index] = value
+    return None, addr
+
+
+def _kind_counts(rows) -> Tuple[int, int, int]:
+    """``(branches, loads, stores)`` among predecoded ``rows``."""
+    kinds = [op.kind for _, _, op in rows]
+    return (kinds.count(BRANCH), kinds.count(LOAD) + kinds.count(LOAD_FP),
+            kinds.count(STORE))
 
 
 class FunctionalExecutor:
@@ -224,6 +271,21 @@ class FunctionalExecutor:
         self.strict_internal = strict_internal
         self.state = initial_state if initial_state is not None else ArchState()
         self.stats = ExecutionStats()
+        #: per block: ``(rows, fallthrough, taken target, target pc,
+        #: kind counts)``; a row is ``(instruction, pc, op)``
+        self._plan = []
+        block_start = self.layout.block_start
+        for block in program.blocks:
+            pc = block_start[block.index]
+            rows = tuple(
+                (inst, pc + INSTRUCTION_BYTES * position, predecode(inst))
+                for position, inst in enumerate(block.instructions)
+            )
+            target, fallthrough = program.successors(block)
+            target_pc = block_start[target] if target is not None else None
+            self._plan.append(
+                (rows, fallthrough, target, target_pc, _kind_counts(rows))
+            )
 
     # ------------------------------------------------------------------ running
     def run(self) -> ExecutionStats:
@@ -233,57 +295,45 @@ class FunctionalExecutor:
         return self.stats
 
     def trace(self) -> Iterator[DynInst]:
-        """Execute, yielding one :class:`DynInst` per retired instruction."""
-        program = self.program
-        block: Optional[BasicBlock] = program.blocks[program.entry]
+        """Execute, yielding one :class:`DynInst` per retired instruction.
+
+        The run completes when control leaves the last block, even when
+        that happens on exactly the ``max_instructions``-th instruction.
+        """
+        state = self.state
+        strict = self.strict_internal
+        stats = self.stats
+        block_counts = stats.block_counts
+        plan = self._plan
+        cap = self.max_instructions
         seq = 0
-        while block is not None and seq < self.max_instructions:
-            self.stats.block_counts[block.index] = (
-                self.stats.block_counts.get(block.index, 0) + 1
-            )
-            taken_block: Optional[int] = None
-            for inst in block.instructions:
-                dyn = self._step(seq, block.index, inst)
+        index: Optional[int] = self.program.entry
+        while index is not None and seq < cap:
+            rows, next_index, target, target_pc, counts = plan[index]
+            block_counts[index] = block_counts.get(index, 0) + 1
+            if len(rows) > cap - seq:
+                # The cap lands inside this block: stop short of its end.
+                rows = rows[:cap - seq]
+                counts = _kind_counts(rows)
+                next_index = index
+            stats.dynamic_branches += counts[0]
+            stats.loads += counts[1]
+            stats.stores += counts[2]
+            for inst, pc, op in rows:
+                taken, mem_addr = apply_instruction(state, inst, strict, op)
+                if taken:
+                    stats.taken_branches += 1
+                    next_index = target
+                    dyn = DynInst(seq, inst, index, pc, True, target_pc,
+                                  mem_addr)
+                else:
+                    dyn = DynInst(seq, inst, index, pc, taken,
+                                  pc + INSTRUCTION_BYTES, mem_addr)
                 seq += 1
-                if dyn.is_branch and dyn.taken:
-                    taken_block = inst.target
                 yield dyn
-                if seq >= self.max_instructions:
-                    self.stats.dynamic_instructions = seq
-                    return
-            taken, fallthrough = program.successors(block)
-            if taken_block is not None:
-                next_index: Optional[int] = taken_block
-            else:
-                next_index = fallthrough
-            block = program.blocks[next_index] if next_index is not None else None
-        self.stats.dynamic_instructions = seq
-        self.stats.completed = block is None
-
-    # ------------------------------------------------------------------- one step
-    def _step(self, seq: int, block_index: int, inst: Instruction) -> DynInst:
-        pc = self.layout.address(inst)
-        dyn = DynInst(seq=seq, inst=inst, block=block_index, pc=pc,
-                      next_pc=pc + INSTRUCTION_BYTES)
-
-        taken, mem_addr = apply_instruction(
-            self.state, inst, strict_internal=self.strict_internal
-        )
-        dyn.mem_addr = mem_addr
-
-        category = inst.opcode.category
-        if category is OpCategory.BRANCH:
-            dyn.taken = taken
-            self.stats.dynamic_branches += 1
-            if taken:
-                self.stats.taken_branches += 1
-                dyn.next_pc = self.layout.block_start[inst.target]
-        elif category is OpCategory.LOAD:
-            self.stats.loads += 1
-        elif category is OpCategory.STORE:
-            self.stats.stores += 1
-
-        return dyn
+            index = next_index
+        stats.dynamic_instructions = seq
+        stats.completed = index is None
 
 
 def execute(program: Program, max_instructions: int = 5_000_000,

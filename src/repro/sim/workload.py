@@ -85,13 +85,13 @@ class DecodedInst:
 
 def decode_trace(trace: List[DynInst]) -> List[DecodedInst]:
     """Per-trace-entry decode facts, shared across repeats of a static inst."""
-    memo: Dict[int, DecodedInst] = {}
+    memo: Dict[Instruction, DecodedInst] = {}
     decoded: List[DecodedInst] = []
     for dyn in trace:
         inst = dyn.inst
-        facts = memo.get(id(inst))
+        facts = memo.get(inst)
         if facts is None:
-            facts = memo[id(inst)] = DecodedInst(inst)
+            facts = memo[inst] = DecodedInst(inst)
         decoded.append(facts)
     return decoded
 
@@ -157,6 +157,28 @@ class ReplayFacts:
         self.analytic_retire = None
 
 
+#: scoreboard slot of a register key; the internal file's slots follow
+#: the external file's 64, so one flat table holds both namespaces
+_EXTERNAL_SLOT = {("int", index): index for index in range(32)}
+_EXTERNAL_SLOT.update({("fp", index): 32 + index for index in range(32)})
+_INTERNAL_BASE = 64
+
+
+def _scoreboard_form(facts: DecodedInst) -> Tuple:
+    """``(sources, writes)`` of one static instruction, each a tuple of
+    ``(scoreboard slot, internal)``."""
+    def slot(key, internal: bool) -> Tuple[int, bool]:
+        return _EXTERNAL_SLOT[key] + (_INTERNAL_BASE if internal else 0), internal
+
+    sources = tuple(slot(key, internal) for key, internal in facts.src_keys)
+    writes = []
+    if facts.dest_internal:
+        writes.append(slot(facts.written_key, True))
+    if facts.dest_external:
+        writes.append(slot(facts.written_key, False))
+    return sources, tuple(writes)
+
+
 def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
                  load_latency: Dict[int, int],
                  ifetch_extra: Dict[int, int]) -> ReplayFacts:
@@ -167,6 +189,8 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
     destination writes take effect, and consumers always resolve before
     the overwriting writer dispatches (dispatch is in trace order), so
     evict-at-overwrite is observationally identical to the dynamic maps.
+    A producer whose last binding dies can have no later reader, so
+    whether it was ever read is already final there.
     """
     n = len(trace)
     ifetch = [0] * n
@@ -183,69 +207,68 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
     deps: List[Tuple] = [()] * n
     arch = [0] * n
     referenced = bytearray(n)
+    evictions: List[Optional[Tuple[int, ...]]] = [None] * n
     #: producer index -> number of scoreboard slots still binding it
-    slots: Dict[int, int] = {}
-    #: overwriting index -> producer indices whose last binding it kills
-    dead_at: Dict[int, List[int]] = {}
-    ext_last: Dict[Tuple, int] = {}
-    int_last: Dict[Tuple, int] = {}
+    bindings = bytearray(n)
+    #: scoreboard slot -> ``(trace position, internal)`` of its last
+    #: writer: the dependence-row entry every reader of the slot shares
+    last: List[Optional[Tuple[int, bool]]] = [None] * (2 * _INTERNAL_BASE)
+    #: bound internal slots, in binding order (cleared at braid starts)
+    internal_live: List[int] = []
+    forms: Dict[DecodedInst, Tuple] = {}
 
-    def release(producer: int, at: int) -> None:
-        remaining = slots[producer] - 1
-        if remaining:
-            slots[producer] = remaining
-        else:
-            del slots[producer]
-            dead_at.setdefault(at, []).append(producer)
-
-    for i in range(n):
-        dyn = trace[i]
-        facts = decoded[i]
-        if dyn.mem_addr is not None:
-            word = dyn.mem_addr & ~0x7
+    for i, dyn, facts in zip(range(n), trace, decoded):
+        form = forms.get(facts)
+        if form is None:
+            form = forms[facts] = _scoreboard_form(facts)
+        sources, writes = form
+        addr = dyn.mem_addr
+        if addr is not None:
+            word = addr & ~0x7
             mem[i] = word
             if facts.is_load:
                 store_conflict[i] = last_store.get(word)
-            elif facts.is_store:
+            else:
                 last_store[word] = i
-        row = []
-        plain_reads = 0
-        for key, internal in facts.src_keys:
-            producer = (int_last if internal else ext_last).get(key)
-            if producer is None:
-                if not internal:
-                    plain_reads += 1
-                continue
-            row.append((producer, internal))
-            referenced[producer] = 1
-        if row:
-            deps[i] = tuple(row)
-        arch[i] = plain_reads
-        if facts.start and int_last:
-            # Internal values never cross braid boundaries.
-            for producer in int_last.values():
-                release(producer, i)
-            int_last.clear()
-        key = facts.written_key
-        if key is not None:
-            if facts.dest_internal:
-                previous = int_last.get(key)
-                int_last[key] = i
-                slots[i] = slots.get(i, 0) + 1
-                if previous is not None:
-                    release(previous, i)
-            if facts.dest_external:
-                previous = ext_last.get(key)
-                ext_last[key] = i
-                slots[i] = slots.get(i, 0) + 1
-                if previous is not None:
-                    release(previous, i)
+        if sources:
+            row = []
+            plain_reads = 0
+            for slot, internal in sources:
+                binding = last[slot]
+                if binding is None:
+                    if not internal:
+                        plain_reads += 1
+                else:
+                    row.append(binding)
+                    referenced[binding[0]] = 1
+            if row:
+                deps[i] = tuple(row)
+            arch[i] = plain_reads
 
-    evictions: List[Optional[Tuple[int, ...]]] = [None] * n
-    for at, dying in dead_at.items():
-        pruned = tuple(p for p in dying if referenced[p])
-        if pruned:
-            evictions[at] = pruned
+        if facts.start and internal_live:
+            # Internal values never cross braid boundaries.
+            for slot in internal_live:
+                producer = last[slot][0]
+                last[slot] = None
+                bindings[producer] -= 1
+                if not bindings[producer] and referenced[producer]:
+                    dying = evictions[i]
+                    evictions[i] = (producer,) if dying is None else dying + (producer,)
+            internal_live.clear()
+        for slot, internal in writes:
+            previous = last[slot]
+            last[slot] = (i, internal)
+            bindings[i] += 1
+            if previous is None:
+                if internal:
+                    internal_live.append(slot)
+                continue
+            producer = previous[0]
+            bindings[producer] -= 1
+            if not bindings[producer] and referenced[producer]:
+                dying = evictions[i]
+                evictions[i] = (producer,) if dying is None else dying + (producer,)
+
     return ReplayFacts(
         deps=deps,
         arch_reads=arch,
@@ -375,35 +398,41 @@ def prepare_workload(
             stats=stats,
         )
 
+    # The predictor and the caches share no state, so each takes its own
+    # pass: the predictor over the branches alone (a branch is the only
+    # trace entry with an outcome), the caches over the whole trace.
+    branches = [(dyn.seq, dyn.pc, dyn.taken) for dyn in trace
+                if dyn.taken is not None]
     branch_predictor = make_predictor(predictor)
+    predict = branch_predictor.predict
+    update = branch_predictor.update
     for _ in range(max(0, warmup_passes)):
-        for dyn in trace:
-            if dyn.is_branch:
-                branch_predictor.predict(dyn.pc)
-                branch_predictor.update(dyn.pc, bool(dyn.taken))
+        for _, pc, taken in branches:
+            predict(pc)
+            update(pc, taken)
+    for seq, pc, taken in branches:
+        if predict(pc) != taken:
+            mispredicted.add(seq)
+        update(pc, taken)
 
     previous_line = -1
     line_bytes = hierarchy.config.line_bytes
-
+    l1i_latency = hierarchy.config.l1i_latency
+    instruction_fetch = hierarchy.instruction_fetch
+    data_access = hierarchy.data_access
     for dyn in trace:
         line = dyn.pc // line_bytes
         if line != previous_line:
-            latency = hierarchy.instruction_fetch(dyn.pc)
-            extra = latency - hierarchy.config.l1i_latency
+            extra = instruction_fetch(dyn.pc) - l1i_latency
             if extra > 0:
                 ifetch_extra[dyn.seq] = extra
             previous_line = line
-
-        if dyn.is_branch:
-            prediction = branch_predictor.predict(dyn.pc)
-            actual = bool(dyn.taken)
-            branch_predictor.update(dyn.pc, actual)
-            if prediction != actual:
-                mispredicted.add(dyn.seq)
-        elif dyn.is_load:
-            load_latency[dyn.seq] = hierarchy.data_access(dyn.mem_addr)
-        elif dyn.is_store:
-            hierarchy.data_access(dyn.mem_addr)
+        addr = dyn.mem_addr
+        if addr is not None:
+            if dyn.inst.opcode.is_load:
+                load_latency[dyn.seq] = data_access(addr)
+            else:
+                data_access(addr)
 
     stats.mispredicts = len(mispredicted)
     stats.l1d_miss_rate = hierarchy.l1d.stats.miss_rate

@@ -33,9 +33,16 @@ expected/actual values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..sim.functional import ArchState, FunctionalExecutor, apply_instruction
+from ..isa.instruction import Instruction
+from ..sim.functional import (
+    ArchState,
+    FunctionalExecutor,
+    Op,
+    apply_instruction,
+    predecode,
+)
 from ..sim.run import MAX_CYCLES, run_tier
 
 
@@ -89,6 +96,9 @@ class LockstepChecker:
         self._iter = self._oracle.trace()
         # Retirement-order replay through the shared semantics.
         self._replay = ArchState()
+        #: predecoded replayed instructions, keyed by the instruction
+        #: object itself: an ``id()`` key could alias a freed instruction
+        self._ops: Dict[Instruction, Op] = {}
         #: trace position == instructions accounted for (retired or skipped)
         self._position = 0
 
@@ -141,7 +151,7 @@ class LockstepChecker:
                           hex(expected.next_pc), hex(actual.next_pc))
         # Independent replay of the *core's* instruction object: catches
         # semantic corruption the field comparison cannot see.
-        apply_instruction(self._replay, actual.inst)
+        self._apply(actual.inst)
         self._position += 1
         self.instructions_checked += 1
 
@@ -159,9 +169,15 @@ class LockstepChecker:
                 self._diverge(-1, "coverage",
                               "end of program", f"skip to {new_index}")
                 return
-            apply_instruction(self._replay, dyn.inst)
+            self._apply(dyn.inst)
             self._position += 1
             self.instructions_skipped += 1
+
+    def _apply(self, inst: Instruction) -> None:
+        op = self._ops.get(inst)
+        if op is None:
+            op = self._ops[inst] = predecode(inst)
+        apply_instruction(self._replay, inst, True, op)
 
     # ------------------------------------------------------------------ finish
     def finish(self, expect_full: bool = True) -> List[Divergence]:

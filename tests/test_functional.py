@@ -6,14 +6,16 @@ from repro.isa import assemble
 from repro.isa.instruction import BraidAnnotation, Instruction
 from repro.isa.opcodes import opcode_by_name, to_unsigned
 from repro.isa.program import BasicBlock, Program
-from repro.isa.registers import Space, int_reg
+from repro.isa.registers import NUM_INTERNAL_REGS, Space, fp_reg, int_reg
 from repro.sim.functional import (
     INSTRUCTION_BYTES,
     ArchState,
     ExecutionError,
     FunctionalExecutor,
     ProgramLayout,
+    apply_instruction,
     execute,
+    observably_equivalent,
 )
 
 
@@ -50,9 +52,17 @@ class TestStraightLine:
         assert state.int_regs[2] == 0
 
     def test_word_addressing_ignores_low_bits(self):
-        state = ArchState()
-        state.store(0x1004, 7)
-        assert state.load(0x1000, fp=False) == 7
+        program = assemble(
+            """
+            addq r31, #4100, r1
+            addq r31, #7, r2
+            stq r2, 0(r1)
+            ldq r3, -4(r1)
+            """
+        )
+        state, _ = execute(program)
+        assert state.memory == {0x1000: 7}
+        assert state.int_regs[3] == 7
 
     def test_fp_flow(self):
         program = assemble(
@@ -88,6 +98,36 @@ class TestControlFlow:
         _, stats = execute(program, max_instructions=100)
         assert not stats.completed
         assert stats.dynamic_instructions == 100
+
+    def test_cap_landing_on_the_exit_completes(self, gcc_program):
+        _, full = execute(gcc_program)
+        assert full.completed
+        _, capped = execute(gcc_program,
+                            max_instructions=full.dynamic_instructions)
+        assert capped == full
+        _, short = execute(gcc_program,
+                           max_instructions=full.dynamic_instructions - 1)
+        assert not short.completed
+        assert observably_equivalent(
+            gcc_program, gcc_program,
+            max_instructions=full.dynamic_instructions,
+        )
+
+    def test_cap_mid_block_stops_with_exact_stats(self, small_program):
+        # ENTRY holds two instructions and LOOP five: a cap of 10 stops
+        # after the third instruction of LOOP's second iteration.
+        executor = FunctionalExecutor(small_program, max_instructions=10)
+        trace = list(executor.trace())
+        stats = executor.stats
+        assert len(trace) == stats.dynamic_instructions == 10
+        assert [d.seq for d in trace] == list(range(10))
+        assert not stats.completed
+        assert stats.block_counts == {0: 1, 1: 2}
+        assert stats.dynamic_branches == sum(d.is_branch for d in trace) == 1
+        assert stats.taken_branches == 1
+        assert stats.stores == sum(d.is_store for d in trace) == 2
+        assert stats.loads == 0
+        assert trace[-1].inst is small_program.blocks[1].instructions[2]
 
 
 class TestTrace:
@@ -167,6 +207,43 @@ class TestInternalSpace:
             # Still fails: the value was never written at all.
             execute(program, strict_internal=False)
 
+    def test_strict_internal_off_keeps_values_across_a_braid_start(self):
+        addq = opcode_by_name("addq")
+        write = Instruction(
+            opcode=addq, dest=int_reg(2), srcs=(int_reg(1), int_reg(31)),
+            annot=BraidAnnotation(braid_id=0, start=True,
+                                  dest_internal=True, dest_external=False),
+        )
+        read = Instruction(
+            opcode=addq, dest=int_reg(5), srcs=(int_reg(2), int_reg(31)),
+            annot=BraidAnnotation(braid_id=1, start=True,
+                                  src_spaces=(Space.INTERNAL, Space.EXTERNAL)),
+        )
+        program = Program(name="cross", blocks=[BasicBlock(0, [write, read])])
+        with pytest.raises(ExecutionError):
+            execute(program)
+        initial = ArchState()
+        initial.int_regs[1] = 11
+        executor = FunctionalExecutor(program, strict_internal=False,
+                                      initial_state=initial)
+        executor.run()
+        assert executor.state.int_regs[5] == 11
+
+    def test_internal_write_beyond_the_internal_file_raises(self):
+        inst = Instruction(
+            opcode=opcode_by_name("addq"), dest=int_reg(NUM_INTERNAL_REGS),
+            srcs=(int_reg(31), int_reg(31)),
+            annot=BraidAnnotation(braid_id=0, start=True,
+                                  dest_internal=True, dest_external=True),
+        )
+        program = Program(name="wide", blocks=[BasicBlock(0, [inst])])
+        with pytest.raises(ExecutionError, match="out of range"):
+            execute(program)
+        state = ArchState()
+        with pytest.raises(ExecutionError, match="out of range"):
+            apply_instruction(state, inst)
+        assert state.int_regs[NUM_INTERNAL_REGS] == 0
+
     def test_zero_register_write_discarded(self):
         program = assemble("addq r1, r2, r31")
         state, _ = execute(program)
@@ -177,6 +254,42 @@ class TestInternalSpace:
         b, _ = execute(small_program)
         assert a.snapshot() == b.snapshot()
         hash(a.snapshot())
+
+
+class TestInitialState:
+    def test_registers_memory_and_fp_are_honoured(self):
+        program = assemble(
+            """
+            ldq r3, 0(r1)
+            addq r3, r3, r4
+            stq r4, 8(r1)
+            addt f2, f2, f4
+            stt f4, 16(r1)
+            """
+        )
+        initial = ArchState()
+        initial.int_regs[1] = 4096
+        initial.memory[4096] = 21
+        initial.fp_regs[2] = 1.25
+        executor = FunctionalExecutor(program, initial_state=initial)
+        trace = list(executor.trace())
+        state = executor.state
+        assert state is initial
+        assert state.int_regs[3] == 21 and state.int_regs[4] == 42
+        assert state.memory[4096 + 8] == 42
+        assert state.fp_regs[fp_reg(4).index] == 2.5
+        assert state.memory[4096 + 16] == 2.5
+        assert [d.mem_addr for d in trace] == [4096, None, 4104, None, 4112]
+
+    def test_float_in_memory_loads_as_an_integer(self):
+        state = ArchState()
+        state.memory[0x2000] = 3.75
+        program = assemble("ldq r2, 0(r1)\nlds f3, 0(r1)")
+        state.int_regs[1] = 0x2000
+        executor = FunctionalExecutor(program, initial_state=state)
+        executor.run()
+        assert state.int_regs[2] == 3
+        assert state.fp_regs[3] == 3.75
 
 
 class TestCmovSemantics:

@@ -13,6 +13,7 @@ these tests check both directions:
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -156,6 +157,21 @@ class TestLockstepCatches:
         with pytest.raises(DivergenceError) as excinfo:
             core.run()
         assert excinfo.value.divergence.field == "mem_addr"
+
+    def test_changed_semantics_is_final_state_divergence(self, ctx):
+        # Same opcode, pc and outcome, but another immediate: only the
+        # independent replay through apply_instruction can see it.
+        workload = copy.deepcopy(ctx.workload("gcc"))
+        victim = next(
+            d for d in reversed(workload.trace)
+            if d.inst.opcode.name in ("addqi", "lda") and d.inst.writes()
+        )
+        victim.inst = dataclasses.replace(victim.inst, imm=victim.inst.imm + 8)
+        core = build_core(workload, ooo_config())
+        checker = LockstepChecker(workload, fail_fast=False).attach(core)
+        core.run()
+        fields = [d.field for d in checker.finish()]
+        assert fields and all(field.startswith("final_") for field in fields)
 
     def test_dropped_instruction_is_coverage_divergence(self, ctx):
         workload = ctx.workload("mcf")
