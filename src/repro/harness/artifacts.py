@@ -51,6 +51,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..sim.gcpause import collector_paused
+
 #: Bump when artifact pickles or phase-one semantics change shape.
 #: v2: SimResult grew observability fields (cpi_stack, metrics).
 #: v3: SimResult grew the fidelity field; result keys carry a fidelity
@@ -162,7 +164,7 @@ class ArtifactCache:
             return None
         path = self.path_for(key)
         try:
-            with open(path, "rb") as handle:
+            with open(path, "rb") as handle, collector_paused():
                 value = pickle.load(handle)
         except FileNotFoundError:
             self.misses += 1

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import gc
 import os
-from contextlib import contextmanager
 from typing import Optional
 
 from .config import MachineConfig
 from .core import TimingCore
+from .gcpause import collector_paused
 from .registry import descriptor_for
 from .results import SimResult
 from .workload import PreparedWorkload
@@ -27,27 +26,6 @@ _FALLBACK_EXTRA = {
     "sampled": "sample_fallback_exact",
     "interval": "interval_fallback_exact",
 }
-
-
-@contextmanager
-def collector_paused():
-    """Pause CPython's cyclic garbage collector for the enclosed run.
-
-    Usable as ``with collector_paused():`` or as a decorator.  Phase one
-    leaves a few hundred thousand long-lived objects on the heap, and
-    every full collection during a run rescans all of them, while the
-    kernel's own allocations form no reference cycles
-    (``tests/test_run_gc.py`` pins this), so reference counting alone
-    frees them.  The collector is re-enabled on exit only if it was on
-    when the scope began.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def resolve_tier(

@@ -29,6 +29,7 @@ from ..isa.registers import Space
 from ..uarch.branchpred import make_predictor
 from ..uarch.cache import MemoryHierarchy, MemoryHierarchyConfig
 from .functional import DynInst, FunctionalExecutor
+from .gcpause import collector_paused
 
 
 class DecodedInst:
@@ -331,15 +332,18 @@ class PreparedWorkload:
     def decode(self) -> List[DecodedInst]:
         """Decode facts for every trace entry, computed once per workload."""
         if self.decoded is None:
-            self.decoded = decode_trace(self.trace)
+            with collector_paused():
+                self.decoded = decode_trace(self.trace)
         return self.decoded
 
     def replay(self) -> ReplayFacts:
         """Replay arrays shared by every timing core driving this workload."""
         if self.replay_facts is None:
-            self.replay_facts = build_replay(
-                self.trace, self.decode(), self.load_latency, self.ifetch_extra
-            )
+            with collector_paused():
+                self.replay_facts = build_replay(
+                    self.trace, self.decode(), self.load_latency,
+                    self.ifetch_extra,
+                )
         return self.replay_facts
 
     def __getstate__(self):
@@ -348,6 +352,7 @@ class PreparedWorkload:
         return state
 
 
+@collector_paused()
 def prepare_workload(
     program: Program,
     predictor: str = "perceptron",

@@ -1,8 +1,14 @@
 """Public API surface tests: every exported name resolves and is documented."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -61,3 +67,30 @@ class TestVersion:
         import repro
 
         assert repro.__version__.count(".") == 2
+
+
+class TestNoUndeclaredDependency:
+    def test_no_module_imports_numpy(self):
+        # pyproject.toml declares no runtime dependency, so importing
+        # every module of the package must pull in no numpy; a fresh
+        # interpreter keeps the test suite's own imports out of it.
+        script = (
+            "import importlib, pkgutil, sys, repro\n"
+            "names = [m.name for m in pkgutil.walk_packages("
+            "repro.__path__, 'repro.')]\n"
+            "for name in names:\n"
+            "    importlib.import_module(name)\n"
+            "print(len(names), 'numpy' in sys.modules)\n"
+        )
+        source = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [source, os.environ.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        modules, numpy_loaded = completed.stdout.split()
+        assert int(modules) > 50
+        assert numpy_loaded == "False"

@@ -1,12 +1,16 @@
-"""The run scope pauses the cyclic collector; the kernel must stay acyclic.
+"""Runs and phase one pause the cyclic collector, so both must stay acyclic.
 
-Every tier runs inside :func:`repro.sim.run.collector_paused`, so memory
-a run allocates is freed by reference counting alone.  That is safe only
-while a finished run leaves no reference cycles behind: here every
-registered core runs every tier (plus a lockstep-checked and a
-fault-injected run) with the collector off, at two trace lengths, and
-``gc.collect()`` afterwards must find nothing at either: no count that
-could grow with the number of simulated instructions.
+Every tier runs inside :func:`repro.sim.gcpause.collector_paused`, and so
+do phase one (``prepare_workload``, ``PreparedWorkload.decode`` and
+``PreparedWorkload.replay``) and artifact-cache loads, so memory they
+allocate is freed by reference counting alone.  That is safe only while
+each leaves no reference cycles behind.  Here every registered core runs
+every tier (plus a lockstep-checked and a fault-injected run) with the
+collector off, at two trace lengths, and ``gc.collect()`` afterwards must
+find nothing at either: no count that could grow with the number of
+simulated instructions.  Phase one, braid compilation and an artifact
+put/get round trip must likewise find nothing, on the quick benchmarks
+in original and braided form.
 
 A run that raises part-way (a hang, a divergence) is not covered: its
 in-flight producers still list their waiting consumers, which point
@@ -22,6 +26,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import braidify
 from repro.faults.inject import run_injection
 from repro.faults.model import FaultOutcome
 from repro.harness.artifacts import ArtifactCache
@@ -32,7 +37,9 @@ from repro.sim.interval import IntervalConfig
 from repro.sim.registry import core_registry
 from repro.sim.run import collector_paused, simulate
 from repro.sim.sampling import SamplingConfig
+from repro.sim.workload import prepare_workload
 from repro.validate import ValidationConfig
+from repro.workloads import QUICK_BENCHMARKS, build_program
 
 REGISTRY = core_registry()
 LENGTHS = (1_500, 3_000)
@@ -81,22 +88,25 @@ def runs(prepared, config):
     }
 
 
-def garbage_after(run) -> int:
-    """Objects only the cyclic collector can free after one ``run()``
-    made with the collector off."""
+def garbage_after(work):
+    """What one ``work()`` made with the collector off returned, and the
+    objects only the cyclic collector can free after it."""
     gc.collect()
     gc.disable()
     try:
-        outcome = run()
+        outcome = work()
         found = gc.collect()
     finally:
         gc.enable()
+    return outcome, found
+
+
+def assert_ran_in_full(outcome) -> None:
     if hasattr(outcome, "outcome"):
         assert outcome.injected and outcome.outcome is FaultOutcome.MASKED
     else:
         assert not outcome.extra.get("sample_fallback_exact")
         assert not outcome.extra.get("interval_fallback_exact")
-    return found
 
 
 @pytest.mark.parametrize("key", list(REGISTRY))
@@ -107,13 +117,39 @@ def test_runs_leave_no_cycles(key):
     for length in LENGTHS:
         modes = runs(workload(length, descriptor.braided), config)
         for mode, run in modes.items():
-            counts[(mode, length)] = garbage_after(run)
+            outcome, counts[(mode, length)] = garbage_after(run)
+            assert_ran_in_full(outcome)
     for mode in modes:
         short, long = (counts[(mode, length)] for length in LENGTHS)
         assert short == long == 0, (
             f"{key}/{mode}: gc.collect() found {short} objects after "
             f"{LENGTHS[0]} instructions and {long} after {LENGTHS[1]}"
         )
+
+
+@pytest.mark.parametrize("name", QUICK_BENCHMARKS)
+def test_phase_one_leaves_no_cycles(name, tmp_path):
+    cache = ArtifactCache(root=tmp_path)
+
+    def phase_one():
+        program = build_program(name)
+        forms = {"original": program, "braided": braidify(program).translated}
+        for form, source in forms.items():
+            prepared = prepare_workload(source)
+            prepared.decode()
+            prepared.replay()
+            key = ("workload", name, form)
+            cache.put(key, prepared)
+            loaded = cache.get(key)
+            assert loaded.mispredicted == prepared.mispredicted
+            loaded.replay()
+        return cache.hits
+
+    hits, found = garbage_after(phase_one)
+    assert hits == 2
+    assert found == 0, (
+        f"{name}: gc.collect() found {found} objects after phase one"
+    )
 
 
 class TestCollectorRestored:
