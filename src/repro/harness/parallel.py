@@ -4,8 +4,10 @@ The timing cores are pure Python, so threads cannot scale them; this module
 runs tasks on dedicated worker processes instead — one fleet,
 :func:`run_tasks_hardened`, with per-task wall-clock deadlines and watchdog
 kill, classified retry with backoff, quarantine (not abort) of tasks that
-keep failing, heartbeats, and crash-safe file-inbox result delivery.  Fault
-campaigns (:mod:`repro.faults`) call it directly with a fixed task list.
+keep failing, and heartbeats.  Each worker gets its tasks and returns its
+results over one private pipe, so a worker's death costs only its own
+task.  Fault campaigns (:mod:`repro.faults`) call it directly with a fixed
+task list.
 The service supervisor runs one fleet per drain and feeds it through the
 ``refill`` callback: each worker that frees up gets the next claimed job,
 so one long job holds only its own worker.
@@ -31,13 +33,10 @@ import itertools
 import math
 import multiprocessing
 import os
-import pickle
-import queue as queue_module
-import select
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..service.retry import PERMANENT, RetryPolicy
@@ -190,114 +189,37 @@ class TaskOutcome:
         return self.status == "ok"
 
 
-def _deliver_message(inbox: str, message: Tuple) -> None:
-    """Atomically deliver one result message into the parent's inbox.
+def _hardened_worker(fn, conn) -> None:
+    """Worker loop: run tasks from ``conn`` until the ``None`` sentinel.
 
-    Results travel through the filesystem, not a shared
-    ``multiprocessing.Queue``, deliberately: a queue's writer side is a
-    pipe guarded by a cross-process lock, and a worker that dies (or is
-    watchdog-killed) while its feeder thread holds that lock leaks the
-    lock forever, wedging every *other* worker's deliveries.  A pickle
-    written to a private temp file and published with ``os.replace`` is
-    immune — any kill point leaves either no message or a complete one,
-    the same crash-safety idiom the artifact cache and the campaign
-    journal use.
-    """
-    fd, tmp_name = tempfile.mkstemp(dir=inbox, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(message, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    global _MESSAGE_COUNTER
-    _MESSAGE_COUNTER += 1
-    final = os.path.join(
-        inbox, f"{os.getpid()}-{_MESSAGE_COUNTER}.msg"
-    )
-    os.replace(tmp_name, final)
-
-
-#: per-process message sequence number (workers inherit 0 after fork)
-_MESSAGE_COUNTER = 0
-
-
-def _drain_inbox(inbox: str) -> List[Tuple]:
-    """Collect and remove every complete message currently in the inbox."""
-    messages: List[Tuple] = []
-    try:
-        names = sorted(os.listdir(inbox))
-    except OSError:
-        return messages
-    for name in names:
-        if not name.endswith(".msg"):
-            continue
-        path = os.path.join(inbox, name)
-        try:
-            with open(path, "rb") as handle:
-                messages.append(pickle.load(handle))
-        except (OSError, pickle.UnpicklingError, EOFError):
-            continue  # should be impossible (rename is atomic); skip
-        finally:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-    return messages
-
-
-def _ring(wake: int) -> None:
-    """Wake the parent after a delivery (a hint; the inbox is the message).
-
-    A raw pipe write takes no lock, so a worker killed mid-write cannot
-    wedge the others (see :func:`_deliver_message`).  The write end is
-    non-blocking: a full pipe already holds a pending wake-up.
-    """
-    try:
-        os.write(wake, b"\0")
-    except OSError:
-        pass
-
-
-def _hardened_worker(fn, task_queue, inbox, wake) -> None:
-    """Worker loop: run tasks until the ``None`` sentinel arrives.
-
+    Each task arrives as ``(payload,)`` and its answer goes back on the
+    same private pipe as ``("ok", result)`` or ``("error", text)``.
     Exceptions from ``fn`` are reported as infrastructure errors — domain
     outcomes (an injected run crashing its simulator) are classified
     *inside* ``fn`` and come back as ordinary results.  The idle wait is
     bounded so a worker orphaned by a SIGKILLed parent (daemon flags only
     act on normal interpreter exit) notices the re-parenting and exits
-    instead of blocking on the queue forever.
+    instead of blocking on the pipe forever.
     """
     while True:
-        try:
-            item = task_queue.get(timeout=5.0)
-        except queue_module.Empty:
+        if not conn.poll(5.0):
             if os.getppid() == 1:  # parent died; we were re-parented
                 return
             continue
-        if item is None:
+        task = conn.recv()
+        if task is None:
             return
-        task_id, attempt, payload = item
         try:
-            result = fn(payload)
-            message = (task_id, attempt, "ok", result, None)
+            message = ("ok", fn(task[0]))
         except BaseException as error:  # noqa: BLE001 - report, don't die
-            message = (task_id, attempt, "error", None,
-                       f"{type(error).__name__}: {error}")
+            message = ("error", f"{type(error).__name__}: {error}")
         try:
-            _deliver_message(inbox, message)
+            conn.send(message)
         except BaseException as error:  # e.g. the result does not pickle
-            _deliver_message(
-                inbox,
-                (task_id, attempt, "error", None,
-                 f"result delivery failed: "
-                 f"{type(error).__name__}: {error}"),
-            )
-        _ring(wake)
+            conn.send((
+                "error",
+                f"result delivery failed: {type(error).__name__}: {error}",
+            ))
 
 
 @dataclass
@@ -316,23 +238,23 @@ class _Assignment:
 
 
 class _HardenedWorker:
-    """One dedicated worker process plus its private task queue.
+    """One dedicated worker process plus its private duplex pipe.
 
-    The task queue is safe against worker death: the parent is its only
-    writer (so no worker can leak its write lock) and the worker its
-    only reader (a leaked read lock dies with the queue, which is
-    discarded on respawn).  Results come back through the inbox
-    directory — see :func:`_deliver_message`.
+    Tasks go down and results come back on the one pipe.  Unlike a
+    shared ``multiprocessing.Queue`` it has no cross-process lock a
+    dying worker could leak: each direction has one writer.  A worker
+    killed mid-send leaves a torn message, which the parent's ``recv``
+    reports as end of file — the same as the worker's death — and the
+    pipe is discarded with the worker.
     """
 
-    def __init__(self, mp_context, fn, inbox, wake) -> None:
-        self.task_queue = mp_context.Queue()
+    def __init__(self, mp_context, fn) -> None:
+        self.conn, child = mp_context.Pipe()
         self.process = mp_context.Process(
-            target=_hardened_worker,
-            args=(fn, self.task_queue, inbox, wake),
-            daemon=True,
+            target=_hardened_worker, args=(fn, child), daemon=True
         )
         self.process.start()
+        child.close()
         self.assignment: Optional[_Assignment] = None
 
     def kill(self) -> None:
@@ -341,20 +263,16 @@ class _HardenedWorker:
             self.process.join(timeout=5.0)
         except (OSError, ValueError):
             pass
-        try:
-            self.task_queue.close()
-        except (OSError, ValueError):
-            pass
+        self.conn.close()
 
     def stop(self) -> None:
         """Graceful shutdown: sentinel, short join, then kill."""
         try:
-            self.task_queue.put(None)
-        except (OSError, ValueError):
+            self.conn.send(None)
+        except OSError:
             pass
         self.process.join(timeout=1.0)
-        if self.process.is_alive():
-            self.kill()
+        self.kill()
 
 
 def _run_tasks_serial(
@@ -466,12 +384,14 @@ def run_tasks_hardened(
     * **watchdog kill** — a task that exceeds the policy deadline of wall
       clock gets its worker killed and respawned;
     * **classified, bounded retry with backoff** — *retryable*
-      infrastructure failures (worker death, watchdog timeout, delivery
-      failure, OSError-family exceptions) are retried up to the policy's
-      attempt budget, each retry delayed by capped exponential backoff
-      with deterministic per-(task, attempt) jitter; *permanent* task
-      errors (any other exception escaping ``fn``) quarantine
-      immediately — they would fail identically every time;
+      infrastructure failures (worker death, including a worker killed
+      while sending its result; watchdog timeout; a result that does
+      not pickle; OSError-family exceptions) are retried up to the
+      policy's attempt budget, each retry delayed by capped exponential
+      backoff with deterministic per-(task, attempt) jitter; *permanent*
+      task errors (any other exception escaping ``fn``, or a payload
+      that does not pickle) quarantine immediately — they would fail
+      identically every time;
     * **quarantine, not abort** — a task that exhausts its attempts (or
       fails permanently) is marked ``"quarantined"`` and the remaining
       tasks keep running;
@@ -522,13 +442,7 @@ def run_tasks_hardened(
     if refill is None:
         jobs = min(jobs, len(tasks))
     jobs = max(1, min(jobs, os.cpu_count() or 1))
-    inbox_dir = tempfile.TemporaryDirectory(prefix="repro-hardened-")
-    inbox = inbox_dir.name
-    wake_r, wake_w = os.pipe()
-    os.set_blocking(wake_w, False)
-    workers = [
-        _HardenedWorker(mp_context, fn, inbox, wake_w) for _ in range(jobs)
-    ]
+    workers = [_HardenedWorker(mp_context, fn) for _ in range(jobs)]
     outcomes: Dict[int, TaskOutcome] = {}
     partial: Dict[int, TaskOutcome] = {
         index: TaskOutcome(task_id=task_id, status="quarantined")
@@ -570,78 +484,98 @@ def run_tasks_hardened(
             pending.append((not_before, index, attempt + 1))
 
     try:
-        while refill is not None or len(outcomes) < len(tasks):
+        while True:
             now = time.monotonic()
             # Dispatch ready tasks to idle workers, refilling an idle
             # worker only when nothing at all is pending.
             for worker in workers:
-                if worker.assignment is not None:
-                    continue
-                if not pending and refill is not None:
-                    offered = refill()
-                    if offered is None:
-                        refill = None
-                    else:
-                        partial[len(tasks)] = TaskOutcome(
-                            task_id=offered[0], status="quarantined"
-                        )
-                        pending.append((0.0, len(tasks), 1))
-                        tasks.append(offered)
-                if not pending:
-                    continue
-                slot = None
-                for position, item in enumerate(pending):
-                    if item[0] <= now:
-                        slot = position
-                        break
-                if slot is None:
-                    continue
-                _, index, attempt = pending.pop(slot)
-                task_id, payload = tasks[index]
-                partial[index].attempts = attempt
-                worker.task_queue.put((task_id, attempt, payload))
-                worker.assignment = _Assignment(
-                    index=index, task_id=task_id, attempt=attempt,
-                    deadline=now + policy.deadline, dispatched=now,
-                )
-            # Drain delivered results.  When the inbox is empty, wait for
-            # a worker's wake-up byte; the short timeout keeps deadlines
-            # responsive and covers a lost wake-up.
-            messages = _drain_inbox(inbox)
-            if not messages and select.select([wake_r], [], [], 0.02)[0]:
-                os.read(wake_r, 4096)
-            for task_id, attempt, status, result, error in messages:
-                for worker in workers:
-                    if (
-                        worker.assignment is not None
-                        and worker.assignment.task_id == task_id
-                        and worker.assignment.attempt == attempt
-                    ):
-                        index = worker.assignment.index
-                        worker.assignment = None
-                        if status == "ok":
-                            settle(index, "ok", result=result)
+                while worker.assignment is None:
+                    if not pending and refill is not None:
+                        offered = refill()
+                        if offered is None:
+                            refill = None
                         else:
-                            fail_attempt(index, attempt, error)
+                            partial[len(tasks)] = TaskOutcome(
+                                task_id=offered[0], status="quarantined"
+                            )
+                            pending.append((0.0, len(tasks), 1))
+                            tasks.append(offered)
+                    slot = None
+                    for position, item in enumerate(pending):
+                        if item[0] <= now:
+                            slot = position
+                            break
+                    if slot is None:
                         break
-                # Unmatched messages are stale (their worker was already
-                # killed for a deadline miss) and are dropped.
-            # Enforce deadlines and detect dead workers.
+                    _, index, attempt = pending.pop(slot)
+                    task_id, payload = tasks[index]
+                    partial[index].attempts = attempt
+                    worker.assignment = _Assignment(
+                        index=index, task_id=task_id, attempt=attempt,
+                        deadline=now + policy.deadline, dispatched=now,
+                    )
+                    try:
+                        worker.conn.send((payload,))
+                    except OSError:
+                        pass  # the worker is gone; its sentinel reports it
+                    except Exception as error:  # the payload does not pickle
+                        # send pickles before it writes: the pipe is clean
+                        # and the worker stays idle for the next task.
+                        worker.assignment = None
+                        fail_attempt(
+                            index, attempt,
+                            f"task delivery failed: "
+                            f"{type(error).__name__}: {error}",
+                        )
+            if refill is None and len(outcomes) == len(tasks):
+                break
+            # Sleep until a worker answers or dies, or until the nearest
+            # deadline or retry backoff comes due.
+            wake = [w.assignment.deadline for w in workers if w.assignment]
+            if pending and any(w.assignment is None for w in workers):
+                wake.append(min(item[0] for item in pending))
+            timeout = min(wake, default=math.inf) - now
+            ready = wait(
+                [w.conn for w in workers if w.assignment]
+                + [w.process.sentinel for w in workers],
+                None if timeout == math.inf else max(0.0, timeout),
+            )
+            # Collect results, replace dead workers, enforce deadlines.
             now = time.monotonic()
             for position, worker in enumerate(workers):
-                if worker.assignment is None:
+                assignment = worker.assignment
+                if assignment is not None and worker.conn in ready:
+                    try:
+                        status, value = worker.conn.recv()
+                    except (EOFError, OSError):
+                        # No result, or a torn one: the worker died, maybe
+                        # mid-send.  Reap it so its exit code is known.
+                        worker.kill()
+                    else:
+                        worker.assignment = None
+                        if status == "ok":
+                            settle(assignment.index, "ok", result=value)
+                        else:
+                            fail_attempt(
+                                assignment.index, assignment.attempt, value
+                            )
+                        assignment = None
+                if assignment is None:
                     if not worker.process.is_alive():
                         worker.kill()
-                        workers[position] = _HardenedWorker(
-                            mp_context, fn, inbox, wake_w
-                        )
+                        workers[position] = _HardenedWorker(mp_context, fn)
                     continue
-                assignment = worker.assignment
                 task_id = assignment.task_id
                 attempt = assignment.attempt
                 reason = None
                 snapshot = None
-                if now > assignment.deadline:
+                if not worker.process.is_alive():
+                    code = worker.process.exitcode
+                    reason = f"worker died mid-task (exit code {code})"
+                    if progress_probe is not None:
+                        snapshot = progress_probe(task_id)
+                        reason += f"; {_describe_beat(snapshot)}"
+                elif now > assignment.deadline:
                     if progress_probe is not None:
                         snapshot = progress_probe(task_id)
                     if _deadline_extension_ok(
@@ -664,26 +598,15 @@ def run_tasks_hardened(
                         f"wall-clock timeout after {elapsed:.1f}s "
                         f"(worker killed)"
                     )
-                elif not worker.process.is_alive():
-                    code = worker.process.exitcode
-                    reason = f"worker died mid-task (exit code {code})"
-                    if progress_probe is not None:
-                        snapshot = progress_probe(task_id)
-                        reason += f"; {_describe_beat(snapshot)}"
                 if reason is not None:
                     _note_once(
                         f"hardened task {task_id!r}: {reason}; "
                         f"attempt {attempt}/{policy.max_attempts}"
                     )
                     worker.kill()
-                    workers[position] = _HardenedWorker(
-                        mp_context, fn, inbox, wake_w
-                    )
+                    workers[position] = _HardenedWorker(mp_context, fn)
                     fail_attempt(assignment.index, attempt, reason)
     finally:
         for worker in workers:
             worker.stop()
-        os.close(wake_r)
-        os.close(wake_w)
-        inbox_dir.cleanup()
     return [outcomes[index] for index in range(len(tasks))]

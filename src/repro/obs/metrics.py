@@ -118,8 +118,8 @@ class MetricsRegistry:
         labelled ``{stat="mean"|"p50"|"p95"|"max"|"weight"|"overflow"}``
         — the digest shape the rest of the repo already exposes, kept
         instead of native Prometheus buckets so the exported numbers
-        match ``status``/``state.json`` exactly.  Dots and other
-        non-metric characters in names collapse to ``_``.
+        match ``status`` exactly.  Dots and other non-metric characters
+        in names collapse to ``_``.
         """
         lines: List[str] = []
         for name in sorted(self.counters):

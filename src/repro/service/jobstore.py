@@ -4,7 +4,6 @@ A store is one directory::
 
     store/
       journal.jsonl      append-only fsynced event log (source of truth)
-      state.json         atomic-rename snapshot (operator convenience)
       results/           ArtifactCache holding finished result payloads
       chaos-marks/       chaos-occurrence marks (chaos runs only)
 
@@ -28,9 +27,13 @@ counters are part of the chaos harness's pinned invariants).  Results
 live in a :class:`~repro.harness.artifacts.ArtifactCache` keyed by the
 same request key: identical work is stored once, corrupt entries are
 quarantined by the cache and healed by :meth:`JobStore.recover`, and a
-``done`` journal record is only ever written *after* its result file is
-durable, so a journaled result always exists (the reverse — a result
-with no journal record — costs one idempotent re-run).
+``done`` journal record is only ever written *after* its result file has
+been renamed into place.  The rename is atomic but not fsynced, so a
+journaled result survives a process kill; after an OS crash a ``done``
+job's result may be missing, and :meth:`JobStore.recover` (through
+:meth:`JobStore.verify_results`) requeues any ``done`` job whose result
+does not load.  The reverse — a result with no journal record — costs
+one idempotent re-run.
 
 The store root defaults to ``$REPRO_SERVICE_DIR`` (a deployment path),
 else ``~/.cache/repro/service``; the per-client quota is the ``quota``
@@ -48,7 +51,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..harness.artifacts import ArtifactCache
-from .journal import JournalError, JsonlJournal, read_json, write_json_atomic
+from .journal import JournalError, JsonlJournal
 from .telemetry import event_stamp, job_timeline, read_progress
 
 #: bump when event semantics or the result payload layout change
@@ -425,13 +428,15 @@ class JobStore:
 
     @_mutation
     def complete(self, job_id: str, result: Any, attempts: int) -> None:
-        """Publish a result durably, then journal ``done``.
+        """Publish a result file, then journal ``done``.
 
         Order matters: result file first (atomic rename), journal record
         second.  A kill between the two leaves a result file with no
         record — the job replays as interrupted and reruns, overwriting
         the file with bit-identical content.  The reverse order could
-        journal a result that does not exist.
+        journal a result that does not exist.  The result file is not
+        fsynced: it survives a process kill, and a result lost to an OS
+        crash is requeued by :meth:`recover`.
         """
         job = self.job(job_id)
         payload = _canonical(result)
@@ -577,19 +582,6 @@ class JobStore:
             if job.status == RUNNING:
                 out[job_id]["progress"] = self.progress(job_id)
         return out
-
-    def write_state(self) -> None:
-        """Atomic-rename snapshot for operators (journal stays the truth)."""
-        if self.readonly:
-            return
-        write_json_atomic(self.root / "state.json", {
-            "version": SERVICE_FORMAT_VERSION,
-            "counters": self.counters(),
-            "jobs": self.summaries(),
-        })
-
-    def state_snapshot(self) -> Optional[Dict[str, Any]]:
-        return read_json(self.root / "state.json")
 
     def close(self) -> None:
         self.journal.close()

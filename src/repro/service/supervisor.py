@@ -24,17 +24,17 @@ Durability protocol per job (each step is one fsynced journal event):
    supervisor killed mid-dispatch leaves the job ``running``, and
    :meth:`~repro.service.jobstore.JobStore.recover` requeues it on the
    next start;
-2. on success the result payload is published atomically *before*
-   ``done`` is journaled — a journaled result always exists on disk;
+2. on success the result payload is renamed into place *before*
+   ``done`` is journaled — a journaled result survives a process kill,
+   and one lost to an OS crash is requeued by ``recover``;
 3. failures journal ``failed`` with the classified permanence, or
    ``requeue`` when the result-store write itself failed transiently
    (simulated disk-quota exhaustion in the chaos harness).
 
 SIGTERM/SIGINT request a graceful drain: nothing more is claimed, the
 in-flight jobs settle, the rest of the queue is left untouched, a
-``drain`` event and a fresh ``state.json`` snapshot are written, and the
-exit is clean.  SIGKILL needs no protocol at all — that is the point of
-the journal.
+``drain`` event is journaled, and the exit is clean.  SIGKILL needs no
+protocol at all — that is the point of the journal.
 """
 
 from __future__ import annotations
@@ -157,7 +157,6 @@ class Supervisor:
             self.publish_observability()
         drained = self._drain_requested
         self.store.drain(graceful=True)
-        self.store.write_state()
         self.publish_observability(draining=True)
         # Fold the final store counters into the supervisor's own
         # registry for the in-process caller — after the exposition

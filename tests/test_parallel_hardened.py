@@ -12,8 +12,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
+import pickle
 import signal
+import struct
+import threading
 import time
 
 import pytest
@@ -73,6 +77,36 @@ def _die_first_attempt(payload):
 
 def _sleep_forever(payload):
     time.sleep(600)
+
+
+def _megabyte(payload):
+    """About 1 MiB, more than a pipe buffer holds, distinct per payload."""
+    return bytes([payload]) * (1 << 20)
+
+
+def _torn_send(conn, message):
+    """Send the length prefix and half of ``message``, then SIGKILL."""
+    data = pickle.dumps(message)
+    view = memoryview(struct.pack("!i", len(data)) + data[:len(data) // 2])
+    while view:
+        view = view[os.write(conn.fileno(), view):]
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _die_mid_send_first_attempt(payload):
+    """On the first attempt the worker dies halfway through sending its
+    large result; retries deliver it whole."""
+    flag = payload + ".seen"
+    if not os.path.exists(flag):
+        with open(flag, "w", encoding="utf-8"):
+            pass
+        # Only this forked worker's copy of the class is patched.
+        multiprocessing.connection.Connection.send = _torn_send
+    return _megabyte(7)
+
+
+def _returns_lambda(payload):
+    return lambda: payload
 
 
 class TestSerialPath:
@@ -186,6 +220,63 @@ class TestHardenedWorkers:
         assert outcome.status == "quarantined"
         assert "timeout" in outcome.error
         assert elapsed < 30.0  # the watchdog, not the sleep, ended the task
+
+    def test_large_results_arrive_intact(self):
+        outcomes = run_tasks_hardened(
+            _megabyte, [(str(i), i) for i in range(3)], jobs=2,
+            policy=RetryPolicy(deadline=30.0),
+        )
+        assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert [o.result for o in outcomes] == [_megabyte(i) for i in range(3)]
+
+    def test_worker_killed_mid_send_is_retried(self, tmp_path):
+        outcomes = run_tasks_hardened(
+            _die_mid_send_first_attempt, [("t", str(tmp_path / "attempt"))],
+            jobs=2,
+            policy=RetryPolicy(deadline=30.0, max_attempts=3, backoff=0.05),
+        )
+        outcome = outcomes[0]
+        assert outcome.ok and outcome.result == _megabyte(7)
+        assert outcome.attempts == 2
+        assert len(outcome.failures) == 1
+        assert "worker died mid-task" in outcome.failures[0]
+
+    def test_unpicklable_result_is_quarantined(self):
+        outcomes = run_tasks_hardened(
+            _returns_lambda, [("t", 1)], jobs=2,
+            policy=RetryPolicy(deadline=30.0, max_attempts=2, backoff=0.01),
+        )
+        outcome = outcomes[0]
+        assert outcome.status == "quarantined"
+        assert outcome.attempts == 2
+        assert "result delivery failed" in outcome.error
+
+    @pytest.mark.parametrize("tasks", [[], [("before", 1)]])
+    def test_unpicklable_payload_is_quarantined(self, tasks):
+        # A task that cannot be sent quarantines at once; the fleet and
+        # its other tasks, listed or refilled, carry on.
+        refill = _Refill([("bad", threading.Lock()), ("after", 2)], 2)
+        outcomes = run_tasks_hardened(
+            _double, tasks, jobs=2, policy=RetryPolicy(deadline=30.0),
+            on_result=refill.on_result, refill=refill,
+        )
+        by_id = {o.task_id: o for o in outcomes}
+        bad = by_id["bad"]
+        assert bad.status == "quarantined" and bad.permanent
+        assert "task delivery failed" in bad.error
+        assert by_id["after"].ok and by_id["after"].result == 4
+
+    def test_parent_runs_no_helper_threads(self):
+        # Replacement workers fork from the parent; a helper thread live
+        # there (a queue feeder) could hold a lock the child inherits.
+        before = threading.active_count()
+        seen = []
+        run_tasks_hardened(
+            _double, [(str(i), i) for i in range(4)], jobs=2,
+            policy=RetryPolicy(deadline=30.0),
+            on_result=lambda outcome: seen.append(threading.active_count()),
+        )
+        assert seen == [before] * 4
 
     def test_incremental_delivery_under_failures(self):
         settled = []

@@ -293,15 +293,6 @@ class TestResultsAndRecovery:
         assert not job.permanent
         store.close()
 
-    def test_state_snapshot_round_trips(self, tmp_path):
-        store = fresh_store(tmp_path)
-        job_id, _ = submit_sim(store)
-        store.write_state()
-        snapshot = store.state_snapshot()
-        assert snapshot["jobs"][job_id]["status"] == QUEUED
-        assert snapshot["counters"]["submitted"] == 1
-        store.close()
-
 
 class TestJournalSafety:
     def test_foreign_journal_kind_is_refused(self, tmp_path):

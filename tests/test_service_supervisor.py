@@ -118,7 +118,6 @@ class TestServe:
         summary = supervisor.run()
         assert summary["drained"] is True
         assert store.journal.records[-1]["event"] == "drain"
-        assert (tmp_path / "store" / "state.json").exists()
         store.close()
 
 
