@@ -59,7 +59,9 @@ from ..sim.gcpause import collector_paused
 #: token so exact/sampled/interval runs of one point never collide.
 #: v4: core registry landed (blockooo paradigm, registry-ordered
 #: sweeps), so cached experiment tables can change column sets.
-CACHE_FORMAT_VERSION = 4
+#: v5: a workload pickles its trace as per-field columns, not one state
+#: dict per slotted ``DynInst`` row.
+CACHE_FORMAT_VERSION = 5
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_LIMIT = "REPRO_CACHE_LIMIT_MB"
@@ -192,7 +194,12 @@ class ArtifactCache:
         return value
 
     def put(self, key: Tuple, value: Any) -> None:
-        """Store ``value`` atomically; failures are silent (cache is advisory)."""
+        """Store ``value`` atomically.
+
+        The cache is advisory, so an ``OSError`` (a full disk, an
+        unwritable root) is silent and leaves the slot empty; a value
+        that fails to pickle raises, after its temp file is removed.
+        """
         if not self.enabled:
             return
         path = self.path_for(key)

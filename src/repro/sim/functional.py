@@ -81,9 +81,15 @@ class ProgramLayout:
         return self.address_of[inst]
 
 
-@dataclass
+@dataclass(slots=True)
 class DynInst:
-    """One dynamic instruction: a static instruction plus run-time facts."""
+    """One dynamic instruction: a static instruction plus run-time facts.
+
+    Slotted, and every instance of one static instruction holds that
+    instruction's own ``pc`` and fall-through ``next_pc`` int objects
+    (see :class:`FunctionalExecutor`), so beyond its slots a trace row
+    allocates only its ``seq`` and ``mem_addr`` ints.
+    """
 
     seq: int
     inst: Instruction
@@ -249,7 +255,7 @@ def apply_instruction(
 
 def _kind_counts(rows) -> Tuple[int, int, int]:
     """``(branches, loads, stores)`` among predecoded ``rows``."""
-    kinds = [op.kind for _, _, op in rows]
+    kinds = [op.kind for _, _, op, _ in rows]
     return (kinds.count(BRANCH), kinds.count(LOAD) + kinds.count(LOAD_FP),
             kinds.count(STORE))
 
@@ -272,15 +278,19 @@ class FunctionalExecutor:
         self.state = initial_state if initial_state is not None else ArchState()
         self.stats = ExecutionStats()
         #: per block: ``(rows, fallthrough, taken target, target pc,
-        #: kind counts)``; a row is ``(instruction, pc, op)``
+        #: kind counts)``; a row is ``(instruction, pc, op, fall-through
+        #: pc)``, and a row's fall-through is the next row's pc object, so
+        #: every dynamic instance shares them instead of allocating its own
         self._plan = []
         block_start = self.layout.block_start
         for block in program.blocks:
             pc = block_start[block.index]
-            rows = tuple(
-                (inst, pc + INSTRUCTION_BYTES * position, predecode(inst))
-                for position, inst in enumerate(block.instructions)
-            )
+            rows = []
+            for inst in block.instructions:
+                fallthrough_pc = pc + INSTRUCTION_BYTES
+                rows.append((inst, pc, predecode(inst), fallthrough_pc))
+                pc = fallthrough_pc
+            rows = tuple(rows)
             target, fallthrough = program.successors(block)
             target_pc = block_start[target] if target is not None else None
             self._plan.append(
@@ -319,7 +329,7 @@ class FunctionalExecutor:
             stats.dynamic_branches += counts[0]
             stats.loads += counts[1]
             stats.stores += counts[2]
-            for inst, pc, op in rows:
+            for inst, pc, op, fallthrough_pc in rows:
                 taken, mem_addr = apply_instruction(state, inst, strict, op)
                 if taken:
                     stats.taken_branches += 1
@@ -328,7 +338,7 @@ class FunctionalExecutor:
                                   mem_addr)
                 else:
                     dyn = DynInst(seq, inst, index, pc, taken,
-                                  pc + INSTRUCTION_BYTES, mem_addr)
+                                  fallthrough_pc, mem_addr)
                 seq += 1
                 yield dyn
             index = next_index

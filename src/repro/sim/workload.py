@@ -21,6 +21,7 @@ formulation); wrong-path cache pollution is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa.instruction import Instruction
@@ -192,8 +193,16 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
     evict-at-overwrite is observationally identical to the dynamic maps.
     A producer whose last binding dies can have no later reader, so
     whether it was ever read is already final there.
+
+    Every array is indexed by trace position, and the bindings, eviction
+    tuples and store positions hold the row's own ``seq`` int rather
+    than a fresh one; that is sound because the executor numbers rows
+    from 0 in trace order (the timing cores index these arrays by
+    ``seq`` too).  An aligned address is its own memory word.
     """
     n = len(trace)
+    assert not trace or (trace[0].seq == 0 and trace[-1].seq == n - 1), \
+        "trace seq must equal trace position"
     ifetch = [0] * n
     for seq, extra in ifetch_extra.items():
         ifetch[seq] = extra
@@ -218,14 +227,15 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
     internal_live: List[int] = []
     forms: Dict[DecodedInst, Tuple] = {}
 
-    for i, dyn, facts in zip(range(n), trace, decoded):
+    for dyn, facts in zip(trace, decoded):
+        i = dyn.seq
         form = forms.get(facts)
         if form is None:
             form = forms[facts] = _scoreboard_form(facts)
         sources, writes = form
         addr = dyn.mem_addr
         if addr is not None:
-            word = addr & ~0x7
+            word = addr & ~0x7 if addr & 0x7 else addr
             mem[i] = word
             if facts.is_load:
                 store_conflict[i] = last_store.get(word)
@@ -347,9 +357,33 @@ class PreparedWorkload:
         return self.replay_facts
 
     def __getstate__(self):
+        # The trace pickles as one list per DynInst field: lists of
+        # plain ints and memoized references take a third of the bytes
+        # of one state dict per row, and load in half the time.
         state = self.__dict__.copy()
-        state["replay_facts"] = None
+        del state["replay_facts"]
+        trace = state.pop("trace")
+        state["trace_columns"] = tuple(
+            list(map(attrgetter(name), trace)) for name in DynInst.__slots__
+        )
         return state
+
+    def __setstate__(self, state):
+        columns = state.pop("trace_columns", None)
+        if columns is None:
+            raise ValueError("workload pickle has no trace columns "
+                             "(an older artifact format)")
+        seq, inst, block, pc, taken, next_pc, mem_addr = columns
+        # Unpickling makes one int object per occurrence; one dict
+        # interns the addresses back, so every instance of a static
+        # instruction shares its pc and next_pc as in a fresh trace.
+        intern = {}.setdefault
+        state["trace"] = list(map(
+            DynInst, seq, inst, block, map(intern, pc, pc), taken,
+            map(intern, next_pc, next_pc), mem_addr,
+        ))
+        state["replay_facts"] = None
+        self.__dict__.update(state)
 
 
 @collector_paused()
