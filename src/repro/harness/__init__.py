@@ -2,7 +2,7 @@
 
 from .artifacts import ArtifactCache, CACHE_FORMAT_VERSION, default_cache_dir
 from .context import ExperimentContext
-from .sweep import Cell, SweepPoint, sweep_experiment
+from .sweep import SweepPoint, sweep_experiment
 from .experiments import (
     abl_beu_occupancy,
     abl_internal_reg_limit,
@@ -26,7 +26,7 @@ from .experiments import (
     tab3_braid_io,
 )
 from .figures import render_bars, render_series, render_stacked
-from .reporting import ExperimentResult, normalize_rows
+from .reporting import ExperimentResult
 
 ALL_EXPERIMENTS = {
     "F1": fig1_width_potential,
@@ -57,12 +57,10 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "default_cache_dir",
     "SweepPoint",
-    "Cell",
     "sweep_experiment",
     "render_bars",
     "render_series",
     "render_stacked",
     "ExperimentResult",
-    "normalize_rows",
     "ALL_EXPERIMENTS",
 ] + [fn.__name__ for fn in ALL_EXPERIMENTS.values()]

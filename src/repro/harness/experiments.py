@@ -1,33 +1,45 @@
 """Experiment definitions: one function per paper table/figure.
 
 Each function returns an :class:`ExperimentResult` whose shape mirrors the
-paper's artifact (same series, same normalization).  Timing figures are
-expressed declaratively as grids of :class:`~repro.harness.sweep.Cell`s and
-run through :func:`~repro.harness.sweep.sweep_experiment`, so every point of
-a figure is batched through ``ExperimentContext.run_many`` — the single
-place where memoization, the persistent artifact cache, and the
-multiprocessing pool apply.  Analysis-only tables (VC, T1-T3) read the
-compiler and traces directly.
+paper's artifact (same series, same normalization).  A timing figure is its
+column table — column label → machine config and workload flags — plus one
+baseline (a column of the table, or :data:`OOO8` — the paper's 8-wide
+out-of-order point); :func:`~repro.harness.sweep.sweep_experiment` builds
+the benchmark × column grid, batches every point through
+``ExperimentContext.run_many`` (the single place where memoization, the
+persistent artifact cache and the worker pool apply) and normalizes.  D1
+and A2 add columns the table cannot express around the same machinery;
+analysis-only tables (VC, T1-T3) read the compiler and traces directly,
+and SV and CS simulate with their own fidelity and observers.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from ..analysis.braidstats import braid_statistics
 from ..analysis.values import average_fractions, characterize_values
-from ..sim.config import braid_config, depsteer_config, inorder_config, ooo_config
+from ..sim.config import (
+    MachineConfig,
+    braid_config,
+    depsteer_config,
+    inorder_config,
+    ooo_config,
+)
 from ..sim.registry import core_registry
 from ..uarch.regfile import RegFileSpec
 from .context import ExperimentContext
 from .reporting import ExperimentResult
-from .sweep import Cell, SweepPoint, sweep_experiment
+from .sweep import Column, SweepPoint, sweep_experiment
+
+#: the paper's universal normalization point: 8-wide out-of-order
+OOO8: Column = {"config": ooo_config(8)}
 
 
-def _ooo8_baseline(name: str) -> SweepPoint:
-    """The paper's universal normalization point: 8-wide out-of-order."""
-    return SweepPoint(name, ooo_config(8))
+def _braided(config: MachineConfig) -> Column:
+    """Column: the braid-translated program on ``config``."""
+    return {"config": config, "braided": True}
 
 
 # ---------------------------------------------------------------------------
@@ -35,22 +47,15 @@ def _ooo8_baseline(name: str) -> SweepPoint:
 # ---------------------------------------------------------------------------
 def fig1_width_potential(ctx: ExperimentContext) -> ExperimentResult:
     """Figure 1: OoO speedup at 8/16-wide over 4-wide, perfect front end."""
-    widths = (4, 8, 16)
-    cells = [
-        Cell(name, f"{width}w",
-             SweepPoint(name, ooo_config(width), perfect=True))
-        for name in ctx.benchmarks
-        for width in widths
-    ]
     return sweep_experiment(
         ctx,
         experiment_id="F1",
         title="speedup of 8/16-wide over 4-wide out-of-order, "
               "perfect branch prediction and caches",
         paper_expectation="average speedup 1.44x at 8-wide, 1.83x at 16-wide",
-        columns=[f"{w}w" for w in widths],
-        cells=cells,
-        normalize_to="4w",
+        columns={f"{width}w": {"config": ooo_config(width), "perfect": True}
+                 for width in (4, 8, 16)},
+        baseline="4w",
     )
 
 
@@ -162,165 +167,102 @@ def tab3_braid_io(ctx: ExperimentContext) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Figure 5 — out-of-order register file entries
+# Figures 5-8 — register file entries and ports, bypass bandwidth
 # ---------------------------------------------------------------------------
 def fig5_ooo_registers(
     ctx: ExperimentContext, entries: Iterable[int] = (256, 64, 32, 16, 8)
 ) -> ExperimentResult:
     """Figure 5: out-of-order IPC vs register file entries."""
-    entries = tuple(entries)
-
-    def config_for(count: int):
-        config = ooo_config(8)
-        return replace(
-            config,
-            name=f"ooo-8w-rf{count}",
-            regfile=RegFileSpec(count, config.regfile.read_ports,
-                                config.regfile.write_ports),
-        )
-
-    cells = [
-        Cell(name, str(count), SweepPoint(name, config_for(count)))
-        for name in ctx.benchmarks
+    ooo = ooo_config(8)
+    columns = {
+        str(count): {"config": replace(
+            ooo, name=f"ooo-8w-rf{count}",
+            regfile=replace(ooo.regfile, entries=count),
+        )}
         for count in entries
-    ]
+    }
     return sweep_experiment(
         ctx,
         experiment_id="F5",
         title="out-of-order performance vs register file entries",
         paper_expectation="32 entries cost ~8%, 16 entries ~21%",
-        columns=[str(e) for e in entries],
-        cells=cells,
-        normalize_to=str(entries[0]),
+        columns=columns,
+        baseline=next(iter(columns)),
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 6 — braid external register file entries
-# ---------------------------------------------------------------------------
 def fig6_braid_ext_registers(
     ctx: ExperimentContext, entries: Iterable[int] = (256, 32, 16, 8, 4, 2, 1)
 ) -> ExperimentResult:
     """Figure 6: braid IPC vs external register file entries."""
-    entries = tuple(entries)
-
-    def config_for(count: int):
-        config = braid_config(8)
-        return replace(
-            config,
-            name=f"braid-8w-ext{count}",
-            regfile=RegFileSpec(count, config.regfile.read_ports,
-                                config.regfile.write_ports),
-        )
-
-    cells = [
-        Cell(name, str(count),
-             SweepPoint(name, config_for(count), braided=True))
-        for name in ctx.benchmarks
+    regfile = braid_config(8).regfile
+    columns = {
+        str(count): _braided(braid_config(
+            8, name=f"braid-8w-ext{count}",
+            regfile=replace(regfile, entries=count),
+        ))
         for count in entries
-    ]
+    }
     return sweep_experiment(
         ctx,
         experiment_id="F6",
         title="braid performance vs external register file entries",
         paper_expectation="8 entries match a 256-entry file; "
                           "degradation only below 8",
-        columns=[str(e) for e in entries],
-        cells=cells,
-        normalize_to=str(entries[0]),
+        columns=columns,
+        baseline=next(iter(columns)),
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 7 — braid external register file ports
-# ---------------------------------------------------------------------------
 def fig7_braid_rf_ports(
     ctx: ExperimentContext,
     ports: Iterable[Tuple[int, int]] = ((16, 8), (8, 4), (6, 3), (4, 2)),
 ) -> ExperimentResult:
     """Figure 7: braid IPC vs external register file ports."""
-    ports = tuple(ports)
-
-    def config_for(read_ports: int, write_ports: int):
-        config = braid_config(8)
-        return replace(
-            config,
-            name=f"braid-8w-p{read_ports}:{write_ports}",
-            regfile=RegFileSpec(config.regfile.entries, read_ports, write_ports),
-        )
-
-    cells = [
-        Cell(name, f"{r},{w}", SweepPoint(name, config_for(r, w), braided=True))
-        for name in ctx.benchmarks
+    entries = braid_config(8).regfile.entries
+    columns = {
+        f"{r},{w}": _braided(braid_config(
+            8, name=f"braid-8w-p{r}:{w}", regfile=RegFileSpec(entries, r, w),
+        ))
         for r, w in ports
-    ]
+    }
     return sweep_experiment(
         ctx,
         experiment_id="F7",
         title="braid performance vs external register file ports (read,write)",
         paper_expectation="6 read / 3 write ports within 0.5% of a full port set",
-        columns=[f"{r},{w}" for r, w in ports],
-        cells=cells,
-        normalize_to=f"{ports[0][0]},{ports[0][1]}",
+        columns=columns,
+        baseline=next(iter(columns)),
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 8 — braid bypass bandwidth
-# ---------------------------------------------------------------------------
 def fig8_braid_bypass(
     ctx: ExperimentContext, widths: Iterable[int] = (8, 4, 2, 1)
 ) -> ExperimentResult:
     """Figure 8: braid IPC vs bypass paths per cycle."""
-    widths = tuple(widths)
-    cells = [
-        Cell(
-            name,
-            str(width),
-            SweepPoint(
-                name,
-                replace(braid_config(8), name=f"braid-8w-bp{width}",
-                        bypass_width=width),
-                braided=True,
-            ),
-        )
-        for name in ctx.benchmarks
+    columns = {
+        str(width): _braided(braid_config(
+            8, name=f"braid-8w-bp{width}", bypass_width=width,
+        ))
         for width in widths
-    ]
+    }
     return sweep_experiment(
         ctx,
         experiment_id="F8",
         title="braid performance vs bypass paths per cycle",
         paper_expectation="2 bypass values per cycle within 1% of a full network",
-        columns=[str(w) for w in widths],
-        cells=cells,
-        normalize_to=str(widths[0]),
+        columns=columns,
+        baseline=next(iter(columns)),
     )
 
 
 # ---------------------------------------------------------------------------
-# Figure 9 — number of BEUs
+# Figures 9-12 — BEU count, FIFO depth, scheduling window, window == FUs
 # ---------------------------------------------------------------------------
 def fig9_braid_beus(
     ctx: ExperimentContext, beus: Iterable[int] = (1, 2, 4, 8, 16)
 ) -> ExperimentResult:
     """Figure 9: braid IPC vs number of BEUs."""
-    beus = tuple(beus)
-    cells = [
-        Cell(
-            name,
-            str(count),
-            SweepPoint(
-                name,
-                replace(braid_config(8), name=f"braid-{count}beu",
-                        clusters=count),
-                braided=True,
-            ),
-            baseline=_ooo8_baseline(name),
-        )
-        for name in ctx.benchmarks
-        for count in beus
-    ]
     return sweep_experiment(
         ctx,
         experiment_id="F9",
@@ -328,34 +270,20 @@ def fig9_braid_beus(
               "(normalized to 8-wide out-of-order)",
         paper_expectation="performance rises with BEU count; more ready braids "
                           "than BEUs",
-        columns=[str(b) for b in beus],
-        cells=cells,
+        columns={
+            str(count): _braided(braid_config(
+                8, name=f"braid-{count}beu", clusters=count,
+            ))
+            for count in beus
+        },
+        baseline=OOO8,
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 10 — BEU FIFO depth
-# ---------------------------------------------------------------------------
 def fig10_braid_fifo(
     ctx: ExperimentContext, entries: Iterable[int] = (4, 8, 16, 32, 64)
 ) -> ExperimentResult:
     """Figure 10: braid IPC vs FIFO entries per BEU."""
-    entries = tuple(entries)
-    cells = [
-        Cell(
-            name,
-            str(count),
-            SweepPoint(
-                name,
-                replace(braid_config(8), name=f"braid-fifo{count}",
-                        cluster_entries=count),
-                braided=True,
-            ),
-            baseline=_ooo8_baseline(name),
-        )
-        for name in ctx.benchmarks
-        for count in entries
-    ]
     return sweep_experiment(
         ctx,
         experiment_id="F10",
@@ -363,80 +291,54 @@ def fig10_braid_fifo(
               "(normalized to 8-wide out-of-order)",
         paper_expectation="32 entries capture almost all performance "
                           "(99% of braids are <= 32 instructions)",
-        columns=[str(e) for e in entries],
-        cells=cells,
+        columns={
+            str(count): _braided(braid_config(
+                8, name=f"braid-fifo{count}", cluster_entries=count,
+            ))
+            for count in entries
+        },
+        baseline=OOO8,
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 11 — BEU scheduling window
-# ---------------------------------------------------------------------------
 def fig11_braid_window(
     ctx: ExperimentContext, windows: Iterable[int] = (1, 2, 4, 8)
 ) -> ExperimentResult:
     """Figure 11: braid IPC vs scheduling window size."""
-    windows = tuple(windows)
-    cells = [
-        Cell(
-            name,
-            str(window),
-            SweepPoint(
-                name,
-                replace(braid_config(8), name=f"braid-win{window}",
-                        beu_window=window),
-                braided=True,
-            ),
-            baseline=_ooo8_baseline(name),
-        )
-        for name in ctx.benchmarks
-        for window in windows
-    ]
     return sweep_experiment(
         ctx,
         experiment_id="F11",
         title="braid performance vs FIFO scheduling window size "
               "(normalized to 8-wide out-of-order)",
         paper_expectation="steep rise from 1 to 2, plateau beyond 2",
-        columns=[str(w) for w in windows],
-        cells=cells,
+        columns={
+            str(window): _braided(braid_config(
+                8, name=f"braid-win{window}", beu_window=window,
+            ))
+            for window in windows
+        },
+        baseline=OOO8,
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 12 — window size and functional units together
-# ---------------------------------------------------------------------------
 def fig12_braid_window_fus(
     ctx: ExperimentContext, sizes: Iterable[int] = (1, 2, 4, 8)
 ) -> ExperimentResult:
     """Figure 12: braid IPC vs window size == FUs per BEU."""
-    sizes = tuple(sizes)
-    cells = [
-        Cell(
-            name,
-            str(size),
-            SweepPoint(
-                name,
-                replace(
-                    braid_config(8),
-                    name=f"braid-wf{size}",
-                    beu_window=size,
-                    beu_functional_units=size,
-                ),
-                braided=True,
-            ),
-            baseline=_ooo8_baseline(name),
-        )
-        for name in ctx.benchmarks
-        for size in sizes
-    ]
     return sweep_experiment(
         ctx,
         experiment_id="F12",
         title="braid performance vs window size == functional units per BEU "
               "(normalized to 8-wide out-of-order)",
         paper_expectation="same plateau as Figure 11: braid ILP is ~2",
-        columns=[str(s) for s in sizes],
-        cells=cells,
+        columns={
+            str(size): _braided(braid_config(
+                8, name=f"braid-wf{size}", beu_window=size,
+                beu_functional_units=size,
+            ))
+            for size in sizes
+        },
+        baseline=OOO8,
     )
 
 
@@ -447,27 +349,12 @@ def fig13_paradigms(
     ctx: ExperimentContext, widths: Iterable[int] = (4, 8, 16)
 ) -> ExperimentResult:
     """Figure 13: the four paradigms at 4/8/16-wide."""
-    widths = tuple(widths)
-    columns: List[str] = []
+    columns: Dict[str, Column] = {}
     for width in widths:
-        columns.extend(
-            [f"io-{width}", f"dep-{width}", f"braid-{width}", f"ooo-{width}"]
-        )
-    cells = []
-    for name in ctx.benchmarks:
-        baseline = _ooo8_baseline(name)
-        for width in widths:
-            paradigms = [
-                (f"io-{width}", SweepPoint(name, inorder_config(width))),
-                (f"dep-{width}", SweepPoint(name, depsteer_config(width))),
-                (f"braid-{width}",
-                 SweepPoint(name, braid_config(width), braided=True)),
-                (f"ooo-{width}", SweepPoint(name, ooo_config(width))),
-            ]
-            cells.extend(
-                Cell(name, column, point, baseline=baseline)
-                for column, point in paradigms
-            )
+        columns[f"io-{width}"] = {"config": inorder_config(width)}
+        columns[f"dep-{width}"] = {"config": depsteer_config(width)}
+        columns[f"braid-{width}"] = _braided(braid_config(width))
+        columns[f"ooo-{width}"] = {"config": ooo_config(width)}
     return sweep_experiment(
         ctx,
         experiment_id="F13",
@@ -477,7 +364,7 @@ def fig13_paradigms(
                           "gap closes as width grows; "
                           "ordering in-order < dep < braid < out-of-order",
         columns=columns,
-        cells=cells,
+        baseline=OOO8,
     )
 
 
@@ -486,25 +373,6 @@ def fig13_paradigms(
 # ---------------------------------------------------------------------------
 def fig14_equal_fus(ctx: ExperimentContext) -> ExperimentResult:
     """Figure 14: equal-FU braid configurations."""
-    cells = []
-    for name in ctx.benchmarks:
-        default = SweepPoint(name, braid_config(8), braided=True)
-        few_wide = SweepPoint(
-            name,
-            replace(braid_config(8), name="braid-4beu-2fu", clusters=4),
-            braided=True,
-        )
-        many_narrow = SweepPoint(
-            name,
-            replace(braid_config(8), name="braid-8beu-1fu",
-                    beu_functional_units=1),
-            braided=True,
-        )
-        cells.extend([
-            Cell(name, "4x2", few_wide, baseline=default),
-            Cell(name, "8x1", many_narrow, baseline=default),
-            Cell(name, "8x2", default, baseline=default),
-        ])
     return sweep_experiment(
         ctx,
         experiment_id="F14",
@@ -512,8 +380,14 @@ def fig14_equal_fus(ctx: ExperimentContext) -> ExperimentResult:
               "(8 BEUs x 2 FUs)",
         paper_expectation="more BEUs with fewer FUs each wins: "
                           "8 BEU x 1 FU > 4 BEU x 2 FU",
-        columns=["4x2", "8x1", "8x2"],
-        cells=cells,
+        columns={
+            "4x2": _braided(braid_config(8, name="braid-4beu-2fu", clusters=4)),
+            "8x1": _braided(braid_config(
+                8, name="braid-8beu-1fu", beu_functional_units=1,
+            )),
+            "8x2": _braided(braid_config(8)),
+        },
+        baseline="8x2",
     )
 
 
@@ -523,29 +397,25 @@ def fig14_equal_fus(ctx: ExperimentContext) -> ExperimentResult:
 def disc_pipeline_length(ctx: ExperimentContext) -> ExperimentResult:
     """Section 5.1: gain from the 4-stage-shorter pipeline."""
     long_front = replace(braid_config(8).front_end, depth=8, redirect=13)
-    cells = []
-    for name in ctx.benchmarks:
-        short = SweepPoint(name, braid_config(8), braided=True)
-        long = SweepPoint(
-            name,
-            replace(braid_config(8), name="braid-8w-longpipe",
-                    front_end=long_front),
-            braided=True,
-        )
-        cells.extend([
-            Cell(name, "short", short),
-            Cell(name, "long", long),
-            Cell(name, "gain", short, baseline=long),
-        ])
-    return sweep_experiment(
+    result = sweep_experiment(
         ctx,
         experiment_id="D1",
         title="braid speedup from the 4-stage-shorter pipeline "
               "(19- vs 23-cycle minimum misprediction penalty)",
         paper_expectation="average gain ~2.19%",
-        columns=["short", "long", "gain"],
-        cells=cells,
+        columns={
+            "short": _braided(braid_config(8)),
+            "long": _braided(braid_config(
+                8, name="braid-8w-longpipe", front_end=long_front,
+            )),
+        },
     )
+    # The gain column is a ratio of two raw-IPC columns of the same row.
+    result.columns.append("gain")
+    for row in result.rows.values():
+        row["gain"] = row["short"] / row["long"] if row["long"] else 0.0
+    result.finalize_averages()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -553,27 +423,19 @@ def disc_pipeline_length(ctx: ExperimentContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 def abl_beu_occupancy(ctx: ExperimentContext) -> ExperimentResult:
     """Ablation A1: single braid per BEU vs queued braids."""
-    cells = []
-    for name in ctx.benchmarks:
-        single = SweepPoint(name, braid_config(8), braided=True)
-        queued = SweepPoint(
-            name,
-            replace(braid_config(8), name="braid-8w-queued",
-                    beu_queue_braids=True),
-            braided=True,
-        )
-        cells.extend([
-            Cell(name, "single", single, baseline=single),
-            Cell(name, "queued", queued, baseline=single),
-        ])
     return sweep_experiment(
         ctx,
         experiment_id="A1",
         title="single braid per BEU vs queued braids (normalized to single)",
         paper_expectation="the paper's one-braid-at-a-time rule; queueing "
                           "suffers head-of-line blocking",
-        columns=["single", "queued"],
-        cells=cells,
+        columns={
+            "single": _braided(braid_config(8)),
+            "queued": _braided(braid_config(
+                8, name="braid-8w-queued", beu_queue_braids=True,
+            )),
+        },
+        baseline="single",
     )
 
 
@@ -590,37 +452,29 @@ def abl_internal_reg_limit(
                           "~2% of braids",
         columns=[f"ipc-{k}" for k in limits] + [f"splits-{k}" for k in limits],
     )
-
-    def point_for(name: str, limit: int) -> SweepPoint:
-        config = replace(
-            braid_config(8),
-            name=f"braid-8w-int{limit}",
-            internal_regfile=RegFileSpec(limit, 4, 2),
+    points = {
+        (name, limit): SweepPoint(
+            name,
+            braid_config(8, name=f"braid-8w-int{limit}",
+                         internal_regfile=RegFileSpec(limit, 4, 2)),
+            braided=True,
+            internal_limit=limit,
         )
-        return SweepPoint(name, config, braided=True, internal_limit=limit)
-
+        for name in ctx.benchmarks
+        for limit in limits
+    }
     # Batch every timing point up front (splits come from the compiler).
-    ctx.run_many(
-        [point_for(name, limit) for name in ctx.benchmarks for limit in limits]
-    )
+    results = ctx.run_many(list(points.values()))
     for name in ctx.benchmarks:
+        base = results[points[name, 8]].ipc if 8 in limits else None
         row: Dict[str, float] = {}
-        base = None
         for limit in limits:
+            ipc = results[points[name, limit]].ipc
+            row[f"ipc-{limit}"] = ipc / base if base else ipc
             compilation = ctx.compilation(name, internal_limit=limit)
-            point = point_for(name, limit)
-            ipc = ctx.run(
-                name, point.config, braided=True, internal_limit=limit
-            ).ipc
-            if limit == 8:
-                base = ipc
-            row[f"ipc-{limit}"] = ipc
             row[f"splits-{limit}"] = float(
                 compilation.report.splits.pressure_splits
             )
-        if base:
-            for limit in limits:
-                row[f"ipc-{limit}"] /= base
         result.rows[name] = row
     result.finalize_averages()
     return result

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..service.retry import PERMANENT, RetryPolicy
+from ..service.retry import PERMANENT, RETRYABLE, RetryPolicy
 from ..sim.results import SimResult
 from .sweep import SweepPoint
 
@@ -189,17 +189,20 @@ class TaskOutcome:
         return self.status == "ok"
 
 
-def _hardened_worker(fn, conn) -> None:
+def _hardened_worker(fn, classify, conn) -> None:
     """Worker loop: run tasks from ``conn`` until the ``None`` sentinel.
 
     Each task arrives as ``(payload,)`` and its answer goes back on the
-    same private pipe as ``("ok", result)`` or ``("error", text)``.
-    Exceptions from ``fn`` are reported as infrastructure errors — domain
-    outcomes (an injected run crashing its simulator) are classified
-    *inside* ``fn`` and come back as ordinary results.  The idle wait is
-    bounded so a worker orphaned by a SIGKILLed parent (daemon flags only
-    act on normal interpreter exit) notices the re-parenting and exits
-    instead of blocking on the pipe forever.
+    same private pipe as ``("ok", result)`` or ``(kind, text)``.  An
+    exception escaping ``fn`` is classified here, live, by ``classify`` —
+    the policy's ``classify_error``, the rule the serial path uses — so
+    ``kind`` is ``"retryable"`` or ``"permanent"`` and the parent never
+    guesses from the text; a result that cannot be sent is retryable.
+    Domain outcomes (an injected run crashing its simulator) are
+    classified *inside* ``fn`` and come back as ordinary results.  The
+    idle wait is bounded so a worker orphaned by a SIGKILLed parent
+    (daemon flags only act on normal interpreter exit) notices the
+    re-parenting and exits instead of blocking on the pipe forever.
     """
     while True:
         if not conn.poll(5.0):
@@ -212,12 +215,12 @@ def _hardened_worker(fn, conn) -> None:
         try:
             message = ("ok", fn(task[0]))
         except BaseException as error:  # noqa: BLE001 - report, don't die
-            message = ("error", f"{type(error).__name__}: {error}")
+            message = (classify(error), f"{type(error).__name__}: {error}")
         try:
             conn.send(message)
         except BaseException as error:  # e.g. the result does not pickle
             conn.send((
-                "error",
+                RETRYABLE,
                 f"result delivery failed: {type(error).__name__}: {error}",
             ))
 
@@ -248,10 +251,10 @@ class _HardenedWorker:
     pipe is discarded with the worker.
     """
 
-    def __init__(self, mp_context, fn) -> None:
+    def __init__(self, mp_context, fn, classify) -> None:
         self.conn, child = mp_context.Pipe()
         self.process = mp_context.Process(
-            target=_hardened_worker, args=(fn, child), daemon=True
+            target=_hardened_worker, args=(fn, classify, child), daemon=True
         )
         self.process.start()
         child.close()
@@ -442,7 +445,11 @@ def run_tasks_hardened(
     if refill is None:
         jobs = min(jobs, len(tasks))
     jobs = max(1, min(jobs, os.cpu_count() or 1))
-    workers = [_HardenedWorker(mp_context, fn) for _ in range(jobs)]
+
+    def spawn() -> _HardenedWorker:
+        return _HardenedWorker(mp_context, fn, policy.classify_error)
+
+    workers = [spawn() for _ in range(jobs)]
     outcomes: Dict[int, TaskOutcome] = {}
     partial: Dict[int, TaskOutcome] = {
         index: TaskOutcome(task_id=task_id, status="quarantined")
@@ -466,11 +473,15 @@ def run_tasks_hardened(
         if on_result is not None:
             on_result(outcome)
 
-    def fail_attempt(index: int, attempt: int, reason: str) -> None:
+    def fail_attempt(
+        index: int, attempt: int, reason: str, kind: Optional[str] = None
+    ) -> None:
+        """Record a failed attempt; ``kind`` is the worker's classification
+        of a task exception, else ``reason`` is the runner's own report."""
         outcome = partial[index]
         outcome.failures.append(f"attempt {attempt}: {reason}")
         task_id = tasks[index][0]
-        if policy.classify(reason) == PERMANENT:
+        if (kind or policy.classify(reason)) == PERMANENT:
             # A deterministic task error reproduces on every retry;
             # quarantine now instead of burning the attempt budget.
             settle(
@@ -557,13 +568,14 @@ def run_tasks_hardened(
                             settle(assignment.index, "ok", result=value)
                         else:
                             fail_attempt(
-                                assignment.index, assignment.attempt, value
+                                assignment.index, assignment.attempt, value,
+                                kind=status,
                             )
                         assignment = None
                 if assignment is None:
                     if not worker.process.is_alive():
                         worker.kill()
-                        workers[position] = _HardenedWorker(mp_context, fn)
+                        workers[position] = spawn()
                     continue
                 task_id = assignment.task_id
                 attempt = assignment.attempt
@@ -604,7 +616,7 @@ def run_tasks_hardened(
                         f"attempt {attempt}/{policy.max_attempts}"
                     )
                     worker.kill()
-                    workers[position] = _HardenedWorker(mp_context, fn)
+                    workers[position] = spawn()
                     fail_attempt(assignment.index, attempt, reason)
     finally:
         for worker in workers:

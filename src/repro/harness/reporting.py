@@ -84,15 +84,3 @@ class ExperimentResult:
             lines.append(f"   note: {note}")
         return "\n".join(lines)
 
-
-def normalize_rows(
-    result: ExperimentResult, baseline_column: str
-) -> ExperimentResult:
-    """Divide every row by its value in ``baseline_column`` (paper style)."""
-    for row in result.rows.values():
-        base = row.get(baseline_column)
-        if not base:
-            continue
-        for column in list(row):
-            row[column] = row[column] / base
-    return result

@@ -39,8 +39,8 @@ RETRYABLE_EXCEPTION_NAMES = frozenset(
     }
 )
 
-#: failure-message prefixes produced by the hardened runner itself for
-#: events that are infrastructure by construction
+#: failure-message prefixes produced by the hardened runner and the
+#: supervisor themselves for events that are infrastructure by construction
 _INFRA_MARKERS = (
     "worker died",
     "wall-clock timeout",
@@ -53,27 +53,26 @@ PERMANENT = "permanent"
 
 
 def classify_failure(message: str) -> str:
-    """``"retryable"`` (infra) or ``"permanent"`` (task) for one failure.
+    """``"retryable"`` (infra) or ``"permanent"`` for a runner's own report.
 
-    ``message`` is a failure description in the hardened runner's shape:
-    either one of its own infrastructure reports (worker death, watchdog
-    timeout, delivery failure) or ``"ExcType: detail"`` for an exception
-    that escaped the task function.
+    ``message`` is a failure the hardened runner or the supervisor wrote
+    itself: worker death, watchdog timeout, a delivery or result-store
+    failure (each begins with one of :data:`_INFRA_MARKERS`) is retryable;
+    any other report — a payload that does not pickle — is permanent.
+    Exceptions escaping a task function are never classified from their
+    text: both execution paths classify the live exception with
+    :func:`classify_exception`.
     """
-    text = (message or "").strip()
-    lowered = text.lower()
-    for marker in _INFRA_MARKERS:
-        if marker in lowered:
-            return RETRYABLE
-    # "ExcType: detail" — classify by the exception type name.
-    name = text.split(":", 1)[0].strip()
-    if name in RETRYABLE_EXCEPTION_NAMES:
-        return RETRYABLE
-    return PERMANENT
+    text = (message or "").strip().lower()
+    return RETRYABLE if text.startswith(_INFRA_MARKERS) else PERMANENT
 
 
 def classify_exception(error: BaseException) -> str:
-    """Classification for a live exception (serial in-process path)."""
+    """Classification for a live exception escaping a task function.
+
+    Both execution paths use it: the serial in-process loop, and each
+    forked worker before it reports the failure to the parent.
+    """
     for klass in type(error).__mro__:
         if klass.__name__ in RETRYABLE_EXCEPTION_NAMES:
             return RETRYABLE

@@ -10,6 +10,19 @@ from repro.isa import assemble
 from repro.workloads import build_program, kernel
 
 
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_artifact_cache(tmp_path_factory):
+    """Point the default artifact cache (and the run log beside it) and
+    the default job store at a session temp directory, so no test reads or
+    writes the user's ``~/.cache/repro``.  A test that sets either variable
+    itself (with ``monkeypatch``) still wins for its own duration."""
+    root = tmp_path_factory.mktemp("repro-home")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+        patch.setenv("REPRO_SERVICE_DIR", str(root / "service"))
+        yield
+
+
 @pytest.fixture(scope="session")
 def gcc_life():
     """The paper's Figure 2 kernel."""

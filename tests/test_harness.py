@@ -8,7 +8,7 @@ from repro.harness.experiments import (
     fig14_equal_fus,
     tab1_braids_per_block,
 )
-from repro.harness.reporting import ExperimentResult, normalize_rows
+from repro.harness.reporting import ExperimentResult
 from repro.workloads import (
     ALL_BENCHMARKS,
     QUICK_BENCHMARKS,
@@ -424,12 +424,6 @@ class TestReporting:
         result = self.make_result()
         result.finalize_averages()
         assert result.averages["b"] == pytest.approx(3.5)
-
-    def test_normalize_rows(self):
-        result = self.make_result()
-        normalize_rows(result, "a")
-        assert result.rows["bench1"] == {"a": 1.0, "b": 2.0}
-        assert result.rows["bench2"] == {"a": 1.0, "b": 3.0}
 
     def test_render_contains_everything(self):
         result = self.make_result()

@@ -109,6 +109,18 @@ def _returns_lambda(payload):
     return lambda: payload
 
 
+def _raise_file_not_found(payload):
+    raise FileNotFoundError(f"no input for {payload}")
+
+
+def _raise_value_error_naming_a_marker(payload):
+    raise ValueError(f"config {payload}: worker died twice before")
+
+
+def _raise_memory_error(payload):
+    raise MemoryError(f"no room for {payload}")
+
+
 class TestSerialPath:
     def test_ok_results_in_task_order(self):
         outcomes = run_tasks_hardened(
@@ -164,6 +176,28 @@ class TestSerialPath:
 
     def test_empty_task_list(self):
         assert run_tasks_hardened(_double, [], jobs=4) == []
+
+
+@needs_fork
+class TestClassificationAgreement:
+    """A task exception is classified by its class, whichever path runs it:
+    in-process (``jobs=1``) or on the forked fleet (``jobs=2``)."""
+
+    @pytest.mark.parametrize("fn, expected", [
+        # OSError family: retryable through the class hierarchy
+        (_raise_file_not_found, ("quarantined", 3, False)),
+        # a task error whose text mentions an infrastructure marker
+        (_raise_value_error_naming_a_marker, ("quarantined", 1, True)),
+        (_raise_memory_error, ("quarantined", 3, False)),
+    ], ids=["FileNotFoundError", "ValueError-marker-text", "MemoryError"])
+    def test_serial_and_fleet_agree(self, fn, expected):
+        policy = RetryPolicy(max_attempts=3, backoff=0.01, deadline=30.0)
+        fates = {}
+        for jobs in (1, 2):
+            outcome, = run_tasks_hardened(fn, [("t", 1)], jobs=jobs,
+                                          policy=policy)
+            fates[jobs] = (outcome.status, outcome.attempts, outcome.permanent)
+        assert fates == {1: expected, 2: expected}
 
 
 @needs_fork

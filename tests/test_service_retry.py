@@ -10,6 +10,8 @@ are the chaos harness's whole proof strategy).
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.service.retry import (
@@ -27,12 +29,17 @@ class TestClassification:
         "wall-clock timeout after 120.0s",
         "result delivery failed: inbox unreachable",
         "result store write failed for job j000001 under /tmp/x",
-        "OSError: [Errno 28] No space left on device",
-        "TimeoutError: deadline exceeded",
-        "BrokenProcessPool: a worker terminated abruptly",
     ])
     def test_infrastructure_failures_are_retryable(self, message):
         assert classify_failure(message) == RETRYABLE
+
+    @pytest.mark.parametrize("error", [
+        OSError(28, "No space left on device"),
+        TimeoutError("deadline exceeded"),
+        BrokenProcessPool("a worker terminated abruptly"),
+    ], ids=lambda error: type(error).__name__)
+    def test_infra_exceptions_are_retryable(self, error):
+        assert classify_exception(error) == RETRYABLE
 
     @pytest.mark.parametrize("message", [
         "ValueError: boom on 1",
@@ -40,6 +47,8 @@ class TestClassification:
         "ServiceError: unknown job kind 'x'",
         "ZeroDivisionError: division by zero",
         "something with no exception prefix at all",
+        # a marker counts only where the runner puts it: at the start
+        "ValueError: the worker died twice before",
     ])
     def test_task_errors_are_permanent(self, message):
         assert classify_failure(message) == PERMANENT
