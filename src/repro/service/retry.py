@@ -115,12 +115,6 @@ class RetryPolicy:
     def classify_error(self, error: BaseException) -> str:
         return classify_exception(error)
 
-    def should_retry(self, message: str, attempt: int) -> bool:
-        """Retry after ``attempt`` failed with ``message``?"""
-        if attempt >= self.max_attempts:
-            return False
-        return self.classify(message) == RETRYABLE
-
     # --------------------------------------------------------------- backoff
     def jitter_fraction(self, task_id: str, attempt: int) -> float:
         """Deterministic uniform-ish fraction in ``[0, 1)`` for one retry."""

@@ -37,7 +37,9 @@ from ..uarch.funit import FunctionalUnitPool
 from ..uarch.lsq import LoadStoreQueue
 from .config import MachineConfig
 from .results import SimResult, StallCounters
-from .workload import DecodedInst, PreparedWorkload
+from .workload import (
+    INTERNAL_SLOTS, SCOREBOARD_SLOTS, DecodedInst, PreparedWorkload,
+)
 
 
 class SimulationError(RuntimeError):
@@ -106,6 +108,11 @@ class SimulationHang(SimulationError):
         )
 
 
+#: cleared states of the rename table and of its internal half
+_NO_PRODUCERS = (None,) * SCOREBOARD_SLOTS
+_NO_INTERNALS = _NO_PRODUCERS[INTERNAL_SLOTS]
+
+
 class WInst:
     """One in-flight dynamic instruction."""
 
@@ -126,7 +133,7 @@ class WInst:
         self.facts = facts
         self.seq = dyn.seq
         #: ``(producer, internal)`` pairs; a list only once dispatch
-        #: resolves a non-empty dependence row
+        #: finds a source with a dispatched producer
         self.deps: Sequence[Tuple["WInst", bool]] = ()
         self.arch_reads = 0
         #: consumers waiting on this result; created by the first
@@ -270,16 +277,14 @@ class TimingCore:
         self.ifetch_extra = workload.ifetch_extra
         self.l1d_latency = config.memory.l1d_latency
 
-        # Position-indexed replay arrays (shared, read-only; see
-        # repro.sim.workload.ReplayFacts).  The per-seq dict oracles above
-        # stay exposed for introspection and fault injection; the hot loop
-        # reads only these lists.
+        # Replay facts (shared, read-only; see
+        # repro.sim.workload.ReplayFacts): each static instruction's
+        # scoreboard form and the position-indexed oracle lists.  The
+        # per-seq dict oracles above stay exposed for introspection and
+        # fault injection; the hot loop reads only these.
         replay = workload.replay()
         self.replay = replay
-        self._dep_rows = replay.deps
-        self._arch_rows = replay.arch_reads
-        self._insertable = replay.insertable
-        self._evictions = replay.evictions
+        self._forms = replay.forms
         self._ifetch_extra_row = replay.ifetch_extra
         self._load_latency_row = replay.load_latency
         self._mem_word_row = replay.mem_word
@@ -334,13 +339,12 @@ class TimingCore:
         self._fetch_blocked = False
         self._fetch_resume = 0
 
-        # Live-producer table: trace index -> in-flight WInst.  Dispatch
-        # resolves each instruction's static dependence row against it;
-        # entries are inserted only for producers some later row references
-        # and evicted by the precomputed lists, so it stays bounded by the
-        # register namespace.  (Replaces the per-config register-key
-        # scoreboards the dispatch stage used to rebuild every run.)
-        self._live: Dict[int, WInst] = {}
+        # Rename table: scoreboard slot -> last dispatched writer (64
+        # external slots, then 64 internal; see ReplayFacts.forms).
+        # Dispatch resolves each source with one index into it; a braid
+        # start clears the internal slots, as the BEU-local internal file
+        # is cleared, and a sampling gap clears them all.
+        self._producers: List[Optional[WInst]] = [None] * SCOREBOARD_SLOTS
 
         # Completion events, writeback queue, reorder buffer.
         self._events: List[Tuple[int, int, WInst]] = []
@@ -716,7 +720,7 @@ class TimingCore:
         if self.skip_hook is not None:
             self.skip_hook(self._next_fetch, index)
         self._next_fetch = index
-        self._live.clear()
+        self._producers[:] = _NO_PRODUCERS
         self._fetch_blocked = False
         self._fetch_resume = cycle
         self._stall_cycle = -1
@@ -1187,11 +1191,8 @@ class TimingCore:
         rf_entries = rf.entries
         checkpoints = self.checkpoints
         checkpoint_cap = checkpoints.capacity
-        dep_rows = self._dep_rows
-        arch_rows = self._arch_rows
-        live = self._live
-        insertable = self._insertable
-        evictions = self._evictions
+        forms = self._forms
+        producers = self._producers
         lsq = self.lsq
         trace_log = self.trace_log
         has_on_ready = self._has_on_ready
@@ -1228,27 +1229,25 @@ class TimingCore:
                 stall = "structure_full"
                 break
 
-            seq = winst.seq
-            # The live table only mutates on a successful dispatch, and a
-            # failed accept() blocks all younger dispatches, so the captured
-            # dependences of a stalled head stay valid across retry cycles.
+            # The rename table only mutates on a successful dispatch, and
+            # a failed accept() blocks all younger dispatches, so the
+            # captured dependences of a stalled head stay valid across
+            # retry cycles.
             if not winst.captured:
-                # Resolve the static dependence row against the
-                # live-producer table.
-                arch_reads = arch_rows[seq]
-                row = dep_rows[seq]
-                if row:
-                    deps = winst.deps = []
-                    for pidx, internal in row:
-                        producer = live.get(pidx)
-                        if producer is None:
-                            # Producer replayed before a sampling gap: the
-                            # value lives in the architectural file (or died
-                            # with a drained braid) — a plain register read.
-                            if not internal:
-                                arch_reads += 1
-                        else:
-                            deps.append((producer, internal))
+                arch_reads = 0
+                deps = None
+                for slot, internal in forms[winst.facts][0]:
+                    producer = producers[slot]
+                    if producer is None:
+                        # No writer dispatched since the trace start, the
+                        # last sampling gap or (internal) the braid start:
+                        # an external value is in the architectural file.
+                        if not internal:
+                            arch_reads += 1
+                    elif deps is None:
+                        deps = winst.deps = [(producer, internal)]
+                    else:
+                        deps.append((producer, internal))
                 winst.arch_reads = arch_reads
                 winst.captured = True
             if not accept(winst, cycle):
@@ -1256,7 +1255,7 @@ class TimingCore:
                 stall = "accept"
                 break
 
-            # Commit: producer subscriptions, live-table update, structure
+            # Commit: producer subscriptions, rename-table update, structure
             # bookkeeping (an allocation probe cannot fail here — the
             # checks above verified a free entry this cycle and nothing
             # allocates in between).
@@ -1271,14 +1270,12 @@ class TimingCore:
                     pending += 1
             winst.pending = pending
 
-            if insertable[seq]:
-                live[seq] = winst
-            dead = evictions[seq]
-            if dead is not None:
-                pop = live.pop
-                for producer_index in dead:
-                    pop(producer_index, None)
+            if winst.start:
+                producers[INTERNAL_SLOTS] = _NO_INTERNALS
+            for slot, _internal in forms[winst.facts][1]:
+                producers[slot] = winst
 
+            seq = winst.seq
             if winst.dest_external and alloc_at_dispatch:
                 rf.in_flight += 1
             if winst.is_branch:

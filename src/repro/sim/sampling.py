@@ -57,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .config import MachineConfig
 from .results import SimResult, StallCounters
 from .run import MAX_CYCLES
-from .workload import PreparedWorkload
+from .workload import INTERNAL_SLOTS, SCOREBOARD_SLOTS, PreparedWorkload
 
 #: Plans with fewer than this many *sampled* windows fall back to exact
 #: simulation: extrapolating from a single window has no error estimate
@@ -405,13 +405,16 @@ def _analytic_retire(workload: PreparedWorkload) -> List[float]:
     cached = replay.analytic_retire
     if cached is not None:
         return cached
-    deps = replay.deps
+    forms = replay.forms
+    decoded = workload.decode()
     load_latency = replay.load_latency
     ifetch_extra = replay.ifetch_extra
     mispredicted = workload.mispredicted
-    trace = workload.trace
-    n = len(trace)
-    done = [0.0] * n
+    n = len(decoded)
+    #: scoreboard slot -> completion time of its last writer (0.0 when
+    #: unbound: every ready time is positive, so it never gates)
+    done_at = [0.0] * SCOREBOARD_SLOTS
+    no_internals = done_at[INTERNAL_SLOTS]
     retire = [0.0] * n
     fetch_clock = 0.0
     step = 1.0 / _PROXY_WIDTH
@@ -426,17 +429,22 @@ def _analytic_retire(workload: PreparedWorkload) -> List[float]:
             if gate > available:
                 available = gate
         ready = available
-        for producer, _internal in deps[i]:
-            produced = done[producer]
+        facts = decoded[i]
+        sources, writes = forms[facts]
+        for slot, _internal in sources:
+            produced = done_at[slot]
             if produced > ready:
                 ready = produced
         latency = load_latency[i]
-        done[i] = ready + (latency if latency is not None else 1)
+        done = ready + (latency if latency is not None else 1)
+        if facts.start:
+            done_at[INTERNAL_SLOTS] = no_internals
+        for slot, _internal in writes:
+            done_at[slot] = done
         previous = retire[i - 1] if i else 0.0
-        retire[i] = previous if done[i] <= previous else done[i]
-        dyn = trace[i]
-        if dyn.is_branch and dyn.seq in mispredicted:
-            resume = done[i] + _PROXY_REFILL
+        retire[i] = previous if done <= previous else done
+        if facts.is_branch and i in mispredicted:
+            resume = done + _PROXY_REFILL
             if resume > fetch_clock:
                 fetch_clock = resume
     replay.analytic_retire = retire

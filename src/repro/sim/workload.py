@@ -99,30 +99,21 @@ def decode_trace(trace: List[DynInst]) -> List[DecodedInst]:
 
 
 class ReplayFacts:
-    """Config-invariant phase-two replay arrays, indexed by trace position.
+    """Config-invariant phase-two replay facts of one workload.
 
     Everything here is a pure function of the trace and its decode facts,
     so it is computed once per workload and shared read-only by every
     timing core replaying it — including every config of a sweep
-    simulated against the same workload.  The arrays replace per-dispatch scoreboard
-    walks and per-instruction dict probes in the timing cores' hot loop:
+    simulated against the same workload.
 
-    * ``deps[i]`` — static dependence row: ``((producer_index, internal),
-      ...)`` for every register source of instruction ``i`` that has an
-      in-trace producer, under exactly the semantics the dynamic
-      scoreboards implemented (last writer in trace order, separate
-      external/internal namespaces, internal bindings dying at braid
-      start bits).  Dispatch resolves each row against a small live
-      table of in-flight producers instead of re-deriving it per config.
-    * ``arch_reads[i]`` — external sources with *no* in-trace producer
-      (architectural-file reads).  Sources whose producer retired before
-      a sampling gap are added at resolve time.
-    * ``insertable[i]`` — 1 if some later instruction's row references
-      ``i``; only those producers enter the live table.
-    * ``evictions[i]`` — producer indices whose last scoreboard binding
-      instruction ``i`` overwrites (or clears, for a braid start); the
-      live table drops them when ``i`` dispatches, keeping it bounded by
-      the register namespace instead of growing with the trace.
+    * ``forms`` — each distinct :class:`DecodedInst` of the trace mapped
+      to its ``(sources, writes)`` scoreboard form (see
+      :func:`_scoreboard_form`).  Dispatch resolves every source with one
+      index into the core's 128-slot rename table (64 external slots,
+      then 64 internal) and binds the writes at commit, so producers are
+      named by static slot and no per-entry dependence row exists.  The
+      forms live here rather than on the decode facts so the decoded
+      slots, and the pickled workload, stay as they are.
     * ``ifetch_extra[i]`` / ``load_latency[i]`` / ``mem_word[i]`` — the
       phase-one dict oracles flattened to position-indexed lists
       (``None`` where absent) for O(1) un-hashed access.
@@ -138,17 +129,13 @@ class ReplayFacts:
     """
 
     __slots__ = (
-        "deps", "arch_reads", "insertable", "evictions",
-        "ifetch_extra", "load_latency", "mem_word", "store_conflict",
-        "analytic_retire",
+        "forms", "ifetch_extra", "load_latency", "mem_word",
+        "store_conflict", "analytic_retire",
     )
 
-    def __init__(self, deps, arch_reads, insertable, evictions,
-                 ifetch_extra, load_latency, mem_word, store_conflict) -> None:
-        self.deps = deps
-        self.arch_reads = arch_reads
-        self.insertable = insertable
-        self.evictions = evictions
+    def __init__(self, forms, ifetch_extra, load_latency, mem_word,
+                 store_conflict) -> None:
+        self.forms = forms
         self.ifetch_extra = ifetch_extra
         self.load_latency = load_latency
         self.mem_word = mem_word
@@ -164,6 +151,9 @@ class ReplayFacts:
 _EXTERNAL_SLOT = {("int", index): index for index in range(32)}
 _EXTERNAL_SLOT.update({("fp", index): 32 + index for index in range(32)})
 _INTERNAL_BASE = 64
+#: size of a rename table over both namespaces, and its internal half
+SCOREBOARD_SLOTS = 2 * _INTERNAL_BASE
+INTERNAL_SLOTS = slice(_INTERNAL_BASE, SCOREBOARD_SLOTS)
 
 
 def _scoreboard_form(facts: DecodedInst) -> Tuple:
@@ -184,21 +174,14 @@ def _scoreboard_form(facts: DecodedInst) -> Tuple:
 def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
                  load_latency: Dict[int, int],
                  ifetch_extra: Dict[int, int]) -> ReplayFacts:
-    """Walk the trace once, building every :class:`ReplayFacts` array.
+    """Build the :class:`ReplayFacts` of one trace.
 
-    The builder mirrors the scoreboard discipline of the dispatch stage:
-    sources read the tables *before* the instruction's own start-clear and
-    destination writes take effect, and consumers always resolve before
-    the overwriting writer dispatches (dispatch is in trace order), so
-    evict-at-overwrite is observationally identical to the dynamic maps.
-    A producer whose last binding dies can have no later reader, so
-    whether it was ever read is already final there.
-
-    Every array is indexed by trace position, and the bindings, eviction
-    tuples and store positions hold the row's own ``seq`` int rather
-    than a fresh one; that is sound because the executor numbers rows
-    from 0 in trace order (the timing cores index these arrays by
-    ``seq`` too).  An aligned address is its own memory word.
+    The oracles flatten to position-indexed lists; one pass over the
+    memory accesses finds each load's store conflict, holding the store
+    row's own ``seq`` int rather than a fresh one.  That is sound because
+    the executor numbers rows from 0 in trace order (the timing cores
+    index these arrays by ``seq`` too).  An aligned address is its own
+    memory word.
     """
     n = len(trace)
     assert not trace or (trace[0].seq == 0 and trace[-1].seq == n - 1), \
@@ -214,77 +197,21 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
     store_conflict: List[Optional[int]] = [None] * n
     #: memory word -> trace position of its youngest store so far
     last_store: Dict[int, int] = {}
-    deps: List[Tuple] = [()] * n
-    arch = [0] * n
-    referenced = bytearray(n)
-    evictions: List[Optional[Tuple[int, ...]]] = [None] * n
-    #: producer index -> number of scoreboard slots still binding it
-    bindings = bytearray(n)
-    #: scoreboard slot -> ``(trace position, internal)`` of its last
-    #: writer: the dependence-row entry every reader of the slot shares
-    last: List[Optional[Tuple[int, bool]]] = [None] * (2 * _INTERNAL_BASE)
-    #: bound internal slots, in binding order (cleared at braid starts)
-    internal_live: List[int] = []
-    forms: Dict[DecodedInst, Tuple] = {}
-
     for dyn, facts in zip(trace, decoded):
-        i = dyn.seq
-        form = forms.get(facts)
-        if form is None:
-            form = forms[facts] = _scoreboard_form(facts)
-        sources, writes = form
         addr = dyn.mem_addr
-        if addr is not None:
-            word = addr & ~0x7 if addr & 0x7 else addr
-            mem[i] = word
-            if facts.is_load:
-                store_conflict[i] = last_store.get(word)
-            else:
-                last_store[word] = i
-        if sources:
-            row = []
-            plain_reads = 0
-            for slot, internal in sources:
-                binding = last[slot]
-                if binding is None:
-                    if not internal:
-                        plain_reads += 1
-                else:
-                    row.append(binding)
-                    referenced[binding[0]] = 1
-            if row:
-                deps[i] = tuple(row)
-            arch[i] = plain_reads
-
-        if facts.start and internal_live:
-            # Internal values never cross braid boundaries.
-            for slot in internal_live:
-                producer = last[slot][0]
-                last[slot] = None
-                bindings[producer] -= 1
-                if not bindings[producer] and referenced[producer]:
-                    dying = evictions[i]
-                    evictions[i] = (producer,) if dying is None else dying + (producer,)
-            internal_live.clear()
-        for slot, internal in writes:
-            previous = last[slot]
-            last[slot] = (i, internal)
-            bindings[i] += 1
-            if previous is None:
-                if internal:
-                    internal_live.append(slot)
-                continue
-            producer = previous[0]
-            bindings[producer] -= 1
-            if not bindings[producer] and referenced[producer]:
-                dying = evictions[i]
-                evictions[i] = (producer,) if dying is None else dying + (producer,)
+        if addr is None:
+            continue
+        i = dyn.seq
+        word = addr & ~0x7 if addr & 0x7 else addr
+        mem[i] = word
+        if facts.is_load:
+            store_conflict[i] = last_store.get(word)
+        else:
+            last_store[word] = i
 
     return ReplayFacts(
-        deps=deps,
-        arch_reads=arch,
-        insertable=referenced,
-        evictions=evictions,
+        forms={facts: _scoreboard_form(facts)
+               for facts in dict.fromkeys(decoded)},
         ifetch_extra=ifetch,
         load_latency=loads,
         mem_word=mem,
@@ -329,9 +256,8 @@ class PreparedWorkload:
     decoded: Optional[List[DecodedInst]] = field(
         default=None, repr=False, compare=False
     )
-    #: lazily computed replay arrays (see :meth:`replay`); dropped from
-    #: pickles — they rebuild in one linear pass and would triple the
-    #: artifact-cache footprint
+    #: lazily computed replay facts (see :meth:`replay`); dropped from
+    #: pickles — they rebuild in one linear pass
     replay_facts: Optional[ReplayFacts] = field(
         default=None, repr=False, compare=False
     )
@@ -347,7 +273,7 @@ class PreparedWorkload:
         return self.decoded
 
     def replay(self) -> ReplayFacts:
-        """Replay arrays shared by every timing core driving this workload."""
+        """Replay facts shared by every timing core driving this workload."""
         if self.replay_facts is None:
             with collector_paused():
                 self.replay_facts = build_replay(

@@ -4,11 +4,13 @@ A prepared workload holds one :class:`DynInst` per dynamic instruction,
 so the per-row cost decides phase one's memory and artifact size.  Rows
 are slotted; every instance of a static instruction holds that
 instruction's ``pc`` object, and every not-taken instance its
-fall-through ``next_pc`` object; every replay binding holds its
-producer row's own ``seq`` object.  A workload pickles its trace as
-per-field columns and interns the addresses again on load, so each
-property holds for a fresh workload and for one read back from a pickle,
-and the two are equal in every phase-one output.
+fall-through ``next_pc`` object.  The replay facts hold no per-entry
+dependence rows: one scoreboard form per static instruction serves every
+dynamic instance, and a core's rename table resolves producers at
+dispatch.  A workload pickles its trace as per-field columns and interns
+the addresses again on load, so each property holds for a fresh workload
+and for one read back from a pickle, and the two are equal in every
+phase-one output.
 """
 
 from __future__ import annotations
@@ -21,18 +23,24 @@ import pytest
 from repro.core import braidify
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.context import ExperimentContext
+from repro.sim.config import braid_config, ooo_config
 from repro.sim.functional import DynInst
+from repro.sim.run import MAX_CYCLES, build_core
 from repro.sim.workload import (
-    DecodedInst, PreparedWorkload, ReplayFacts, prepare_workload,
+    INTERNAL_SLOTS, DecodedInst, PreparedWorkload, ReplayFacts,
+    _scoreboard_form, prepare_workload,
 )
 from repro.workloads import build_program
+
+from .replay_reference import reference_replay
 
 CASES = tuple((name, braided) for name in ("gcc", "swim")
               for braided in (False, True))
 CASE_IDS = tuple(f"{name}-{'braided' if braided else 'original'}"
                  for name, braided in CASES)
 REPLAY_ARRAYS = tuple(
-    name for name in ReplayFacts.__slots__ if name != "analytic_retire"
+    name for name in ReplayFacts.__slots__
+    if name not in ("forms", "analytic_retire")
 )
 
 
@@ -98,18 +106,17 @@ class TestSharing:
                 )
         assert len(pc) < len(workload.trace)
 
-    def test_bindings_hold_the_producer_seq(self, workload):
-        trace = workload.trace
+    def test_replay_holds_no_dependence_rows(self, workload):
         replay = workload.replay()
-        bindings = 0
-        for row in replay.deps:
-            for producer, _ in row:
-                assert producer is trace[producer].seq
-                bindings += 1
-        assert bindings
-        for dying in replay.evictions:
-            for producer in dying or ():
-                assert producer is trace[producer].seq
+        for name in ReplayFacts.__slots__:
+            array = getattr(replay, name)
+            if isinstance(array, list) and len(array) == len(workload):
+                assert not any(isinstance(row, tuple) for row in array), name
+        distinct = {id(facts): facts for facts in workload.decoded}
+        assert len(replay.forms) == len(distinct) < len(workload)
+        assert {id(facts) for facts in replay.forms} == set(distinct)
+        for facts, form in replay.forms.items():
+            assert form == _scoreboard_form(facts)
 
 
 @pytest.mark.parametrize("name,braided", CASES, ids=CASE_IDS)
@@ -124,6 +131,62 @@ def test_round_trip_equals_fresh(name, braided):
     assert after.replay() is not before.replay()
     for array in REPLAY_ARRAYS:
         assert getattr(after.replay(), array) == getattr(before.replay(), array)
+    # The forms are keyed by the loaded workload's own decode facts.
+    own = {id(facts) for facts in after.decoded}
+    assert {id(facts) for facts in after.replay().forms} == own
+    assert [after.replay().forms[facts] for facts in after.decoded] == \
+        [before.replay().forms[facts] for facts in before.decoded]
+
+
+@pytest.mark.parametrize("name,braided", CASES, ids=CASE_IDS)
+def test_sampling_gap_empties_the_rename_table(name, braided):
+    """After a gap, a source whose writer was skipped or retired before
+    it reads the architectural file (external) or nothing (internal)."""
+    workload = fresh(name, braided)
+    reference = reference_replay(workload)
+    config = braid_config(8) if braided else ooo_config(8)
+    core = build_core(workload, config)
+    before, gap_end, window = 300, 700, 400
+    core._fetch_limit = before
+    cycle = core._run_until(before, 0, MAX_CYCLES)
+    cycle = core.drain_in_flight(cycle)
+    assert any(slot is not None for slot in core._producers)
+    core.fast_forward(gap_end, cycle)
+    assert all(slot is None for slot in core._producers)
+
+    origin = core._retired_count - gap_end
+    core._fetch_limit = gap_end + window
+    core.trace_log = []
+    core._run_until(origin + gap_end + window, cycle, MAX_CYCLES)
+    assert [winst.seq for winst in core.trace_log] == \
+        list(range(gap_end, gap_end + window))
+    crossing = 0
+    for winst in core.trace_log:
+        seq = winst.seq
+        kept = tuple(dep for dep in reference["deps"][seq]
+                     if dep[0] >= gap_end)
+        external_before = sum(1 for producer, internal in reference["deps"][seq]
+                              if producer < gap_end and not internal)
+        crossing += external_before
+        assert tuple((producer.seq, internal)
+                     for producer, internal in winst.deps) == kept
+        assert winst.arch_reads == \
+            reference["arch_reads"][seq] + external_before
+    assert crossing
+
+
+@pytest.mark.parametrize("name", ("gcc", "swim"))
+def test_braid_start_clears_the_internal_slots(name):
+    """Internal values never cross a braid start: after a run, every
+    bound internal slot holds a writer from the last braid."""
+    workload = fresh(name, True)
+    core = build_core(workload, braid_config(8))
+    core.run()
+    last_start = max(dyn.seq for dyn in workload.trace if dyn.inst.annot.start)
+    internal = core._producers[INTERNAL_SLOTS]
+    assert all(producer is None or producer.seq >= last_start
+               for producer in internal)
+    assert any(producer is not None for producer in core._producers)
 
 
 def _v4_getstate(self):

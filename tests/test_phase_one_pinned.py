@@ -13,9 +13,18 @@ sha256 of:
 * ``oracles`` — ``mispredicted``, ``load_latency``, ``ifetch_extra`` and
   :class:`WorkloadStats`;
 * ``decoded`` — every :class:`DecodedInst` slot;
-* ``replay`` — every :class:`ReplayFacts` array;
+* ``replay`` — the eight per-entry replay arrays of the reference
+  scoreboard walk (:mod:`tests.replay_reference`): the dependence rows,
+  architectural reads, insertable flags and evictions the timing cores
+  no longer store, and the four arrays :class:`ReplayFacts` keeps;
 * ``pickle`` — the pickled, decoded :class:`PreparedWorkload` (the bytes
   the artifact cache stores).
+
+Each case also checks that the kept arrays equal the reference's, and
+that an exact ``ooo`` run (and, for a braided case, a ``braid`` run)
+dispatches every instruction with the producers and architectural reads
+the reference rows name: the rename table resolves sources the same way
+the old rows did.
 
 If a change legitimately moves phase one, re-pin with
 ``PYTHONPATH=src python tests/test_phase_one_pinned.py`` (and bump
@@ -35,16 +44,19 @@ import pytest
 
 from repro.core import braidify
 from repro.sim.functional import FunctionalExecutor
-from repro.sim.workload import DecodedInst, ReplayFacts, prepare_workload
+from repro.sim.config import braid_config, ooo_config
+from repro.sim.run import build_core
+from repro.sim.workload import DecodedInst, prepare_workload
 from repro.workloads import build_program
 from repro.workloads.profiles import ALL_BENCHMARKS
+
+from .replay_reference import ARRAYS, reference_replay
 
 PINNED_PATH = Path(__file__).resolve().parent / "data" / "phase_one_pinned.json"
 #: the default ``prepare_workload`` cap; every scale-1 benchmark completes
 MAX_INSTRUCTIONS = 200_000
-REPLAY_ARRAYS = tuple(
-    name for name in ReplayFacts.__slots__ if name != "analytic_retire"
-)
+#: the arrays :class:`ReplayFacts` keeps from the reference's eight
+KEPT_ARRAYS = ("ifetch_extra", "load_latency", "mem_word", "store_conflict")
 
 
 def _sha(rows) -> str:
@@ -65,16 +77,21 @@ def case_program(case: str):
     return braidify(program).translated if form == "braided" else program
 
 
-def phase_one_digests(program) -> Dict[str, str]:
+def prepared(program):
+    return prepare_workload(program, max_instructions=MAX_INSTRUCTIONS)
+
+
+def phase_one_digests(program, workload=None) -> Dict[str, str]:
     """The pinned digests of one program's phase one."""
     executor = FunctionalExecutor(program, max_instructions=MAX_INSTRUCTIONS)
     executor.run()
     stats = dataclasses.asdict(executor.stats)
     stats["block_counts"] = sorted(stats["block_counts"].items())
 
-    workload = prepare_workload(program, max_instructions=MAX_INSTRUCTIONS)
+    if workload is None:
+        workload = prepared(program)
     decoded = workload.decode()
-    replay = workload.replay()
+    reference = reference_replay(workload)
     return {
         "trace": _sha(
             (d.seq, d.block, d.pc, d.inst.opcode.name, d.taken, d.next_pc,
@@ -92,9 +109,7 @@ def phase_one_digests(program) -> Dict[str, str]:
             tuple(getattr(facts, slot) for slot in DecodedInst.__slots__)
             for facts in decoded
         ),
-        "replay": _sha(
-            (name, getattr(replay, name)) for name in REPLAY_ARRAYS
-        ),
+        "replay": _sha((name, reference[name]) for name in ARRAYS),
         "pickle": hashlib.sha256(
             pickle.dumps(workload, protocol=pickle.HIGHEST_PROTOCOL)
         ).hexdigest(),
@@ -114,9 +129,35 @@ def test_every_benchmark_is_pinned(pinned):
     assert sorted(pinned) == sorted(CASES)
 
 
+def assert_dispatch_matches(workload, config, reference) -> None:
+    """An exact run dispatches every instruction with the reference's
+    producer seqs and architectural reads."""
+    core = build_core(workload, config)
+    core.trace_log = []
+    core.run()
+    assert [winst.seq for winst in core.trace_log] == \
+        list(range(len(workload.trace)))
+    deps, arch_reads = reference["deps"], reference["arch_reads"]
+    for winst in core.trace_log:
+        seq = winst.seq
+        assert tuple((producer.seq, internal)
+                     for producer, internal in winst.deps) == deps[seq]
+        assert winst.arch_reads == arch_reads[seq]
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_phase_one_matches_pin(case, pinned):
-    assert phase_one_digests(case_program(case)) == pinned[case]
+    program = case_program(case)
+    workload = prepared(program)
+    assert phase_one_digests(program, workload) == pinned[case]
+
+    reference = reference_replay(workload)
+    replay = workload.replay()
+    for name in KEPT_ARRAYS:
+        assert getattr(replay, name) == reference[name], name
+    assert_dispatch_matches(workload, ooo_config(8), reference)
+    if case.endswith("-braided"):
+        assert_dispatch_matches(workload, braid_config(8), reference)
 
 
 if __name__ == "__main__":

@@ -59,14 +59,6 @@ class TestClassification:
         assert classify_exception(FileNotFoundError("gone")) == RETRYABLE
         assert classify_exception(ValueError("bad")) == PERMANENT
 
-    def test_policy_should_retry_respects_budget(self):
-        policy = RetryPolicy(max_attempts=3)
-        infra = "worker died mid-task"
-        assert policy.should_retry(infra, attempt=1)
-        assert policy.should_retry(infra, attempt=2)
-        assert not policy.should_retry(infra, attempt=3)
-        assert not policy.should_retry("ValueError: nope", attempt=1)
-
 
 class TestBackoff:
     def test_delay_doubles_under_the_cap(self):
