@@ -64,23 +64,6 @@ class BenchmarkBraidStats:
         selected = self._selected(exclude_singles)
         return len(selected) / self.basic_blocks if self.basic_blocks else 0.0
 
-    @property
-    def single_fraction(self) -> float:
-        """Fraction of all *instructions* that are single-instruction braids
-        (paper: 20%)."""
-        instructions = sum(r.size for r in self.records)
-        singles = sum(1 for r in self.records if r.is_single)
-        return singles / instructions if instructions else 0.0
-
-    @property
-    def single_branch_nop_fraction(self) -> float:
-        """Of single-instruction braids, the branch+nop share (paper: 56%)."""
-        singles = [r for r in self.records if r.is_single]
-        if not singles:
-            return 0.0
-        hits = sum(1 for r in singles if r.is_branch or r.is_nop)
-        return hits / len(singles)
-
     # ----------------------------------------------------------------- Table 2
     def mean_size(self, exclude_singles: bool = False) -> float:
         return self._mean([r.size for r in self._selected(exclude_singles)])

@@ -70,7 +70,6 @@ class BlockGraph:
             producer: sorted(consumers)
             for producer, consumers in consumer_sets.items()
         }
-        self._last_writer = last_writer
 
     # ------------------------------------------------------------------ queries
     @property
@@ -79,16 +78,6 @@ class BlockGraph:
 
     def __len__(self) -> int:
         return len(self.block.instructions)
-
-    def in_block_fanout(self, position: int) -> int:
-        """Number of in-block consumers of the value defined at ``position``."""
-        return len(self.consumers_of.get(position, ()))
-
-    def is_last_writer(self, position: int) -> bool:
-        """True if no later in-block instruction overwrites this destination."""
-        inst = self.block.instructions[position]
-        written = inst.writes()
-        return written is not None and self._last_writer.get(written) == position
 
     def neighbors(self, position: int) -> Iterator[int]:
         """Undirected dataflow neighbours (both producers and consumers)."""

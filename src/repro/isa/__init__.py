@@ -15,7 +15,6 @@ from .encoding import EncodingError, decode, decode_block, encode, encode_block
 from .instruction import PLAIN, BraidAnnotation, Instruction
 from .opcodes import (
     CATEGORY_LATENCY,
-    EncodingFormat,
     OpCategory,
     Opcode,
     all_opcodes,
@@ -49,7 +48,6 @@ __all__ = [
     "BraidAnnotation",
     "Instruction",
     "CATEGORY_LATENCY",
-    "EncodingFormat",
     "OpCategory",
     "Opcode",
     "all_opcodes",

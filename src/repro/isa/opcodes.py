@@ -54,14 +54,6 @@ class OpCategory(enum.Enum):
     NOP = "nop"
 
 
-class EncodingFormat(enum.Enum):
-    """Braid instruction formats of paper Figure 3."""
-
-    ZERO_DEST = "zero-dest"
-    ONE_REG = "one-reg"
-    TWO_REG = "two-reg"
-
-
 #: Default execution latencies per category, in cycles.  Loads additionally
 #: pay the data-cache access latency modelled by the memory system.
 CATEGORY_LATENCY: Dict[OpCategory, int] = {
@@ -120,15 +112,6 @@ class Opcode:
             ("is_nop", category is OpCategory.NOP),
         ):
             object.__setattr__(self, name, value)
-
-    @property
-    def encoding_format(self) -> EncodingFormat:
-        """Which of the paper's Figure 3 instruction formats this opcode uses."""
-        if not self.has_dest:
-            return EncodingFormat.ZERO_DEST
-        if self.num_srcs <= 1:
-            return EncodingFormat.ONE_REG
-        return EncodingFormat.TWO_REG
 
     def __repr__(self) -> str:
         return f"Opcode({self.name})"

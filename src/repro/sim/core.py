@@ -1571,6 +1571,10 @@ class TimingCore:
         lsq = self.lsq
         checkpoints = self.checkpoints
         alloc_at_dispatch = not self._rf_alloc_at_issue
+        # A retired instruction's producers matter only to trace records
+        # (stall attribution); kept otherwise, the rename table would hold
+        # every retired dependence chain alive.
+        release_deps = self.trace_log is None
         retired = 0
         while budget > 0 and rob:
             winst = rob[0]
@@ -1581,6 +1585,8 @@ class TimingCore:
             winst.retire_cycle = cycle
             if retire_hook is not None:
                 retire_hook(winst, cycle)
+            if release_deps:
+                winst.deps = ()
             if winst.dest_external and alloc_at_dispatch:
                 rf.release()
             if winst.is_store:

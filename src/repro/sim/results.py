@@ -82,25 +82,6 @@ class SimResult:
         return self.instructions
 
     @property
-    def issue_rate(self) -> float:
-        """Issue slots used per covered instruction (mode-safe)."""
-        cover = self.counters_cover
-        return self.issued / cover if cover else 0.0
-
-    def stall_rates(self) -> Dict[str, float]:
-        """Stall cycle-slots per covered instruction, by reason.
-
-        Safe to compare across exact and sampled runs of the same point:
-        both sides are normalized by :attr:`counters_cover`.
-        """
-        cover = self.counters_cover
-        if not cover:
-            return {name: 0.0 for name in self.stalls.as_dict()}
-        return {
-            name: value / cover for name, value in self.stalls.as_dict().items()
-        }
-
-    @property
     def ipc_stderr(self) -> float:
         """Standard error of the IPC estimate (0.0 for exact runs).
 

@@ -40,9 +40,6 @@ class BusyBitVector:
         self._busy.discard(tag)
         self.clear_events += 1
 
-    def is_ready(self, tag: int) -> bool:
-        return tag not in self._busy
-
     def toggle(self, tag: int) -> None:
         """Invert one bit (transient-fault model: a single-event upset
         either clears a busy bit early or sets a spurious one)."""

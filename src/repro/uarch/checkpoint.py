@@ -69,9 +69,6 @@ class CheckpointManager:
             self.restored += 1
         return target
 
-    def total_state_words(self) -> int:
-        return sum(cp.state_words for cp in self._stack)
-
     def seqs(self) -> tuple:
         """Branch sequence numbers of live checkpoints, oldest first."""
         return tuple(cp.seq for cp in self._stack)

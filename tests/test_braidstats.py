@@ -83,11 +83,6 @@ class TestSuiteAggregation:
         assert overall == pytest.approx(int_only)
         assert suite.average("mean_size", suite="nope") == 0.0
 
-    def test_single_fraction_bounds(self, gcc_life_compiled):
-        stats = braid_statistics(gcc_life_compiled, suite="int")
-        assert 0.0 <= stats.single_fraction <= 1.0
-        assert 0.0 <= stats.single_branch_nop_fraction <= 1.0
-
     def test_record_is_single(self):
         assert BraidRecord(0, 1, 1.0, 0, 0, 0).is_single
         assert not BraidRecord(0, 2, 1.0, 0, 0, 0).is_single

@@ -37,9 +37,7 @@ class TestEdges:
         )
         # The consumer reads the *second* definition of r3 only.
         assert graph.producer_of[2] == {0: 1, 1: 1}
-        assert graph.in_block_fanout(0) == 0
-        assert graph.is_last_writer(1)
-        assert not graph.is_last_writer(0)
+        assert 0 not in graph.consumers_of
 
     def test_zero_register_never_creates_edges(self):
         graph = graph_of(

@@ -6,7 +6,6 @@ from repro.isa.opcodes import (
     CATEGORY_LATENCY,
     IMM_VARIANTS,
     MASK64,
-    EncodingFormat,
     OpCategory,
     all_opcodes,
     opcode_by_name,
@@ -167,12 +166,6 @@ class TestMetadata:
         assert opcode_by_name("stq").is_store
         assert opcode_by_name("ldq").is_mem and opcode_by_name("stq").is_mem
         assert not opcode_by_name("addq").is_mem
-
-    def test_encoding_formats(self):
-        assert opcode_by_name("stq").encoding_format is EncodingFormat.ZERO_DEST
-        assert opcode_by_name("bne").encoding_format is EncodingFormat.ZERO_DEST
-        assert opcode_by_name("lda").encoding_format is EncodingFormat.ONE_REG
-        assert opcode_by_name("addq").encoding_format is EncodingFormat.TWO_REG
 
     def test_unknown_opcode_raises(self):
         with pytest.raises(KeyError):

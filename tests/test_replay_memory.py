@@ -16,7 +16,10 @@ import tracemalloc
 import pytest
 
 from repro.core import braidify
-from repro.sim.workload import prepare_workload
+from repro.sim import ooo_config
+from repro.sim.core import WInst
+from repro.sim.run import build_core
+from repro.sim.workload import SCOREBOARD_SLOTS, prepare_workload
 from repro.workloads import build_program
 from repro.workloads.suite import QUICK_BENCHMARKS
 
@@ -46,3 +49,27 @@ def test_replay_facts_fit_the_budget(name, braided):
             gc.enable()
     assert used <= MAX_BYTES_PER_ENTRY * len(workload), \
         f"{used / len(workload):.1f} B per entry"
+
+
+def live_winsts() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is WInst)
+
+
+@pytest.mark.parametrize("traced", (False, True), ids=("plain", "traced"))
+def test_retired_producers_are_released(traced):
+    """After an exact 8-wide ooo run on swim, the core keeps only the
+    rename table's producers alive; a retired instruction holding its
+    own producers would keep whole dependence chains.  A traced core
+    keeps them: stall attribution reads ``deps`` from its records."""
+    workload = prepare_workload(build_program("swim"))
+    baseline = live_winsts()
+    core = build_core(workload, ooo_config(8))
+    if traced:
+        core.trace_log = []
+    core.run()
+    live = live_winsts() - baseline
+    if traced:
+        assert live == len(core.trace_log) == len(workload.trace)
+    else:
+        assert 0 < live <= SCOREBOARD_SLOTS

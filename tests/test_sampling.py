@@ -119,7 +119,8 @@ class TestEstimate:
             f"(exact {exact.ipc:.4f}, sampled {sampled.ipc:.4f})"
         )
         # Warmup overhead dominates at this small test scale; the bench-scale
-        # detail fraction (~0.16, i.e. the >=4x speedup) lives in bench_speed.
+        # detail fraction (~0.16, i.e. the >=4x speedup) is recorded in the
+        # fidelity_tiers section of BENCH_SPEED.json.
         assert sampled.extra["sample_detail_fraction"] < 0.8
 
     def test_deterministic(self, ctx):

@@ -90,9 +90,9 @@ class TestBusyBits:
     def test_set_and_clear(self):
         bits = BusyBitVector(8)
         assert bits.mark_busy(1)
-        assert not bits.is_ready(1)
+        assert bits.snapshot() == {1: True}
         bits.mark_ready(1)
-        assert bits.is_ready(1)
+        assert bits.snapshot() == {}
 
     def test_capacity(self):
         bits = BusyBitVector(2)
@@ -134,7 +134,7 @@ class TestCheckpoints:
         manager = CheckpointManager(4, 10)
         manager.take(1)
         manager.take(2)
-        assert manager.total_state_words() == 20
+        assert [cp.state_words for cp in manager.live()] == [10, 10]
 
 
 class TestLSQ:
