@@ -48,7 +48,8 @@ from repro.obs.metrics import parse_prometheus, prometheus_errors
 from repro.service import JobRequest, JobStore
 from repro.service.jobs import normalize_params
 from repro.service.supervisor import ServiceConfig, Supervisor
-from repro.service.telemetry import heartbeat_age, read_health, read_progress
+from repro.obs.runlog import read_snapshot
+from repro.service.telemetry import heartbeat_age
 
 SIZING = {"scale": 0.1, "max_instructions": 20_000}
 HEARTBEAT = 0.05
@@ -108,7 +109,7 @@ def serve_watched(root):
         followed.extend(follower.refresh())
         polls += 1
         for job_id in jobs:
-            beat = read_progress(store.progress_dir, job_id)
+            beat = store.progress(job_id)
             age = heartbeat_age(beat)
             if age is not None and age <= 5 * HEARTBEAT:
                 live_beats.add(job_id)
@@ -140,7 +141,7 @@ def check_heartbeats(store, jobs, live_beats):
     if not live_beats:
         fail("never observed a fresh heartbeat while jobs were running")
     for job_id in jobs:
-        beat = read_progress(store.progress_dir, job_id)
+        beat = store.progress(job_id)
         if beat is None:
             fail(f"{job_id}: no final heartbeat file")
         if beat["instructions"] != beat["instructions_total"]:
@@ -148,7 +149,7 @@ def check_heartbeats(store, jobs, live_beats):
                 f"{job_id}: final heartbeat retired "
                 f"{beat['instructions']}/{beat['instructions_total']}"
             )
-    sweep_beat = read_progress(store.progress_dir, jobs[2])
+    sweep_beat = store.progress(jobs[2])
     if sweep_beat["cells_total"] != 2:
         fail(f"sweep heartbeat cells_total {sweep_beat['cells_total']} != 2")
     print(
@@ -208,7 +209,21 @@ def check_metrics(store, jobs):
         )
     if samples.get('repro_run_ms{stat="weight"}', 0) < len(jobs):
         fail("run_ms histogram missing settled jobs")
-    health = read_health(store.health_path)
+    # Each fact once: every store counter is exported under its own name
+    # and no other series repeats one.
+    disagree = {
+        name: samples.get(f"repro_service_{name}")
+        for name, value in store.counters().items()
+        if samples.get(f"repro_service_{name}") != float(value)
+    }
+    if disagree:
+        fail(f"exposition disagrees with the store counters: {disagree}")
+    shadows = [name for name in samples
+               if name.startswith(("repro_service_jobs_",
+                                   "repro_service_recovered_"))]
+    if shadows:
+        fail(f"exposition repeats fold counters: {shadows}")
+    health = read_snapshot(store.health_path)
     if health is None:
         fail("no health.json published")
     if health["pid"] != os.getpid():

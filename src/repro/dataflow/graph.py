@@ -11,7 +11,7 @@ by :mod:`repro.dataflow.liveness`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.program import BasicBlock
@@ -78,27 +78,6 @@ class BlockGraph:
 
     def __len__(self) -> int:
         return len(self.block.instructions)
-
-    def neighbors(self, position: int) -> Iterator[int]:
-        """Undirected dataflow neighbours (both producers and consumers)."""
-        for producer in self.producer_of[position].values():
-            yield producer
-        for consumer in self.consumers_of.get(position, ()):
-            yield consumer
-
-    def connected_component(self, seed: int) -> Set[int]:
-        """The dataflow subgraph stemming from ``seed`` (paper section 3.1)."""
-        seen: Set[int] = set()
-        stack = [seed]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(
-                neighbor for neighbor in self.neighbors(node) if neighbor not in seen
-            )
-        return seen
 
     def longest_path_length(self, positions: Set[int]) -> int:
         """Instructions on the longest dataflow path within ``positions``.

@@ -46,11 +46,11 @@ import hashlib
 import os
 import pickle
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..obs.runlog import write_atomic
 from ..sim.gcpause import collector_paused
 
 #: Bump when artifact pickles or phase-one semantics change shape.
@@ -194,30 +194,18 @@ class ArtifactCache:
         return value
 
     def put(self, key: Tuple, value: Any) -> None:
-        """Store ``value`` atomically.
+        """Store ``value`` atomically (:func:`~repro.obs.runlog.write_atomic`,
+        not fsynced).
 
         The cache is advisory, so an ``OSError`` (a full disk, an
         unwritable root) is silent and leaves the slot empty; a value
-        that fails to pickle raises, after its temp file is removed.
+        that fails to pickle raises before any file is written.
         """
         if not self.enabled:
             return
-        path = self.path_for(key)
+        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.root), prefix=path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            write_atomic(self.path_for(key), data, fsync=False)
             if self.limit_bytes is not None:
                 self.enforce_limit()
         except OSError:

@@ -40,6 +40,7 @@ from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..service.retry import PERMANENT, RETRYABLE, RetryPolicy
+from ..service.telemetry import describe_progress, heartbeat_age
 from ..sim.results import SimResult
 from .sweep import SweepPoint
 
@@ -315,13 +316,6 @@ def _run_tasks_serial(
     return outcomes
 
 
-def _describe_beat(snapshot: Optional[Dict]) -> str:
-    """Heartbeat description for watchdog notes and error messages."""
-    from ..service.telemetry import describe_progress
-
-    return describe_progress(snapshot)
-
-
 def _deadline_extension_ok(
     assignment: _Assignment,
     snapshot: Optional[Dict],
@@ -338,8 +332,6 @@ def _deadline_extension_ok(
     deadlines — a publisher that keeps heartbeating identical state (or
     stops) is treated as hung.
     """
-    from ..service.telemetry import heartbeat_age
-
     if snapshot is None:
         return False
     if now - assignment.dispatched + deadline > deadline * extension_cap:
@@ -407,7 +399,7 @@ def run_tasks_hardened(
 
     ``progress_probe`` (optional, ``task_id -> heartbeat snapshot dict
     or None`` — the service passes
-    :func:`~repro.service.telemetry.progress_probe`) lets the watchdog
+    :meth:`~repro.service.jobstore.JobStore.progress`) lets the watchdog
     distinguish *hung* from *slow but progressing* at the deadline: a
     task whose last heartbeat is at most ``hang_grace`` seconds old
     **and** shows forward progress since the previous check gets its
@@ -586,7 +578,7 @@ def run_tasks_hardened(
                     reason = f"worker died mid-task (exit code {code})"
                     if progress_probe is not None:
                         snapshot = progress_probe(task_id)
-                        reason += f"; {_describe_beat(snapshot)}"
+                        reason += f"; {describe_progress(snapshot)}"
                 elif now > assignment.deadline:
                     if progress_probe is not None:
                         snapshot = progress_probe(task_id)
@@ -598,14 +590,14 @@ def run_tasks_hardened(
                         assignment.last_beat = snapshot
                         _note_once(
                             f"hardened task {task_id!r}: slow but "
-                            f"progressing ({_describe_beat(snapshot)}); "
+                            f"progressing ({describe_progress(snapshot)}); "
                             f"deadline extended"
                         )
                         continue
                     elapsed = now - assignment.dispatched
                     reason = (
                         f"wall-clock timeout after {elapsed:.1f}s "
-                        f"(worker killed; {_describe_beat(snapshot)})"
+                        f"(worker killed; {describe_progress(snapshot)})"
                         if progress_probe is not None else
                         f"wall-clock timeout after {elapsed:.1f}s "
                         f"(worker killed)"

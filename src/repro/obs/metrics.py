@@ -84,14 +84,18 @@ class BoundedHistogram:
 
 
 class MetricsRegistry:
-    """Named counters and histograms collected during a simulation."""
+    """Named counters, gauges and histograms."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
+        self.gauges: Dict[str, float] = {}  # levels: they may fall
         self.histograms: Dict[str, BoundedHistogram] = {}
 
     def counter(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
+
+    def gauge(self, name: str, value: float) -> None:
+        self.gauges[name] = value
 
     def histogram(self, name: str, bound: int) -> BoundedHistogram:
         hist = self.histograms.get(name)
@@ -100,7 +104,7 @@ class MetricsRegistry:
         return hist
 
     def summary(self) -> Dict[str, Dict[str, float]]:
-        """Plain-dict snapshot (picklable, cache-friendly)."""
+        """Plain-dict snapshot (picklable, cache-friendly; no gauges)."""
         out: Dict[str, Dict[str, float]] = {
             name: hist.summary() for name, hist in self.histograms.items()
         }
@@ -113,7 +117,8 @@ class MetricsRegistry:
     def render_prometheus(self, prefix: str = "repro") -> str:
         """Serialize the registry as Prometheus text exposition format.
 
-        Counters become ``<prefix>_<name>`` counter series; each
+        Counters and gauges become ``<prefix>_<name>`` series of their
+        type, in one name-sorted run; each
         histogram becomes one gauge series per summary statistic,
         labelled ``{stat="mean"|"p50"|"p95"|"max"|"weight"|"overflow"}``
         — the digest shape the rest of the repo already exposes, kept
@@ -122,10 +127,12 @@ class MetricsRegistry:
         in names collapse to ``_``.
         """
         lines: List[str] = []
-        for name in sorted(self.counters):
+        values = {**self.counters, **self.gauges}
+        for name in sorted(values):
             metric = metric_name(f"{prefix}.{name}")
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {format_value(self.counters[name])}")
+            kind = "gauge" if name in self.gauges else "counter"
+            lines.append(f"# TYPE {metric} {kind}")
+            lines.append(f"{metric} {format_value(values[name])}")
         for name in sorted(self.histograms):
             metric = metric_name(f"{prefix}.{name}")
             lines.append(f"# TYPE {metric} gauge")

@@ -21,11 +21,13 @@ handle reads the journal through the one incremental
 journal's writer lock, so a ``submit`` made while ``serve`` runs is
 picked up by that supervisor.
 
-Observability (:mod:`~repro.service.telemetry`) rides the same
-primitives: every journal event carries wall + monotonic timestamps the
-state fold ignores, workers publish atomic heartbeat files the watchdog
-and the live ``status --follow`` table read back, and the supervisor
-exports Prometheus metrics and a health file as jobs settle.
+Observability (:mod:`~repro.service.telemetry`) speaks the one
+telemetry vocabulary of :mod:`repro.obs.runlog`: every journal event
+carries the ``ts``/``mono``/``pid`` stamp the state fold ignores,
+workers publish stamped heartbeat snapshots the watchdog and the live
+``status --follow`` table read back, and the supervisor publishes one
+registry as ``metrics.prom`` and a ``health.json`` snapshot as jobs
+settle.
 
 Light modules (:mod:`~repro.service.retry`, :mod:`~repro.service.journal`,
 :mod:`~repro.service.jobstore`, :mod:`~repro.service.chaos`) are imported
@@ -48,12 +50,7 @@ from .jobstore import (
     request_key,
 )
 from .retry import RetryPolicy
-from .telemetry import (
-    ProgressPublisher,
-    job_timeline,
-    read_health,
-    read_progress,
-)
+from .telemetry import ProgressPublisher, job_timeline, service_registry
 
 __all__ = [
     "ChaosSpec",
@@ -69,9 +66,8 @@ __all__ = [
     "Supervisor",
     "ServiceConfig",
     "job_timeline",
-    "read_health",
-    "read_progress",
     "request_key",
+    "service_registry",
 ]
 
 _LAZY = {

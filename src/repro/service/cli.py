@@ -42,6 +42,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
+from ..obs.runlog import read_snapshot
 from .jobstore import (
     RUNNING,
     JobRecord,
@@ -52,7 +53,7 @@ from .jobstore import (
     default_store_dir,
 )
 from .retry import RetryPolicy
-from .telemetry import describe_progress, read_health, read_progress
+from .telemetry import describe_progress
 
 
 def _parse_params(pairs: List[str], parser) -> Dict[str, Any]:
@@ -127,7 +128,6 @@ def _cmd_serve(args, parser) -> int:
         drain_when_idle=args.drain_when_idle,
         policy=policy,
         heartbeat=args.heartbeat,
-        hang_grace=args.hang_grace,
     )
     with _store(args, parser) as store:
         summary = serve(store, config, handle_signals=True)
@@ -146,15 +146,15 @@ def _cmd_serve(args, parser) -> int:
     return 0
 
 
-def _job_line(job: JobRecord, progress_dir: Optional[Path] = None) -> str:
+def _job_line(store: JobStore, job: JobRecord) -> str:
     line = (
         f"  {job.job_id}  {job.status:8s} {job.kind:9s} "
         f"client={job.client}"
     )
     if job.coalesced:
         line += f" coalesced={job.coalesced}"
-    if job.status == RUNNING and progress_dir is not None:
-        beat = read_progress(progress_dir, job.job_id)
+    if job.status == RUNNING:
+        beat = store.progress(job.job_id)
         if beat is not None:
             line += f"  {_progress_bar(beat)}"
     if job.error:
@@ -185,7 +185,7 @@ def _status_document(store: JobStore) -> Dict[str, Any]:
         "store": str(store.root),
         "counters": store.counters(),
         "jobs": store.summaries(),
-        "health": read_health(store.health_path),
+        "health": read_snapshot(store.health_path),
     }
 
 
@@ -226,13 +226,13 @@ def _cmd_status(args, parser) -> int:
         for name in sorted(counters):
             print(f"  {name:16s} {counters[name]}")
         for job in sorted(store.jobs.values(), key=lambda j: j.seq):
-            print(_job_line(job, store.progress_dir))
+            print(_job_line(store, job))
         return 0
 
 
 def _render_follow(store: JobStore) -> str:
     lines = []
-    health = read_health(store.health_path)
+    health = read_snapshot(store.health_path)
     if health is None:
         lines.append("supervisor: no health file yet")
     else:
@@ -252,7 +252,7 @@ def _render_follow(store: JobStore) -> str:
         )
     )
     for job in sorted(store.jobs.values(), key=lambda j: j.seq):
-        lines.append(_job_line(job, store.progress_dir))
+        lines.append(_job_line(store, job))
     return "\n".join(lines)
 
 
@@ -356,15 +356,9 @@ def _cmd_metrics(args, parser) -> int:
         except OSError:
             # No supervisor has published yet: render one on the fly so
             # the command is useful against a cold store.
-            from ..obs.metrics import MetricsRegistry
-            from .telemetry import latency_histograms
+            from .telemetry import service_registry
 
-            registry = MetricsRegistry()
-            store.publish_metrics(registry)
-            registry.histograms.update(
-                latency_histograms(store.journal.records)
-            )
-            text = registry.render_prometheus()
+            text = service_registry(store).render_prometheus()
             live = True
         errors = prometheus_errors(text)
         for error in errors:
@@ -373,7 +367,7 @@ def _cmd_metrics(args, parser) -> int:
             doc = {
                 "source": "rendered" if live else str(store.metrics_path),
                 "metrics": parse_prometheus(text) if not errors else None,
-                "health": read_health(store.health_path),
+                "health": read_snapshot(store.health_path),
             }
             print(json.dumps(doc, indent=1, sort_keys=True))
         else:
@@ -449,13 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--heartbeat", type=float, default=0.25, metavar="SECONDS",
         help="worker progress-heartbeat interval; 0 disables heartbeats "
-             "(default 0.25)",
-    )
-    serve.add_argument(
-        "--hang-grace", type=float, default=None, metavar="SECONDS",
-        help="heartbeat age past which a deadline miss counts as hung "
-             "rather than slow-but-progressing (default: 8x heartbeat, "
-             "min 2s)",
+             "(default 0.25); a job past --timeout whose heartbeat is "
+             "under 8 intervals (min 2s) old and advancing is extended",
     )
 
     status = sub.add_parser(

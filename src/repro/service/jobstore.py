@@ -51,8 +51,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..harness.artifacts import ArtifactCache
+from ..obs.runlog import event_stamp, read_snapshot
 from .journal import JournalError, JsonlJournal
-from .telemetry import event_stamp, job_timeline, read_progress
+from .telemetry import job_timeline, progress_path
 
 #: bump when event semantics or the result payload layout change
 SERVICE_FORMAT_VERSION = 1
@@ -548,8 +549,9 @@ class JobStore:
         return self.root / "metrics.prom"
 
     def progress(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """The job's last worker heartbeat, or None (never raises)."""
-        return read_progress(self.progress_dir, job_id)
+        """The job's last worker heartbeat, or None (never raises); the
+        watchdog's progress probe."""
+        return read_snapshot(progress_path(self.progress_dir, job_id))
 
     def timeline(self, job_id: str) -> Dict[str, Any]:
         """Timestamped journal events + derived durations for one job."""
@@ -566,12 +568,6 @@ class JobStore:
         out["torn_lines"] = self.journal.skipped
         out["active"] = sum(1 for j in self.jobs.values() if j.active)
         return out
-
-    def publish_metrics(self, registry) -> None:
-        """Surface store and result-cache counters in a MetricsRegistry."""
-        for name, value in self.counters().items():
-            registry.counter(f"service.{name}", value)
-        self.results.publish_metrics(registry, prefix="service.results")
 
     def summaries(self) -> Dict[str, Dict[str, Any]]:
         """Every job's summary by id; a running job's carries its last

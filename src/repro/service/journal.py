@@ -289,41 +289,3 @@ class JsonlJournal:
         if self._handle is not None:
             self._handle.close()  # every write was flushed and fsynced
             self._handle = None
-
-
-def write_text_atomic(path: Path, text: str) -> None:
-    """Publish a text file via temp-file + fsync + atomic rename.
-
-    Any kill point leaves either the previous file or the complete new
-    one — the state-snapshot half of the journal/snapshot durability
-    pair.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def write_json_atomic(path: Path, payload: Any) -> None:
-    """:func:`write_text_atomic` of sorted, indented JSON."""
-    write_text_atomic(path, json.dumps(payload, sort_keys=True, indent=1))
-
-
-def read_json(path: Path) -> Optional[Any]:
-    """Load a JSON file; None when missing or unreadable (caller decides)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None

@@ -46,13 +46,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from ..harness.parallel import run_tasks_hardened
-from ..obs.metrics import MetricsRegistry
+from ..obs.runlog import write_atomic, write_snapshot
 from .chaos import FAIL_WRITE, KILL_SUPERVISOR, chaos_point
 from .jobstore import JobStore
 from .jobs import execute_job, prepare
-from .journal import write_text_atomic
 from .retry import RETRYABLE, RetryPolicy
-from .telemetry import latency_histograms, progress_probe, write_health
+from .telemetry import service_registry
 
 
 @dataclass
@@ -72,16 +71,9 @@ class ServiceConfig:
     #: shared retry policy (classification, backoff, per-job deadline)
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: seconds between worker progress heartbeats (0 disables heartbeats,
-    #: metrics/health publishing stays on)
+    #: metrics/health publishing stays on); a deadline miss whose last
+    #: heartbeat is older than 8 of them (at least 2 s) counts as hung
     heartbeat: float = 0.25
-    #: heartbeat age (seconds) past which a deadline miss counts as hung
-    #: rather than slow-but-progressing; None derives 8x the heartbeat
-    hang_grace: Optional[float] = None
-
-    def effective_hang_grace(self) -> float:
-        if self.hang_grace is not None:
-            return self.hang_grace
-        return max(2.0, 8.0 * self.heartbeat)
 
 
 class Supervisor:
@@ -90,7 +82,6 @@ class Supervisor:
     def __init__(self, store: JobStore, config: ServiceConfig) -> None:
         self.store = store
         self.config = config
-        self.telemetry = MetricsRegistry()
         self._drain_requested = False
         #: settled-job count, continued across restarts so the chaos
         #: kill-supervisor threshold is a property of the *store*, not
@@ -118,15 +109,11 @@ class Supervisor:
     def run(self) -> Dict[str, Any]:
         """Serve until drained (or, in batch mode, until the queue dries)."""
         recovery = self.store.recover()
-        for name in ("interrupted", "lost_results"):
-            self.telemetry.counter(
-                f"service.recovered_{name}", len(recovery[name])
-            )
         probe = progress_dir = None
         if self.config.heartbeat > 0:
             progress_dir = self.store.progress_dir
             progress_dir.mkdir(parents=True, exist_ok=True)
-            probe = progress_probe(progress_dir)
+            probe = self.store.progress
         self.publish_observability()
         while not self._drain_requested:
             self.store.refresh()  # see submits made while serving
@@ -151,39 +138,21 @@ class Supervisor:
                 policy=self.config.policy,
                 on_result=self._settle,
                 progress_probe=probe,
-                hang_grace=self.config.effective_hang_grace(),
+                hang_grace=max(2.0, 8.0 * self.config.heartbeat),
                 refill=self._claim_next,
             )
             self.publish_observability()
         drained = self._drain_requested
         self.store.drain(graceful=True)
         self.publish_observability(draining=True)
-        # Fold the final store counters into the supervisor's own
-        # registry for the in-process caller — after the exposition
-        # above, which derives them fresh and must not see them twice.
-        self.store.publish_metrics(self.telemetry)
-        counters = self.store.counters()
         return {
             "rounds": self._rounds,
             "drained": drained,
             "recovery": recovery,
-            "counters": counters,
+            "counters": self.store.counters(),
         }
 
     # ----------------------------------------------------------- telemetry
-    def metrics_registry(self) -> MetricsRegistry:
-        """A fresh registry: store + cache counters, supervisor event
-        counts, and the journal-derived latency histograms."""
-        registry = MetricsRegistry()
-        self.store.publish_metrics(registry)
-        for name, value in self.telemetry.counters.items():
-            registry.counter(name, value)
-        registry.counter("service.supervisor_rounds", self._rounds)
-        registry.histograms.update(
-            latency_histograms(self.store.journal.records)
-        )
-        return registry
-
     def publish_observability(self, draining: bool = False) -> None:
         """Atomically refresh ``metrics.prom`` and ``health.json``.
 
@@ -191,18 +160,18 @@ class Supervisor:
         full disk here degrades observability, not durability.
         """
         self._published = time.monotonic()
+        registry = service_registry(self.store, rounds=self._rounds)
         try:
-            write_text_atomic(
+            write_atomic(
                 self.store.metrics_path,
-                self.metrics_registry().render_prometheus(),
+                registry.render_prometheus().encode("utf-8"),
             )
-            write_health(
-                self.store.health_path,
-                round_number=self._rounds,
-                started=self._started,
-                counters=self.store.counters(),
-                draining=draining,
-            )
+            write_snapshot(self.store.health_path, {
+                "round": self._rounds,
+                "uptime_seconds": round(self._published - self._started, 3),
+                "draining": draining,
+                "counters": self.store.counters(),
+            })
         except OSError:
             pass
 
@@ -250,7 +219,6 @@ class Supervisor:
             try:
                 chaos_point(FAIL_WRITE, job_id)
                 self.store.complete(job_id, outcome.result, attempts)
-                self.telemetry.counter("service.jobs_completed")
                 self._count_settled()
             except OSError as error:
                 message = f"result store write failed: {error}"
@@ -260,12 +228,10 @@ class Supervisor:
                 ):
                     # Not settled: the job goes back in the queue.
                     self.store.requeue(job_id, message, attempts)
-                    self.telemetry.counter("service.jobs_requeued")
                 else:
                     self.store.fail(
                         job_id, message, permanent=False, attempts=attempts
                     )
-                    self.telemetry.counter("service.jobs_failed")
                     self._count_settled()
         else:
             self.store.fail(
@@ -274,7 +240,6 @@ class Supervisor:
                 permanent=outcome.permanent,
                 attempts=attempts,
             )
-            self.telemetry.counter("service.jobs_failed")
             self._count_settled()
         # One fleet serves the whole drain: keep metrics.prom and
         # health.json live, at most once per poll interval.

@@ -1,45 +1,32 @@
-"""Service observability: event timestamps, progress heartbeats, latency.
+"""Service observability: job timelines, progress heartbeats, metrics.
 
-Three layers, all riding the durability primitives the store already
-has (:func:`~repro.service.journal.write_json_atomic`, the fsynced
-journal) so that telemetry inherits the same crash-safety the state it
-describes does:
+Built on the shared records of :mod:`repro.obs.runlog`:
 
-* **event timestamps** — :func:`event_stamp` is merged into every
-  journaled job event by :meth:`JobStore._append`.  The stamp carries a
-  wall clock (``ts``, comparable across processes), a monotonic clock
-  (``mono``, immune to NTP steps but only meaningful within one
-  process), and the writing ``pid`` (which says when ``mono`` deltas
-  are trustworthy).  The state fold never reads any of these fields —
-  pinned by a property test — so dedup keys, recovery semantics, and
-  chaos bit-identity are untouched;
+* **event timestamps** — :meth:`JobStore._append` stamps every journaled
+  event; the state fold never reads the stamp (pinned by a property
+  test), so dedup, recovery and chaos bit-identity are untouched;
 * **progress heartbeats** — a :class:`ProgressPublisher` in the worker
-  writes one atomic JSON file per job under ``store/progress/``,
-  throttled to the configured interval; the supervisor hands the
-  directory and interval to :func:`~repro.service.jobs.execute_job` as
-  arguments, and the watchdog reads the files back
-  (:func:`read_progress`, :func:`heartbeat_age`) to tell *hung* from
-  *slow but progressing*;
-* **derived latency** — :func:`job_timeline` and
-  :func:`latency_histograms` fold the timestamped journal into per-job
-  timelines and queue-wait / run-time / retry-latency
-  :class:`~repro.obs.metrics.BoundedHistogram` digests, which the
-  supervisor exports in Prometheus text format as jobs settle.
-
-With heartbeats off a job gets no publisher at all, and the core's
-progress hook stays unset — the same zero-cost-when-off discipline
-``obs_overhead`` pins for the core's per-cycle hooks.
+  publishes one stamped snapshot per job under ``store/progress/``,
+  throttled to the interval the supervisor passes
+  :func:`~repro.service.jobs.execute_job`; the watchdog reads them back
+  (:meth:`JobStore.progress`, :func:`heartbeat_age`) to tell *hung*
+  from *slow but progressing*.  With heartbeats off a job gets no
+  publisher and the core's progress hook stays unset;
+* **latency and the registry** — :func:`job_timeline` and
+  :func:`latency_histograms` fold the stamped journal into per-job
+  timelines and queue-wait / run-time / retry-latency digests, and
+  :func:`service_registry` joins them to the store and result-cache
+  counters for ``metrics.prom``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
-from ..obs.metrics import BoundedHistogram
-from .journal import read_json, write_json_atomic
+from ..obs.metrics import BoundedHistogram, MetricsRegistry
+from ..obs.runlog import write_snapshot
 
 #: default seconds between heartbeat publications
 DEFAULT_INTERVAL = 0.25
@@ -50,23 +37,6 @@ LATENCY_BOUND_MS = 10_000
 
 #: terminal events that end one run attempt
 _SETTLING = ("done", "failed", "requeue")
-
-
-def event_stamp() -> Dict[str, Any]:
-    """Timestamp fields merged into one journal event at append time."""
-    return {
-        "ts": round(time.time(), 6),
-        "mono": round(time.monotonic(), 6),
-        "pid": os.getpid(),
-    }
-
-
-def strip_stamp(record: Mapping[str, Any]) -> Dict[str, Any]:
-    """The record without its timestamp fields (fold-equivalence tests)."""
-    return {
-        key: value for key, value in record.items()
-        if key not in ("ts", "mono", "pid")
-    }
 
 
 def _delta(earlier: Mapping[str, Any], later: Mapping[str, Any]) -> Optional[float]:
@@ -102,10 +72,7 @@ def job_timeline(
         record for record in records
         if record.get("job") == job_id and "event" in record
     ]
-    submit = None
-    first_start = None
-    last_start = None
-    settle = None
+    submit = first_start = last_start = settle = None
     retry_latencies: List[float] = []
     pending_retry: Optional[Mapping[str, Any]] = None
     for record in events:
@@ -153,18 +120,12 @@ def latency_histograms(
     failed), ``retry_ms`` (requeue/recover→restart), each one
     millisecond-bucketed up to :data:`LATENCY_BOUND_MS`.
     """
-    histograms = {
-        "queue_wait_ms": BoundedHistogram(LATENCY_BOUND_MS),
-        "run_ms": BoundedHistogram(LATENCY_BOUND_MS),
-        "retry_ms": BoundedHistogram(LATENCY_BOUND_MS),
-    }
-    job_ids = []
-    seen = set()
-    for record in records:
-        job_id = record.get("job")
-        if job_id and record.get("event") == "submit" and job_id not in seen:
-            seen.add(job_id)
-            job_ids.append(job_id)
+    histograms = {name: BoundedHistogram(LATENCY_BOUND_MS)
+                  for name in ("queue_wait_ms", "run_ms", "retry_ms")}
+    job_ids = dict.fromkeys(
+        record["job"] for record in records
+        if record.get("event") == "submit" and record.get("job")
+    )
     for job_id in job_ids:
         timeline = job_timeline(records, job_id)
         if timeline["queue_wait"] is not None:
@@ -178,6 +139,23 @@ def latency_histograms(
     return histograms
 
 
+def service_registry(store, rounds: Optional[int] = None) -> MetricsRegistry:
+    """The service's one registry: the store's fold counters (``active``,
+    a level, as a gauge), its result-cache counters, the supervisor's
+    fleet ``rounds`` when one publishes, and the latency histograms."""
+    registry = MetricsRegistry()
+    for name, value in store.counters().items():
+        if name == "active":
+            registry.gauge("service.active", value)
+        else:
+            registry.counter(f"service.{name}", value)
+    store.results.publish_metrics(registry, prefix="service.results")
+    if rounds is not None:
+        registry.counter("service.supervisor_rounds", rounds)
+    registry.histograms.update(latency_histograms(store.journal.records))
+    return registry
+
+
 # --------------------------------------------------------------- heartbeats
 def progress_path(directory: Path, job_id: str) -> Path:
     return Path(directory) / f"{job_id}.json"
@@ -189,7 +167,8 @@ class ProgressPublisher:
     Callable with the :meth:`TimingCore.run <repro.sim.core.TimingCore.run>`
     progress protocol — ``publisher(retired, total, cycle)`` — and
     carries multi-cell context (sweep jobs) via :meth:`start_cell`.
-    Every publication is one atomic-rename JSON file, so a reader (or a
+    Every publication is one stamped snapshot
+    (:func:`~repro.obs.runlog.write_snapshot`), so a reader (or a
     SIGKILL) can never observe a torn heartbeat; publications are
     throttled to ``interval`` except when ``force=True``.
     """
@@ -199,12 +178,8 @@ class ProgressPublisher:
     #: the throttle below keeps actual file writes at the interval)
     chunk = 2048
 
-    def __init__(
-        self,
-        directory: Path,
-        job_id: str,
-        interval: float = DEFAULT_INTERVAL,
-    ) -> None:
+    def __init__(self, directory: Path, job_id: str,
+                 interval: float = DEFAULT_INTERVAL) -> None:
         self.directory = Path(directory)
         self.job_id = job_id
         self.interval = max(0.0, float(interval))
@@ -214,7 +189,6 @@ class ProgressPublisher:
         self.cells_total = 1
         self._last_publish: Optional[float] = None
         self._started = time.monotonic()
-        self._last_state: Optional[Dict[str, Any]] = None
 
     def start_cell(self, cell: str, done: int, total: int) -> None:
         """Name the sweep cell subsequent heartbeats belong to."""
@@ -250,9 +224,6 @@ class ProgressPublisher:
             )
         state = {
             "job": self.job_id,
-            "pid": os.getpid(),
-            "ts": round(time.time(), 6),
-            "mono": round(now, 6),
             "instructions": int(retired),
             "instructions_total": int(total),
             "cycles": int(cycle),
@@ -262,44 +233,18 @@ class ProgressPublisher:
             "cells_total": self.cells_total,
         }
         try:
-            write_json_atomic(
-                progress_path(self.directory, self.job_id), state
-            )
+            write_snapshot(progress_path(self.directory, self.job_id), state)
         except OSError:
             return  # heartbeats are telemetry: never fail the job
         self._last_publish = now
-        self._last_state = state
         self.published += 1
 
 
-def read_progress(
-    directory: Optional[Path], job_id: str
-) -> Optional[Dict[str, Any]]:
-    """The last published heartbeat for a job, or None."""
-    if directory is None:
-        return None
-    state = read_json(progress_path(directory, job_id))
-    return state if isinstance(state, dict) else None
-
-
-def heartbeat_age(
-    snapshot: Optional[Mapping[str, Any]], now: Optional[float] = None
-) -> Optional[float]:
-    """Seconds since a heartbeat was published (wall clock), or None."""
+def heartbeat_age(snapshot: Optional[Mapping[str, Any]]) -> Optional[float]:
+    """Seconds since a snapshot was published (wall clock), or None."""
     if snapshot is None or "ts" not in snapshot:
         return None
-    reference = time.time() if now is None else now
-    return max(0.0, reference - float(snapshot["ts"]))
-
-
-def progress_probe(directory: Path) -> Callable[[str], Optional[Dict]]:
-    """A ``task_id -> heartbeat snapshot`` probe for the watchdog."""
-    root = Path(directory)
-
-    def probe(task_id: str) -> Optional[Dict[str, Any]]:
-        return read_progress(root, task_id)
-
-    return probe
+    return max(0.0, time.time() - float(snapshot["ts"]))
 
 
 def describe_progress(snapshot: Optional[Mapping[str, Any]]) -> str:
@@ -321,27 +266,3 @@ def describe_progress(snapshot: Optional[Mapping[str, Any]]) -> str:
             f"/{snapshot.get('cells_total', 1)})"
         )
     return ", ".join(parts)
-
-
-# ------------------------------------------------------------------- health
-def write_health(
-    path: Path,
-    round_number: int,
-    started: float,
-    counters: Mapping[str, int],
-    draining: bool = False,
-) -> None:
-    """Atomic supervisor heartbeat: pid, fleet count, uptime, counters."""
-    write_json_atomic(Path(path), {
-        "pid": os.getpid(),
-        "ts": round(time.time(), 6),
-        "round": int(round_number),
-        "uptime_seconds": round(max(0.0, time.monotonic() - started), 3),
-        "draining": bool(draining),
-        "counters": dict(counters),
-    })
-
-
-def read_health(path: Path) -> Optional[Dict[str, Any]]:
-    state = read_json(Path(path))
-    return state if isinstance(state, dict) else None

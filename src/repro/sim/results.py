@@ -101,17 +101,6 @@ class SimResult:
     def mispredict_rate(self) -> float:
         return self.mispredicts / self.branches if self.branches else 0.0
 
-    def speedup_over(self, baseline: "SimResult") -> float:
-        """IPC ratio vs a baseline run of the same benchmark."""
-        if baseline.benchmark != self.benchmark:
-            raise ValueError(
-                f"speedup comparison across different benchmarks: "
-                f"{self.benchmark} vs {baseline.benchmark}"
-            )
-        if baseline.ipc == 0:
-            return 0.0
-        return self.ipc / baseline.ipc
-
     def summary(self) -> str:
         text = (
             f"{self.benchmark:12s} {self.machine:14s} "

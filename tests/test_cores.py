@@ -176,15 +176,3 @@ class TestResultFields:
         assert result.issued == result.instructions
         assert "IPC" in result.summary()
 
-    def test_speedup_over(self, gcc_workloads):
-        ooo = simulate(gcc_workloads["plain"], ooo_config(8))
-        inorder = simulate(gcc_workloads["plain"], inorder_config(8))
-        assert inorder.speedup_over(ooo) == pytest.approx(
-            inorder.ipc / ooo.ipc
-        )
-
-    def test_speedup_rejects_cross_benchmark(self):
-        a = simulate(prepare_workload(build_program("gcc")), ooo_config(8))
-        b = simulate(prepare_workload(build_program("vpr")), ooo_config(8))
-        with pytest.raises(ValueError):
-            a.speedup_over(b)

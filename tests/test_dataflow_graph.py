@@ -58,41 +58,6 @@ class TestEdges:
         assert graph.producer_of[1] == {0: 0}
 
 
-class TestComponents:
-    def test_connected_component_spans_chain(self):
-        graph = graph_of(
-            """
-            addq r1, r2, r3
-            addq r3, r1, r4
-            addq r5, r6, r7
-            """
-        )
-        assert graph.connected_component(0) == {0, 1}
-        assert graph.connected_component(2) == {2}
-
-    def test_shared_external_input_does_not_merge(self):
-        # Both instructions read r1, but reading the same incoming value
-        # does not connect them (no def-use edge inside the block).
-        graph = graph_of(
-            """
-            addq r1, r2, r3
-            addq r1, r4, r5
-            """
-        )
-        assert graph.connected_component(0) == {0}
-        assert graph.connected_component(1) == {1}
-
-    def test_join_merges_components(self):
-        graph = graph_of(
-            """
-            addq r1, r2, r3
-            addq r4, r5, r6
-            addq r3, r6, r7
-            """
-        )
-        assert graph.connected_component(0) == {0, 1, 2}
-
-
 class TestLongestPath:
     def test_chain_depth(self):
         graph = graph_of(

@@ -31,21 +31,6 @@ class TestIpc:
         assert make().mispredict_rate == 0.0
 
 
-class TestSpeedup:
-    def test_speedup_over(self):
-        fast = make(cycles=500)
-        slow = make(cycles=1000)
-        assert fast.speedup_over(slow) == pytest.approx(2.0)
-
-    def test_rejects_cross_benchmark(self):
-        with pytest.raises(ValueError, match="different benchmarks"):
-            make(benchmark="gcc").speedup_over(make(benchmark="vpr"))
-
-    def test_zero_baseline(self):
-        baseline = make(cycles=0)
-        assert make().speedup_over(baseline) == 0.0
-
-
 class TestStallCounters:
     def test_as_dict_covers_all_fields(self):
         counters = StallCounters()

@@ -20,15 +20,11 @@ import pytest
 
 from repro.harness.parallel import run_tasks_hardened
 from repro.obs.metrics import parse_prometheus
-from repro.obs.runlog import RunLog
+from repro.obs.runlog import RunLog, read_snapshot
 from repro.service import JobStore
 from repro.service.cli import main
 from repro.service.retry import RetryPolicy
-from repro.service.telemetry import (
-    ProgressPublisher,
-    progress_probe,
-    read_progress,
-)
+from repro.service.telemetry import ProgressPublisher, progress_path
 
 from tests.test_parallel_hardened import needs_fork
 from tests.test_service_supervisor import batch_config, submit
@@ -36,6 +32,15 @@ from tests.test_service_supervisor import batch_config, submit
 
 # Worker functions live at module level so the fork workers can reach
 # them; heartbeat state crosses processes through the progress dir.
+
+def read_progress(directory, task_id):
+    return read_snapshot(progress_path(directory, task_id))
+
+
+def progress_probe(directory):
+    """The watchdog's ``task_id -> heartbeat`` probe over one directory."""
+    return lambda task_id: read_progress(directory, task_id)
+
 
 def _slow_but_beating(payload):
     """Outlives the deadline, but heartbeats with advancing progress."""
@@ -273,6 +278,26 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["source"] == "rendered"
         assert doc["metrics"]["repro_service_submitted"] == 1.0
+
+    def test_active_is_a_gauge_that_falls_as_jobs_settle(self, tmp_path,
+                                                        capsys):
+        """``active`` is a level, not a count: a scraper must not read
+        a settle as a counter reset."""
+        store = JobStore(tmp_path / "live")
+        job_id = submit(store, "simulate", {"benchmark": "gcc", "core": "braid"})
+
+        def active():
+            assert main(["metrics", "--store", str(tmp_path / "live")]) == 0
+            text = capsys.readouterr().out
+            assert "# TYPE repro_service_active gauge" in text.splitlines()
+            return parse_prometheus(text)["repro_service_active"]
+
+        assert active() == 1.0
+        store.claim(job_id)
+        assert active() == 1.0
+        store.complete(job_id, {"cycles": 1}, attempts=1)
+        assert active() == 0.0
+        store.close()
 
     def test_status_follow_bounded_run(self, served_store, capsys):
         assert main(["status", "--store", served_store["root"],

@@ -15,13 +15,14 @@ import time
 
 import pytest
 
+from repro.obs.metrics import parse_prometheus
+from repro.obs.runlog import read_snapshot
 from repro.service import ChaosSpec, JobRequest, JobStore
 from repro.service import supervisor as supervisor_module
 from repro.service.jobs import normalize_params
 from repro.service.jobstore import DONE, FAILED, QUEUED
 from repro.service.retry import RetryPolicy
 from repro.service.supervisor import ServiceConfig, Supervisor, serve
-from repro.service.telemetry import read_health
 
 #: tiny sims: the protocols under test do not care about run length
 SIZING = {"scale": 0.05, "max_instructions": 3000}
@@ -224,7 +225,7 @@ class TestOneFleet:
         execute = supervisor_module.execute_job
 
         def slow_execute(payload, **kwargs):
-            seen.append(read_health(store.health_path)["uptime_seconds"])
+            seen.append(read_snapshot(store.health_path)["uptime_seconds"])
             time.sleep(2 * poll)
             return execute(payload, **kwargs)
 
@@ -324,11 +325,12 @@ class TestTelemetry:
     def test_serve_publishes_store_and_cache_counters(self, tmp_path):
         store = JobStore(tmp_path / "store")
         submit(store, "simulate", {"benchmark": "gcc", "core": "braid"})
-        supervisor = Supervisor(store, batch_config())
-        supervisor.run()
-        counters = supervisor.telemetry.counters
-        assert counters["service.jobs_completed"] == 1
-        assert counters["service.completed"] == 1
-        assert "service.results.hits" in counters
-        assert "service.results.evictions" in counters
+        Supervisor(store, batch_config()).run()
+        samples = parse_prometheus(
+            store.metrics_path.read_text(encoding="utf-8")
+        )
+        assert samples["repro_service_completed"] == 1
+        assert "repro_service_jobs_completed" not in samples
+        assert "repro_service_results_hits" in samples
+        assert "repro_service_results_evictions" in samples
         store.close()

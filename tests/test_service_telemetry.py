@@ -21,21 +21,27 @@ from repro.obs.metrics import (
     parse_prometheus,
     prometheus_errors,
 )
+from repro.obs.runlog import event_stamp, read_snapshot, write_snapshot
 from repro.service import JobRequest, JobStore
 from repro.service.jobstore import SERVICE_FORMAT_VERSION
 from repro.service.telemetry import (
     ProgressPublisher,
     describe_progress,
-    event_stamp,
     heartbeat_age,
     job_timeline,
     latency_histograms,
-    progress_probe,
-    read_health,
-    read_progress,
-    strip_stamp,
-    write_health,
+    progress_path,
 )
+
+
+def strip_stamp(record):
+    """The record without its stamp fields."""
+    return {key: value for key, value in record.items()
+            if key not in event_stamp()}
+
+
+def read_progress(directory, job_id):
+    return read_snapshot(progress_path(directory, job_id))
 
 
 def lifecycle_store(root):
@@ -94,6 +100,7 @@ class TestEventStamps:
         stripped.close()
 
     def test_strip_stamp_removes_only_stamp_fields(self):
+        assert sorted(event_stamp()) == ["mono", "pid", "ts"]
         record = {"event": "submit", "job": "j1", **event_stamp()}
         assert strip_stamp(record) == {"event": "submit", "job": "j1"}
 
@@ -247,13 +254,16 @@ class TestProgressPublisher:
             target.chmod(0o755)
 
     def test_probe_and_description(self, tmp_path):
-        probe = progress_probe(tmp_path)
-        assert probe("j1") is None
-        assert describe_progress(probe("j1")) == (
+        store = JobStore(tmp_path / "store")
+        assert store.progress("j1") is None
+        assert describe_progress(store.progress("j1")) == (
             "no heartbeat ever published"
         )
-        ProgressPublisher(tmp_path, "j1", interval=0.0).publish(7, 10, 9)
-        line = describe_progress(probe("j1"))
+        ProgressPublisher(store.progress_dir, "j1", interval=0.0).publish(
+            7, 10, 9
+        )
+        line = describe_progress(store.progress("j1"))
+        store.close()
         assert "retired 7/10 instructions" in line
         assert "9 cycles" in line
         assert "last heartbeat" in line
@@ -261,25 +271,32 @@ class TestProgressPublisher:
 
 class TestHealth:
     def test_round_trip(self, tmp_path):
+        """Health and heartbeats are one kind of snapshot: the payload
+        plus the writer's stamp, which overrides stale stamp fields."""
         path = tmp_path / "health.json"
-        write_health(path, round_number=3,
-                     started=time.monotonic() - 5.0,
-                     counters={"completed": 2}, draining=True)
-        health = read_health(path)
+        write_snapshot(path, {"round": 3, "draining": True, "pid": -1,
+                              "counters": {"completed": 2}})
+        health = read_snapshot(path)
         assert health["pid"] == os.getpid()
+        assert 0 < health["ts"] <= time.time()
+        assert 0 < health["mono"] <= time.monotonic()
         assert health["round"] == 3
-        assert health["uptime_seconds"] >= 5.0
         assert health["draining"] is True
         assert health["counters"] == {"completed": 2}
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_missing_file_reads_none(self, tmp_path):
-        assert read_health(tmp_path / "absent.json") is None
+        assert read_snapshot(tmp_path / "absent.json") is None
+        (tmp_path / "list.json").write_text("[1, 2]")
+        assert read_snapshot(tmp_path / "list.json") is None
+        (tmp_path / "torn.json").write_text('{"round": ')
+        assert read_snapshot(tmp_path / "torn.json") is None
 
 
 class TestPrometheus:
     def registry(self):
         registry = MetricsRegistry()
-        registry.counter("service.jobs_completed", 7)
+        registry.counter("service.completed", 7)
         registry.counter("service.torn-lines", 0)  # name needs sanitizing
         histogram = BoundedHistogram(100)
         for value in (1, 2, 3, 50):
@@ -291,7 +308,7 @@ class TestPrometheus:
         text = self.registry().render_prometheus()
         assert prometheus_errors(text) == []
         samples = parse_prometheus(text)
-        assert samples["repro_service_jobs_completed"] == 7.0
+        assert samples["repro_service_completed"] == 7.0
         assert samples["repro_service_torn_lines"] == 0.0
         assert samples['repro_run_ms{stat="weight"}'] == 4.0
         assert samples['repro_run_ms{stat="max"}'] == 50.0
@@ -332,7 +349,12 @@ class TestPrometheus:
         assert samples["repro_service_completed"] == 1.0
         assert samples["repro_service_coalesced"] == 1.0
         assert samples['repro_queue_wait_ms{stat="weight"}'] == 2.0
-        health = read_health(store.health_path)
+        # Each fact once: the fold's counts, no supervisor shadow copies.
+        assert not [name for name in samples
+                    if name.startswith(("repro_service_jobs_",
+                                        "repro_service_recovered_"))]
+        assert "# TYPE repro_service_active gauge" in text.splitlines()
+        health = read_snapshot(store.health_path)
         assert health["pid"] == os.getpid()
         assert health["counters"]["completed"] == 1
         store.close()
