@@ -11,8 +11,8 @@ Only ``fidelity_tiers`` is timed here: perfbench's traces are too short
 for the cheap tiers to sample.  ``--check`` gates CI on the guards below
 (``--update`` re-records the floors instead)::
 
-    PYTHONPATH=src python bench_speed.py [--quick] [--output BENCH_SPEED.json]
-    PYTHONPATH=src python bench_speed.py --check [--quick] [--update]
+    PYTHONPATH=src python bench_speed.py [--output BENCH_SPEED.json]
+    PYTHONPATH=src python bench_speed.py --check [--update]
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ ROOT = Path(__file__).resolve().parent
 QUICK = ("gcc", "mcf", "swim", "equake")
 #: perfbench ``--seconds``.  A traced long_trace round takes 12-22 s of
 #: wall clock on a shared 2-vCPU host, and perfbench starts another round
-#: only while the time used plus the mean round still fits, so
-#: ``--quick`` reads the median of at least three rounds while rounds
-#: average under about 21 s; the full run reads at least three while
-#: they average under about 25 s.
+#: only while the time used plus the mean round still fits, so a run
+#: reads the median of at least three rounds while they average under
+#: about 25 s.
 CHECK_SECONDS = 75.0
-QUICK_SECONDS = 65.0
 
 #: Seed-commit throughput in reference-host insts/s: the old best-of-3
 #: numbers times each core's ratio of perfbench median to the old loop,
@@ -255,12 +253,8 @@ def main(argv=None) -> int:
     parser.add_argument("--update", action="store_true",
                         help="with --check: re-record throughput and "
                              "obs_overhead instead of gating")
-    parser.add_argument("--quick", action="store_true",
-                        help="a 65-second perfbench run (three or more "
-                             "rounds) instead of a 75-second one")
     args = parser.parse_args(argv)
     output = Path(args.output)
-    seconds = QUICK_SECONDS if args.quick else CHECK_SECONDS
     kinds = tuple(CORE_CONFIGS)
     recorded = json.loads(output.read_text()) if output.exists() else {}
     if args.update and not recorded:
@@ -268,7 +262,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    code, last, report, stderr = run_perfbench("long_trace", seconds, 1)
+    code, last, report, stderr = run_perfbench("long_trace", CHECK_SECONDS, 1)
     floors = recorded.get("throughput", {}).get("cores", {})
     guarded = args.check and not args.update
     problems = gate(code, last, floors if guarded else None, kinds)
@@ -291,7 +285,8 @@ def main(argv=None) -> int:
     if args.update:
         recorded.update(fresh)
     else:
-        code, sweep, report, stderr = run_perfbench("sweep_cold", seconds, 0)
+        code, sweep, report, stderr = run_perfbench("sweep_cold",
+                                                     CHECK_SECONDS, 0)
         problems = gate(code, sweep, None, ())
         if problems:
             return fail(problems, stderr)

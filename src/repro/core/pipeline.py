@@ -8,6 +8,7 @@ both breaking rules, internal register allocation (pass 2), and annotation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,16 @@ class BraidCompilation:
     @property
     def total_braids(self) -> int:
         return self.report.total_braids
+
+    def __setstate__(self, state):
+        # A pickle of another layout (a stale artifact-cache entry) fails
+        # here, at load, so the cache quarantines and rebuilds it.
+        if state.keys() != self.__dataclass_fields__.keys():
+            raise ValueError("braid compilation pickle has fields "
+                             f"{sorted(state)} (another layout)")
+        self.__dict__.update(
+            (sys.intern(name), value) for name, value in state.items()
+        )
 
 
 def braidify(

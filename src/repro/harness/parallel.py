@@ -57,8 +57,9 @@ def _note_once(message: str) -> None:
 def effective_jobs(jobs: int, pending: int) -> int:
     """Workers the pool would actually help with.
 
-    Clamps the requested worker count to the number of pending points (a
-    pool larger than its work only pays fork cost) and to the host CPU
+    Clamps the requested worker count to the pending work (sweep points,
+    or the service pre-pass's tasks; a pool larger than its work only
+    pays fork cost) and to the host CPU
     count (extra workers would only time-slice), and falls back to the
     serial in-process path when the clamp leaves one worker or the host
     exposes a single CPU (workers would time-slice one core, adding pool
@@ -70,7 +71,7 @@ def effective_jobs(jobs: int, pending: int) -> int:
     if capped < jobs and pending > 0:
         _note_once(
             f"clamping --jobs {jobs} to {capped}: "
-            f"only {pending} sweep point(s) pending"
+            f"only {pending} task(s) pending"
         )
     if capped > cpus > 1:
         _note_once(
@@ -79,7 +80,7 @@ def effective_jobs(jobs: int, pending: int) -> int:
         capped = cpus
     if capped > 1 and cpus == 1:
         _note_once(
-            "host exposes a single CPU: running sweep points serially "
+            "host exposes a single CPU: running tasks serially "
             "in-process (a worker pool would only add fork overhead)"
         )
         return 1

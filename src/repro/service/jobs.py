@@ -17,17 +17,22 @@ Result payloads contain only deterministic fields (no wall-clock, no
 host state): re-running a job after any crash reproduces the identical
 payload, which is the property the chaos harness pins bit-for-bit.
 
-Execution follows the campaign pattern: the supervisor prewarms
-phase-one artifacts into a module-global state before the hardened
-workers fork, so workers inherit warm caches copy-on-write; a worker
-that finds no state (or a different job mix) builds its own lazily from
-the persistent artifact cache.
+Before a forked fleet starts, :func:`prepare` builds the phase-one
+workloads a batch is missing into the persistent artifact cache, on
+forked workers of its own; each job worker then loads the workloads it
+runs from that cache into its own per-process state (:func:`_context_for`)
+and keeps them for the jobs it serves next, so the supervisor process
+of a forked fleet holds none.  With one worker the jobs run in the
+supervisor process, which loads them the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import tempfile
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -179,8 +184,8 @@ def normalize_params(kind: str, params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------- execution
-#: per-process executor state: contexts keyed by (scale, max_instructions);
-#: forked hardened workers inherit the parent's warm copy
+#: per-process executor state: contexts keyed by (scale, max_instructions),
+#: filled lazily from the artifact cache by the jobs this process runs
 _EXEC_STATE: Optional[Dict] = None
 
 
@@ -205,48 +210,115 @@ def _context_for(scale: float, max_instructions: int):
     return context
 
 
-def prepare(records) -> None:
-    """Parent-side prewarm: materialize every workload a batch needs.
-
-    Run before the hardened workers fork so they inherit the prepared
-    programs/compilations copy-on-write, exactly like the campaign
-    runner's ``_CAMPAIGN_STATE``.
-
-    Prewarm is advisory: a record it cannot warm (malformed params that
-    slipped past submit-time validation) is skipped here and produces
-    its real, classified error inside the hardened worker — a bad job
-    must fail *as a job*, never take the supervisor down.
-    """
+def _workload_needs(record) -> List[Tuple[float, str, int, bool]]:
+    """The ``(scale, benchmark, cap, braided)`` workloads one job runs."""
     table = _core_table()
+    params = record.params
+    if record.kind == "simulate":
+        cells = [(params["benchmark"], params["core"])]
+    else:  # sweep, faults: every benchmark on every core
+        cells = [
+            (bench, core)
+            for bench in params["benchmarks"]
+            for core in params["cores"]
+        ]
+    # faults: the campaign warms through the default-cap context
+    cap = (DEFAULT_MAX_INSTRUCTIONS if record.kind == "faults"
+           else params["max_instructions"])
+    return [(params["scale"], bench, cap, table[core][1])
+            for bench, core in cells]
+
+
+def _prewarm(task: Tuple[float, str, Tuple[Tuple[int, bool], ...]]) -> None:
+    """Build one benchmark's missing workloads into the artifact cache.
+
+    A throwaway context per cap (a batch rarely has two) holds the
+    program and braid compilation while the task runs; the second cap's
+    context reads the compilation back from the cache, so each is built
+    once.  Nothing outlives the call.
+    """
+    from ..harness.context import ExperimentContext
+
+    scale, benchmark, needs = task
+    contexts: Dict[int, Any] = {}
+    for cap, braided in needs:
+        context = contexts.get(cap)
+        if context is None:
+            context = contexts[cap] = ExperimentContext(
+                benchmarks=(benchmark,), scale=scale, max_instructions=cap,
+                jobs=1,
+            )
+        context.workload(benchmark, braided=braided)
+
+
+def prepare(records, jobs: Optional[int] = None) -> None:
+    """Pre-pass: build the workloads a batch needs into the artifact cache.
+
+    Collects the distinct ``(scale, benchmark, cap, braided)`` workloads
+    of ``records``, drops those whose cache entry already exists, and
+    builds the rest on ``jobs`` forked workers (default: one per CPU,
+    clamped by :func:`~repro.harness.parallel.effective_jobs`), one task
+    per scale and benchmark so each braid compilation is built once.
+    The caller keeps nothing: the service's job workers then load what
+    they run from the cache (:func:`_context_for`), so a serve parent
+    never holds a workload.  Forked workers would not share a parent's
+    copy anyway: reading an object writes its refcount, which copies the
+    page into the reader.  Logs one ``prepare`` run-log event (needed,
+    cached, computed, failed, seconds); a no-op when the cache is
+    disabled.
+
+    The pre-pass is advisory: a record it cannot read (malformed params
+    that slipped past submit-time validation) is skipped, and a task
+    that fails (an unknown benchmark) is counted and ignored, so the bad
+    job produces its real, classified error inside its own worker — it
+    fails *as a job*, never takes the supervisor down.
+    """
+    from ..harness.artifacts import ArtifactCache
+    from ..harness.context import ExperimentContext
+    from ..harness.parallel import effective_jobs, run_tasks_hardened
+    from ..obs.runlog import RunLog
+    from .retry import RetryPolicy
+
+    cache = ArtifactCache.from_env()
+    if not cache.enabled:
+        return
+    started = time.perf_counter()
+    needed: Dict[Tuple[float, str, int, bool], None] = {}
     for record in records:
         try:
-            params = record.params
-            if record.kind == "simulate":
-                cells = [(params["benchmark"], params["core"])]
-                scale = params["scale"]
-                cap = params["max_instructions"]
-            elif record.kind == "sweep":
-                cells = [
-                    (bench, core)
-                    for bench in params["benchmarks"]
-                    for core in params["cores"]
-                ]
-                scale = params["scale"]
-                cap = params["max_instructions"]
-            else:  # faults: the campaign warms through the same context
-                cells = [
-                    (bench, core)
-                    for bench in params["benchmarks"]
-                    for core in params["cores"]
-                ]
-                scale = params["scale"]
-                cap = DEFAULT_MAX_INSTRUCTIONS
-            context = _context_for(scale, cap)
-            for bench, core in cells:
-                _, braided = table[core]
-                context.workload(bench, braided=braided)
+            needed.update(dict.fromkeys(_workload_needs(record)))
         except Exception:
             continue
+    missing: Dict[Tuple[float, str], List[Tuple[int, bool]]] = {}
+    for scale, benchmark, cap, braided in needed:
+        key = cache.workload_key(benchmark, scale, braided, False, 8,
+                                 ExperimentContext.predictor, cap)
+        if not cache.path_for(key).exists():
+            missing.setdefault((scale, benchmark), []).append((cap, braided))
+    tasks = [(f"{benchmark}@{scale}", (scale, benchmark, tuple(needs)))
+             for (scale, benchmark), needs in missing.items()]
+    computed = failed = 0
+    if tasks:
+        workers = effective_jobs(
+            jobs if jobs is not None else os.cpu_count() or 1, len(tasks)
+        )
+        outcomes = run_tasks_hardened(
+            _prewarm, tasks, jobs=workers,
+            policy=RetryPolicy(max_attempts=1, deadline=math.inf),
+        )
+        for outcome, (_, (_, _, needs)) in zip(outcomes, tasks):
+            if outcome.ok:
+                computed += len(needs)
+            else:
+                failed += len(needs)
+    RunLog.from_env(cache).log(
+        event="prepare",
+        needed=len(needed),
+        cached=len(needed) - computed - failed,
+        computed=computed,
+        failed=failed,
+        seconds=round(time.perf_counter() - started, 4),
+    )
 
 
 def _simulate_cell(

