@@ -348,6 +348,7 @@ def run_campaign(
         pending = [
             task for task in tasks if task.task_id not in restored
         ]
+        # Workers inherit the workloads: the baselines above loaded them.
         _CAMPAIGN_STATE = {
             "workloads": workloads,
             "configs": configs,

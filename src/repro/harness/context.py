@@ -20,9 +20,10 @@ how it was built.  The harness CLI fills them from its flags
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.pipeline import BraidCompilation, braidify
 from ..isa.program import Program
@@ -34,10 +35,12 @@ from ..sim.sampling import SamplingConfig
 from ..sim.workload import PreparedWorkload, prepare_workload
 from ..obs.metrics import MetricsRegistry
 from ..obs.runlog import RunLog
+from ..service.retry import RetryPolicy
 from ..workloads.profiles import ALL_BENCHMARKS, FP_BENCHMARKS, INT_BENCHMARKS
 from ..workloads.suite import build_program
 from .artifacts import ArtifactCache
-from .parallel import effective_jobs, run_point_groups_parallel
+from .parallel import (effective_jobs, run_point_groups_parallel,
+                       run_tasks_hardened)
 from .sweep import SweepPoint
 
 
@@ -220,8 +223,11 @@ class ExperimentContext:
         The fresh points are scheduled *workload-major*: all configs of
         one prepared workload run together, so the decode/replay facts
         cached on the workload are built once per workload —
-        per worker — instead of once per point.  With ``jobs > 1`` the
-        workload groups fan out over the worker fleet through
+        per worker — instead of once per point.  With ``jobs > 1``
+        :func:`fill_workload_cache` first builds the missing workloads
+        into the artifact cache (with the cache disabled, this context
+        builds them for the fork), then the workload groups fan out over
+        the worker fleet through
         :func:`~repro.harness.parallel.run_point_groups_parallel`
         (deterministic, submission-ordered results; large groups split to
         keep every worker busy); with ``jobs = 1`` they run serially
@@ -267,6 +273,16 @@ class ExperimentContext:
             half = len(group) // 2
             tasks[largest:largest + 1] = [group[:half], group[half:]]
         if workers > 1 and len(tasks) > 1:
+            # Workloads this context holds reach the workers with the
+            # fork.  With no cache to carry phase one, build it here, or
+            # every worker of every sweep would rebuild it.
+            if not self.cache.enabled:
+                for key in groups:
+                    self.workload(*key)
+            fill_workload_cache(self.cache, [
+                WorkloadNeed(self.scale, self.max_instructions, *key)
+                for key in groups if key not in self._workloads
+            ], workers)
             for group, results in zip(
                 tasks, run_point_groups_parallel(self, tasks, workers)
             ):
@@ -283,3 +299,76 @@ class ExperimentContext:
                         internal_limit=point.internal_limit,
                     )
         return {point: self._results[point] for point in points}
+
+
+class WorkloadNeed(NamedTuple):
+    """One workload a forked fleet needs: the artifact-cache key fields."""
+
+    scale: float
+    cap: int
+    benchmark: str
+    braided: bool
+    perfect: bool = False
+    internal_limit: int = 8
+
+
+def fill_workload_cache(cache: ArtifactCache,
+                        needs: Iterable[WorkloadNeed], jobs: int) -> None:
+    """Pre-pass: build the workloads a forked fleet needs into ``cache``.
+
+    Sweeps (:meth:`ExperimentContext.run_many`) and the service
+    (:func:`repro.service.jobs.prepare`) run it before their fleet starts;
+    each worker then loads what it runs, and the caller keeps nothing.
+    Needs already cached are skipped; the rest are built on up to ``jobs``
+    workers, one task per scale and benchmark so each braid compilation
+    is built once.  Advisory: one attempt, no deadline, failures only
+    counted (the fleet task that needs the workload raises the real
+    error).  Logs one ``prepare`` run-log event; a no-op when the cache
+    is disabled.
+    """
+    if not cache.enabled:
+        return
+    started = time.perf_counter()
+    needed = dict.fromkeys(needs)
+    missing: Dict[Tuple[float, str], List[WorkloadNeed]] = {}
+    for need in needed:
+        key = cache.workload_key(
+            need.benchmark, need.scale, need.braided, need.perfect,
+            need.internal_limit, ExperimentContext.predictor, need.cap,
+        )
+        if not cache.path_for(key).exists():
+            missing.setdefault((need.scale, need.benchmark), []).append(need)
+
+    def build(builds: List[WorkloadNeed]) -> None:
+        contexts: Dict[int, ExperimentContext] = {}  # throwaway, per cap
+        for need in builds:
+            if need.cap not in contexts:
+                contexts[need.cap] = ExperimentContext(
+                    benchmarks=(need.benchmark,), scale=need.scale,
+                    max_instructions=need.cap, jobs=1, cache=cache,
+                )
+            contexts[need.cap].workload(
+                need.benchmark, braided=need.braided, perfect=need.perfect,
+                internal_limit=need.internal_limit,
+            )
+
+    tasks = [(f"{benchmark}@{scale}", builds)
+             for (scale, benchmark), builds in missing.items()]
+    outcomes = run_tasks_hardened(
+        build, tasks,
+        # not effective_jobs: its --jobs clamp notes would describe this
+        # pre-pass, not the fleet the user asked for
+        jobs=max(1, min(jobs, len(tasks), os.cpu_count() or 1)),
+        policy=RetryPolicy(max_attempts=1, deadline=math.inf),
+    )
+    failed = sum(len(builds) for outcome, (_, builds)
+                 in zip(outcomes, tasks) if not outcome.ok)
+    built = sum(len(builds) for _, builds in tasks)
+    RunLog.from_env(cache).log(
+        event="prepare",
+        needed=len(needed),
+        cached=len(needed) - built,
+        computed=built - failed,
+        failed=failed,
+        seconds=round(time.perf_counter() - started, 4),
+    )

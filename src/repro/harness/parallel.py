@@ -12,14 +12,18 @@ The service supervisor runs one fleet per drain and feeds it through the
 ``refill`` callback: each worker that frees up gets the next claimed job,
 so one long job holds only its own worker.
 
-Sweeps call it through :func:`run_point_groups_parallel`.  The parent
-warms phase one (programs, braid compilations, prepared workloads) before
-the fleet forks, so the workers inherit the warm context copy-on-write and
-pay nothing for it.  Results come back in submission order, so a parallel
-sweep is deterministically equal to the serial one (``jobs=1`` never
-reaches the fleet — tests and debugging see the plain in-process path).  A
-sweep task that dies with its worker (OOM kill, segfault, interpreter
-abort) re-runs serially in the parent, so the sweep keeps every result.
+Sweeps call it through :func:`run_point_groups_parallel`.  Before the
+fleet starts, the pre-pass the service runs too,
+:func:`~repro.harness.context.fill_workload_cache`, builds the missing
+phase one (programs, braid compilations, prepared workloads) into the
+artifact cache, and each worker loads what it runs.  With the cache
+disabled there is nowhere to put it, so the sweep's parent builds phase
+one and the workers inherit it with the fork.  Results
+come back in submission order, so a parallel sweep is deterministically
+equal to the serial one (``jobs=1`` never reaches the fleet — tests and
+debugging see the plain in-process path).  A sweep task that dies with
+its worker (OOM kill, segfault, interpreter abort) re-runs serially in
+the parent, so the sweep keeps every result.
 
 Without the fork start method the fleet runs tasks serially in-process.
 The worker count comes from the caller (``--jobs`` on
@@ -57,9 +61,8 @@ def _note_once(message: str) -> None:
 def effective_jobs(jobs: int, pending: int) -> int:
     """Workers the pool would actually help with.
 
-    Clamps the requested worker count to the pending work (sweep points,
-    or the service pre-pass's tasks; a pool larger than its work only
-    pays fork cost) and to the host CPU
+    Clamps the requested worker count to the pending work (sweep points;
+    a pool larger than its work only pays fork cost) and to the host CPU
     count (extra workers would only time-slice), and falls back to the
     serial in-process path when the clamp leaves one worker or the host
     exposes a single CPU (workers would time-slice one core, adding pool
@@ -105,18 +108,6 @@ def run_point_groups_parallel(
     from ..obs.profiling import maybe_profiled
 
     groups = [list(group) for group in groups]
-    # Warm phase one in the parent so forked workers share it copy-on-write.
-    for benchmark, braided, perfect, internal_limit in {
-        (p.benchmark, p.braided, p.perfect, p.internal_limit)
-        for group in groups
-        for p in group
-    }:
-        context.workload(
-            benchmark,
-            braided=braided,
-            perfect=perfect,
-            internal_limit=internal_limit,
-        )
 
     def run_group(group: Sequence[SweepPoint]) -> List[SimResult]:
         return [

@@ -17,22 +17,21 @@ Result payloads contain only deterministic fields (no wall-clock, no
 host state): re-running a job after any crash reproduces the identical
 payload, which is the property the chaos harness pins bit-for-bit.
 
-Before a forked fleet starts, :func:`prepare` builds the phase-one
-workloads a batch is missing into the persistent artifact cache, on
-forked workers of its own; each job worker then loads the workloads it
-runs from that cache into its own per-process state (:func:`_context_for`)
-and keeps them for the jobs it serves next, so the supervisor process
-of a forked fleet holds none.  With one worker the jobs run in the
+Before a forked fleet starts, :func:`prepare` hands the batch's
+workloads to the pre-pass sweeps use too
+(:func:`~repro.harness.context.fill_workload_cache`), which builds the
+missing ones into the persistent artifact cache; each job worker then
+loads what it runs into its own per-process state (:func:`_context_for`)
+and keeps it for the jobs it serves next, so the supervisor process of
+a forked fleet holds none.  With one worker the jobs run in the
 supervisor process, which loads them the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import tempfile
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -210,8 +209,10 @@ def _context_for(scale: float, max_instructions: int):
     return context
 
 
-def _workload_needs(record) -> List[Tuple[float, str, int, bool]]:
-    """The ``(scale, benchmark, cap, braided)`` workloads one job runs."""
+def _workload_needs(record) -> List[WorkloadNeed]:
+    """The workloads one job runs, as pre-pass needs."""
+    from ..harness.context import WorkloadNeed
+
     table = _core_table()
     params = record.params
     if record.kind == "simulate":
@@ -225,100 +226,31 @@ def _workload_needs(record) -> List[Tuple[float, str, int, bool]]:
     # faults: the campaign warms through the default-cap context
     cap = (DEFAULT_MAX_INSTRUCTIONS if record.kind == "faults"
            else params["max_instructions"])
-    return [(params["scale"], bench, cap, table[core][1])
+    return [WorkloadNeed(scale=params["scale"], cap=cap, benchmark=bench,
+                         braided=table[core][1])
             for bench, core in cells]
-
-
-def _prewarm(task: Tuple[float, str, Tuple[Tuple[int, bool], ...]]) -> None:
-    """Build one benchmark's missing workloads into the artifact cache.
-
-    A throwaway context per cap (a batch rarely has two) holds the
-    program and braid compilation while the task runs; the second cap's
-    context reads the compilation back from the cache, so each is built
-    once.  Nothing outlives the call.
-    """
-    from ..harness.context import ExperimentContext
-
-    scale, benchmark, needs = task
-    contexts: Dict[int, Any] = {}
-    for cap, braided in needs:
-        context = contexts.get(cap)
-        if context is None:
-            context = contexts[cap] = ExperimentContext(
-                benchmarks=(benchmark,), scale=scale, max_instructions=cap,
-                jobs=1,
-            )
-        context.workload(benchmark, braided=braided)
 
 
 def prepare(records, jobs: Optional[int] = None) -> None:
     """Pre-pass: build the workloads a batch needs into the artifact cache.
 
-    Collects the distinct ``(scale, benchmark, cap, braided)`` workloads
-    of ``records``, drops those whose cache entry already exists, and
-    builds the rest on ``jobs`` forked workers (default: one per CPU,
-    clamped by :func:`~repro.harness.parallel.effective_jobs`), one task
-    per scale and benchmark so each braid compilation is built once.
-    The caller keeps nothing: the service's job workers then load what
-    they run from the cache (:func:`_context_for`), so a serve parent
-    never holds a workload.  Forked workers would not share a parent's
-    copy anyway: reading an object writes its refcount, which copies the
-    page into the reader.  Logs one ``prepare`` run-log event (needed,
-    cached, computed, failed, seconds); a no-op when the cache is
-    disabled.
-
-    The pre-pass is advisory: a record it cannot read (malformed params
-    that slipped past submit-time validation) is skipped, and a task
-    that fails (an unknown benchmark) is counted and ignored, so the bad
-    job produces its real, classified error inside its own worker — it
-    fails *as a job*, never takes the supervisor down.
+    Hands the workloads of ``records`` to the shared pre-pass
+    :func:`~repro.harness.context.fill_workload_cache` on ``jobs``
+    workers (default one per CPU).  A record it cannot read (malformed
+    params that slipped past submit-time validation) is skipped, so the
+    bad job fails *as a job*, with its real error, in its own worker.
     """
     from ..harness.artifacts import ArtifactCache
-    from ..harness.context import ExperimentContext
-    from ..harness.parallel import effective_jobs, run_tasks_hardened
-    from ..obs.runlog import RunLog
-    from .retry import RetryPolicy
+    from ..harness.context import WorkloadNeed, fill_workload_cache
 
-    cache = ArtifactCache.from_env()
-    if not cache.enabled:
-        return
-    started = time.perf_counter()
-    needed: Dict[Tuple[float, str, int, bool], None] = {}
+    needs: Dict[WorkloadNeed, None] = {}
     for record in records:
-        try:
-            needed.update(dict.fromkeys(_workload_needs(record)))
+        try:  # hashing is part of reading: a list-valued scale fails here
+            needs.update(dict.fromkeys(_workload_needs(record)))
         except Exception:
             continue
-    missing: Dict[Tuple[float, str], List[Tuple[int, bool]]] = {}
-    for scale, benchmark, cap, braided in needed:
-        key = cache.workload_key(benchmark, scale, braided, False, 8,
-                                 ExperimentContext.predictor, cap)
-        if not cache.path_for(key).exists():
-            missing.setdefault((scale, benchmark), []).append((cap, braided))
-    tasks = [(f"{benchmark}@{scale}", (scale, benchmark, tuple(needs)))
-             for (scale, benchmark), needs in missing.items()]
-    computed = failed = 0
-    if tasks:
-        workers = effective_jobs(
-            jobs if jobs is not None else os.cpu_count() or 1, len(tasks)
-        )
-        outcomes = run_tasks_hardened(
-            _prewarm, tasks, jobs=workers,
-            policy=RetryPolicy(max_attempts=1, deadline=math.inf),
-        )
-        for outcome, (_, (_, _, needs)) in zip(outcomes, tasks):
-            if outcome.ok:
-                computed += len(needs)
-            else:
-                failed += len(needs)
-    RunLog.from_env(cache).log(
-        event="prepare",
-        needed=len(needed),
-        cached=len(needed) - computed - failed,
-        computed=computed,
-        failed=failed,
-        seconds=round(time.perf_counter() - started, 4),
-    )
+    fill_workload_cache(ArtifactCache.from_env(), needs,
+                        jobs if jobs is not None else os.cpu_count() or 1)
 
 
 def _simulate_cell(

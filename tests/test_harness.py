@@ -1,18 +1,28 @@
 """Tests for the experiment harness (context, experiments, reporting)."""
 
+from dataclasses import asdict
+
 import pytest
 
-from repro.harness import ALL_EXPERIMENTS, ArtifactCache, ExperimentContext
+from repro.harness import (
+    ALL_EXPERIMENTS, ArtifactCache, ExperimentContext, SweepPoint,
+)
+from repro.harness.context import WorkloadNeed, fill_workload_cache
 from repro.harness.experiments import (
     fig11_braid_window,
     fig14_equal_fus,
     tab1_braids_per_block,
 )
 from repro.harness.reporting import ExperimentResult
+from repro.obs.runlog import RunLog
+from repro.sim import braid_config, inorder_config, ooo_config
 from repro.workloads import (
     ALL_BENCHMARKS,
     QUICK_BENCHMARKS,
     select_benchmarks,
+)
+from tests.test_service_supervisor import (
+    batch_config, needs_two_workers, submit,
 )
 
 
@@ -435,6 +445,90 @@ class TestRunMany:
         point = SweepPoint("gcc", ooo_config(8))
         results = quick_context.run_many([point, point])
         assert results[point] is quick_context.run("gcc", ooo_config(8))
+
+
+class TestSweepPrepare:
+    """A forked sweep gets phase one the way the service does: the
+    pre-pass fills the artifact cache, workers load what they run, and
+    the sweep's own context holds no workload."""
+
+    POINTS = [
+        SweepPoint(bench, config, braided=braided)
+        for bench in ("gcc", "mcf")
+        for config, braided in (
+            (ooo_config(8), False), (inorder_config(8), False),
+            (braid_config(8), True),
+        )
+    ]
+
+    @pytest.fixture
+    def cold(self, tmp_path, monkeypatch):
+        """A fresh directory for the caches, with the run log in it."""
+        monkeypatch.setenv("REPRO_RUNLOG", str(tmp_path / "runlog.jsonl"))
+        return tmp_path
+
+    @staticmethod
+    def sweep(cache, jobs, benchmarks=("gcc", "mcf"), points=POINTS):
+        context = ExperimentContext(
+            benchmarks=benchmarks, scale=0.05, max_instructions=3000,
+            jobs=jobs, cache=cache,
+        )
+        results = context.run_many(points)
+        return context, [asdict(results[point]) for point in points]
+
+    @staticmethod
+    def prepare_events(root):
+        return [event for event in RunLog(root / "runlog.jsonl").read()
+                if event["event"] == "prepare"]
+
+    @needs_two_workers
+    def test_forked_sweep_loads_phase_one_from_the_cache(self, cold):
+        _, serial = self.sweep(ArtifactCache(enabled=False), jobs=1)
+        context, forked = self.sweep(ArtifactCache(root=cold / "cache"), 2)
+        assert forked == serial
+        assert context._workloads == {}
+        assert len(list((cold / "cache").glob("workload-*"))) == 4
+        (event,) = self.prepare_events(cold)
+        assert event["needed"] == event["computed"] == 4
+
+        _, warm = self.sweep(ArtifactCache(root=cold / "cache"), 2)
+        assert warm == serial
+        _, second = self.prepare_events(cold)
+        assert (second["cached"], second["computed"]) == (4, 0)
+
+        # no cache to carry phase one: the parent builds it for the fork
+        context, uncached = self.sweep(ArtifactCache(enabled=False), 2)
+        assert uncached == serial
+        assert len(context._workloads) == 4
+        assert len(self.prepare_events(cold)) == 2
+
+    @needs_two_workers
+    def test_pre_pass_prints_no_clamp_note(self, cold, monkeypatch, capfd):
+        """One benchmark is one pre-pass task, but the sweep and the
+        service fleets still get the two workers asked for."""
+        from repro.harness import parallel
+        from repro.service import JobStore
+        from repro.service import jobs as jobs_module
+        from repro.service.supervisor import serve
+
+        monkeypatch.setattr(parallel, "_NOTED", set())
+        monkeypatch.setattr(jobs_module, "_EXEC_STATE", None)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cold / "service-cache"))
+        self.sweep(ArtifactCache(root=cold / "cache"), 2, ("gcc",),
+                   self.POINTS[:3])
+        store = JobStore(cold / "store")
+        submit(store, "simulate", {"benchmark": "gcc", "core": "braid"})
+        serve(store, batch_config(jobs=2))
+        store.close()
+        # more workers asked for than there are tasks or CPUs
+        fill_workload_cache(ArtifactCache(root=cold / "direct"), [
+            WorkloadNeed(0.05, 3000, bench, braided=False)
+            for bench in ("gcc", "mcf")
+        ], jobs=8)
+        assert "clamping" not in capfd.readouterr().err
+        assert [event["computed"] for event in self.prepare_events(cold)] == [
+            2, 1, 2,
+        ]
 
 
 class TestExperimentRegistry:

@@ -417,3 +417,16 @@ class TestPrepare:
         (event,) = self.prepare_events(cold)
         assert (event["computed"], event["failed"]) == (1, 1)
         store.close()
+
+    def test_unreadable_record_fails_only_its_own_job(self, cold):
+        """A list-valued scale cannot be hashed into a workload key; the
+        pre-pass skips that record instead of ending the drain."""
+        store, ids = self.queue(cold / "store", self.SIM[:1])
+        params = dict(store.job(ids[0]).params, scale=[1.0])
+        bad, _ = store.submit(JobRequest("simulate", params, "default"))
+        serve(store, batch_config(jobs=2))
+        assert store.job(ids[0]).status == DONE
+        assert store.job(bad).status == FAILED
+        (event,) = self.prepare_events(cold)
+        assert (event["needed"], event["computed"]) == (1, 1)
+        store.close()
