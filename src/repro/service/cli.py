@@ -1,13 +1,12 @@
-"""Service command line: ``serve``, ``submit``, ``status``, ``events``,
+"""Service commands: ``submit``, ``serve``, ``status``, ``events``,
 ``metrics``.
 
-Routed from ``python -m repro.harness`` so operators keep one entry
-point::
+:func:`add_commands` registers them on the one ``python -m repro.harness``
+parser, each with its own flags and a ``--store`` directory::
 
     python -m repro.harness submit simulate benchmark=gcc core=braid
     python -m repro.harness submit sweep benchmarks=gcc,mcf --client ci
     python -m repro.harness serve --jobs 4 --drain-when-idle
-    python -m repro.harness status
     python -m repro.harness status --job j000001-1a2b3c4d --json
     python -m repro.harness status --follow
     python -m repro.harness events j000001-1a2b3c4d
@@ -15,16 +14,16 @@ point::
 
 ``submit`` normalizes and validates params at the edge, then durably
 journals the request; an identical request coalesces onto the existing
-job and the CLI says so.  ``serve`` runs a supervisor against the store
-(SIGTERM drains gracefully; SIGKILL is recovered from the journal on the
-next start); a ``submit`` made while ``serve`` runs is picked up by that
-supervisor.  ``status`` opens the store read-only — safe to run while a
-supervisor is live; ``--follow`` refreshes that store each frame (only
-the journal bytes appended since the last frame are read) and renders a
-live job table with worker progress bars.
-``events`` prints a job's timestamped timeline and the durations it
-implies; ``metrics`` prints the supervisor's Prometheus exposition (or
-renders one on the fly from the store when no supervisor has published).
+job and the command says so.  ``serve`` runs a supervisor against the
+store (SIGTERM drains gracefully; SIGKILL is recovered from the journal
+on the next start) and picks up submissions made while it runs.
+``status``, ``events`` and ``metrics`` open the store read-only, so they
+are safe beside a live supervisor: ``status --follow`` refreshes the
+store each frame (reading only the journal bytes appended since the
+last) and draws worker progress bars; ``events`` prints a job's
+timestamped timeline and the durations it implies; ``metrics`` prints
+the supervisor's Prometheus exposition, or renders one from the store
+when no supervisor has published.
 
 Param values on the ``submit`` line are parsed as JSON when they look
 like it (``runs=8``, ``scale=0.1``) and kept as strings otherwise
@@ -34,13 +33,12 @@ like it (``runs=8``, ``scale=0.1``) and kept as strings otherwise
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 from ..obs.runlog import read_snapshot
 from .jobstore import (
@@ -375,24 +373,24 @@ def _cmd_metrics(args, parser) -> int:
         return 1 if errors else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness",
-        description="Durable simulation service: submit, serve, inspect.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def add_commands(sub) -> None:
+    """Register the five service commands on the harness parser's
+    subcommands action."""
 
-    def add_store(p):
-        p.add_argument(
+    def add_command(name, handler, help):
+        command = sub.add_parser(name, help=help, description=help)
+        command.set_defaults(handler=handler)
+        command.add_argument(
             "--store", default=None, metavar="DIR",
             help="job-store directory (default: REPRO_SERVICE_DIR or "
                  "~/.cache/repro/service)",
         )
+        return command
 
-    submit = sub.add_parser(
-        "submit", help="durably enqueue one job (dedups identical requests)",
+    submit = add_command(
+        "submit", _cmd_submit,
+        "durably enqueue one job (dedups identical requests)",
     )
-    add_store(submit)
     submit.add_argument(
         "kind", choices=("simulate", "sweep", "faults"),
         help="what to run",
@@ -410,10 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-client active-job quota (default: none)",
     )
 
-    serve = sub.add_parser(
-        "serve", help="run a supervisor against the store",
+    serve = add_command(
+        "serve", _cmd_serve, "run a supervisor against the store",
     )
-    add_store(serve)
     serve.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="hardened worker processes (default 1: serial in-process)",
@@ -447,10 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
              "under 8 intervals (min 2s) old and advancing is extended",
     )
 
-    status = sub.add_parser(
-        "status", help="inspect the store read-only (safe while serving)",
+    status = add_command(
+        "status", _cmd_status,
+        "inspect the store read-only (safe while serving)",
     )
-    add_store(status)
     status.add_argument(
         "--job", default=None, metavar="ID",
         help="show one job's record (and its result when done)",
@@ -473,11 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop following after this many seconds (default: forever)",
     )
 
-    events = sub.add_parser(
-        "events",
-        help="timestamped journal timeline (one job, or the whole store)",
+    events = add_command(
+        "events", _cmd_events,
+        "timestamped journal timeline (one job, or the whole store)",
     )
-    add_store(events)
     events.add_argument(
         "job", nargs="?", default=None, metavar="ID",
         help="job to show (with derived queue-wait/run-time/retry "
@@ -488,32 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable timeline",
     )
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="Prometheus exposition published by the supervisor "
-             "(validated; rendered live when no supervisor has run)",
+    metrics = add_command(
+        "metrics", _cmd_metrics,
+        "Prometheus exposition published by the supervisor "
+        "(validated; rendered live when no supervisor has run)",
     )
-    add_store(metrics)
     metrics.add_argument(
         "--json", action="store_true",
         help="parsed samples plus the supervisor health file",
     )
 
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "submit": _cmd_submit,
-        "serve": _cmd_serve,
-        "status": _cmd_status,
-        "events": _cmd_events,
-        "metrics": _cmd_metrics,
-    }[args.command]
-    return handler(args, parser)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -125,6 +125,82 @@ class TestCacheCommands:
         with pytest.raises(SystemExit):
             main(["cache-info", "T1"])
 
+    def test_cache_commands_cover_the_run_log(self, capsys, tmp_path,
+                                              monkeypatch):
+        # The run log RunLog.from_env keeps beside the cache is no cache
+        # entry, but cache-info reports it and cache-clear removes it.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_RUNLOG", raising=False)
+        from repro.harness.artifacts import ArtifactCache
+        from repro.obs.runlog import RunLog
+
+        cache = ArtifactCache(root=tmp_path)
+        runlog = RunLog.from_env(cache)
+        for cell in range(5000):
+            runlog.log(event="cell", cell=cell)
+        size = runlog.path.stat().st_size
+        assert size > 100_000
+        assert main(["cache-info"]) == 0
+        out = capsys.readouterr().out
+        assert f"run log:     {size / 1e6:.1f} MB" in out
+        assert str(runlog.path) in out
+        assert main(["cache-clear"]) == 0
+        assert "removed the run log" in capsys.readouterr().out
+        assert not runlog.path.exists()
+
+
+COMMANDS = ("experiments", "validate", "faults", "trace", "cache-info",
+            "cache-clear", "submit", "serve", "status", "events", "metrics")
+
+
+class TestGrammar:
+    """One parser: each command takes only the flags its handler reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["T1", "--runs", "8"],
+        ["faults", "--sample"],
+        ["validate", "--jobs", "2"],
+        ["trace", "--profile"],
+        ["cache-info", "--jobs", "4"],
+        ["status", "--benchmarks", "gcc"],
+        ["T1", "--journal", "x.jsonl"],
+        ["faults", "--result-cache"],
+        ["trace", "--benchmarks", "gcc"],
+        ["cache-clear", "--no-cache"],
+        ["submit", "simulate", "--scale", "0.5"],
+    ], ids=" ".join)
+    def test_another_commands_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_command_has_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: python -m repro.harness {command}" in (
+            capsys.readouterr().out
+        )
+
+    def test_top_level_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for command in COMMANDS:
+            assert f"    {command} " in out, command
+
+    def test_experiment_ids_are_the_default_command(self, capsys):
+        assert main(["experiments", "T1", "--benchmarks", "gcc"]) == 0
+        named = capsys.readouterr().out
+        assert main(["T1", "--benchmarks", "gcc"]) == 0
+        bare = capsys.readouterr().out
+        strip = lambda text: [line for line in text.splitlines()
+                              if not line.startswith("   [")]
+        assert strip(named) == strip(bare) and "T1:" in bare
+
 
 class TestValidateCommand:
     def test_validate_passes_on_clean_cores(self, capsys):

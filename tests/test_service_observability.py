@@ -22,7 +22,7 @@ from repro.harness.parallel import run_tasks_hardened
 from repro.obs.metrics import parse_prometheus
 from repro.obs.runlog import RunLog, read_snapshot
 from repro.service import JobStore
-from repro.service.cli import main
+from repro.harness.__main__ import main
 from repro.service.retry import RetryPolicy
 from repro.service.telemetry import ProgressPublisher, progress_path
 
