@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import os
 import sys
 import tempfile
@@ -164,17 +165,39 @@ def _run_experiments(args, parser) -> int:
                 tempfile.TemporaryDirectory(prefix="repro-profile-")
             )
             stack.enter_context(profiling_into(directory))
-        for experiment_id in selected:
-            started = time.time()
-            result = maybe_profiled(
-                lambda: ALL_EXPERIMENTS[experiment_id](context)
-            )
+        started = time.time()
+        for result in maybe_profiled(lambda: _run_session(context, selected)):
             print(render(result))
-            print(f"   [{time.time() - started:.1f}s]")
             print()
+        print(f"   [{time.time() - started:.1f}s]")
         if args.profile:
             print(aggregate_profiles(directory), file=sys.stderr)
     return 0
+
+
+class _Batch(Exception):
+    """A figure's ``run_many`` batch, handed back unrun while planning."""
+
+
+def _run_session(context: ExperimentContext, selected) -> list:
+    """Every selected experiment's result, all their points run as one
+    batch: each is planned on a shallow copy of ``context`` (same caches)
+    whose ``run_many`` raises its batch, then rendered from the memo."""
+    planner, results, batch = copy.copy(context), {}, []
+
+    def plan(points):
+        raise _Batch(points)
+
+    planner.run_many = plan
+    for experiment_id in selected:
+        try:
+            results[experiment_id] = ALL_EXPERIMENTS[experiment_id](planner)
+        except _Batch as planned:
+            batch += planned.args[0]
+    context.run_many(batch)
+    return [results.get(experiment_id)
+            or ALL_EXPERIMENTS[experiment_id](context)
+            for experiment_id in selected]
 
 
 def _run_validate(args, parser) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from dataclasses import replace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.pipeline import BraidCompilation, braidify
@@ -34,6 +35,7 @@ from ..sim.run import resolve_tier, simulate
 from ..sim.sampling import SamplingConfig
 from ..sim.workload import PreparedWorkload, prepare_workload
 from ..obs.metrics import MetricsRegistry
+from ..obs.observer import Observer
 from ..obs.runlog import RunLog
 from ..service.retry import RetryPolicy
 from ..workloads.profiles import ALL_BENCHMARKS, FP_BENCHMARKS, INT_BENCHMARKS
@@ -41,7 +43,7 @@ from ..workloads.suite import build_program
 from .artifacts import ArtifactCache
 from .parallel import (effective_jobs, run_point_groups_parallel,
                        run_tasks_hardened)
-from .sweep import SweepPoint
+from .sweep import SweepPoint, run_point
 
 
 class ExperimentContext:
@@ -155,8 +157,10 @@ class ExperimentContext:
         perfect: bool = False,
         internal_limit: int = 8,
         progress=None,
+        *, fidelity: Optional[str] = None, cpi: bool = False,
     ) -> SimResult:
-        point = SweepPoint(name, config, braided, perfect, internal_limit)
+        point = SweepPoint(name, config, braided, perfect, internal_limit,
+                           fidelity, cpi)
         result = self._results.get(point)
         if result is None:
             started = time.perf_counter()
@@ -165,11 +169,13 @@ class ExperimentContext:
             disk_key = None
             result_cache_hit = False
             if self.result_cache:
-                tuning = self.sampling or self.interval
+                tier, tuning = resolve_tier(fidelity or self.fidelity,
+                                            self.sampling, self.interval)
                 disk_key = self.cache.result_key(
                     name, self.scale, braided, perfect, internal_limit,
                     self.predictor, self.max_instructions, config,
-                    (self.fidelity, tuning and tuning.cache_token()),
+                    (tier, tuning and tuning.cache_token())
+                    + (("cpi",) if cpi else ()),
                 )
                 result = self.cache.get(disk_key)
                 result_cache_hit = result is not None
@@ -179,8 +185,9 @@ class ExperimentContext:
                     internal_limit=internal_limit,
                 )
                 result = simulate(
-                    workload, config, fidelity=self.fidelity,
+                    workload, config, fidelity=fidelity or self.fidelity,
                     sampling=self.sampling, interval=self.interval,
+                    observe=Observer(cpi=True) if cpi else None,
                     progress=progress,
                 )
                 if disk_key is not None:
@@ -195,6 +202,7 @@ class ExperimentContext:
                 internal_limit=internal_limit,
                 sampled=result.sampled,
                 fidelity=result.fidelity,
+                cpi=cpi,
                 sample_intervals=result.sample_intervals,
                 sample_detail_fraction=result.extra.get(
                     "sample_detail_fraction", 0.0
@@ -214,20 +222,21 @@ class ExperimentContext:
     ) -> Dict[SweepPoint, SimResult]:
         """Simulate a batch of sweep points, deduplicated and memoized.
 
-        Identical requests — same (workload, config) — coalesce to one
-        simulation; the context-wide tier makes point identity
-        sufficient.  Coalesced and
-        already-memoized requests are counted in the context's telemetry
-        registry (``run_many.deduped`` / ``run_many.memoized``).
+        Every figure cell comes here; a harness session sends all its
+        figures' points as one batch.  Identical requests coalesce to one
+        simulation (a point naming this context's tier is the point that
+        names none).  Coalesced and already-memoized requests are counted
+        in the context's telemetry registry (``run_many.deduped`` /
+        ``run_many.memoized``).
 
         The fresh points are scheduled *workload-major*: all configs of
         one prepared workload run together, so the decode/replay facts
         cached on the workload are built once per workload —
         per worker — instead of once per point.  With ``jobs > 1``
         :func:`fill_workload_cache` first builds the missing workloads
-        into the artifact cache (with the cache disabled, this context
-        builds them for the fork), then the workload groups fan out over
-        the worker fleet through
+        into the artifact cache (with the cache disabled, the worker that
+        runs a group builds its workload), then the workload groups fan
+        out over the worker fleet through
         :func:`~repro.harness.parallel.run_point_groups_parallel`
         (deterministic, submission-ordered results; large groups split to
         keep every worker busy); with ``jobs = 1`` they run serially
@@ -240,7 +249,10 @@ class ExperimentContext:
         seen = set()
         deduped = 0
         memoized = 0
-        for point in points:
+        normal = {point: replace(point, fidelity=None)
+                  if point.fidelity == self.fidelity else point
+                  for point in points}
+        for point in map(normal.__getitem__, points):
             if point in self._results:
                 memoized += 1
                 continue
@@ -273,12 +285,6 @@ class ExperimentContext:
             half = len(group) // 2
             tasks[largest:largest + 1] = [group[:half], group[half:]]
         if workers > 1 and len(tasks) > 1:
-            # Workloads this context holds reach the workers with the
-            # fork.  With no cache to carry phase one, build it here, or
-            # every worker of every sweep would rebuild it.
-            if not self.cache.enabled:
-                for key in groups:
-                    self.workload(*key)
             fill_workload_cache(self.cache, [
                 WorkloadNeed(self.scale, self.max_instructions, *key)
                 for key in groups if key not in self._workloads
@@ -291,14 +297,8 @@ class ExperimentContext:
         else:
             for group in tasks:
                 for point in group:
-                    self.run(
-                        point.benchmark,
-                        point.config,
-                        braided=point.braided,
-                        perfect=point.perfect,
-                        internal_limit=point.internal_limit,
-                    )
-        return {point: self._results[point] for point in points}
+                    run_point(self, point)
+        return {point: self._results[key] for point, key in normal.items()}
 
 
 class WorkloadNeed(NamedTuple):

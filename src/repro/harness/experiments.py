@@ -8,9 +8,9 @@ out-of-order point); :func:`~repro.harness.sweep.sweep_experiment` builds
 the benchmark × column grid, batches every point through
 ``ExperimentContext.run_many`` (the single place where memoization, the
 persistent artifact cache and the worker pool apply) and normalizes.  D1
-and A2 add columns the table cannot express around the same machinery;
-analysis-only tables (VC, T1-T3) read the compiler and traces directly,
-and SV and CS simulate with their own fidelity and observers.
+and A2 add columns the table cannot express, SV and CS points that name
+a tier or ask for a CPI stack; each makes one ``run_many`` call, so a
+session batches every figure.  VC and T1-T3 read the compiler and traces.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 from ..analysis.braidstats import braid_statistics
 from ..analysis.values import average_fractions, characterize_values
+from ..obs.cpi import STALL_CAUSES
 from ..sim.config import (
     MachineConfig,
     braid_config,
@@ -28,6 +29,7 @@ from ..sim.config import (
     ooo_config,
 )
 from ..sim.registry import core_registry
+from ..sim.run import resolve_tier
 from ..uarch.regfile import RegFileSpec
 from .context import ExperimentContext
 from .reporting import ExperimentResult
@@ -480,6 +482,15 @@ def abl_internal_reg_limit(
     return result
 
 
+def _core_columns() -> Dict[str, Column]:
+    """One 8-wide column per registered core, in presentation order."""
+    return {
+        key: {"config": descriptor.config_factory(8),
+              "braided": descriptor.braided}
+        for key, descriptor in core_registry().items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # Sampling validation — sampled vs exact IPC on every core kind
 # ---------------------------------------------------------------------------
@@ -494,33 +505,29 @@ def sampling_validation(ctx: ExperimentContext) -> ExperimentResult:
     (``--scale`` >= 2 or so); on shorter traces sampling falls back to
     exact mode and every cell is exactly 1.00.
     """
-    from ..sim.run import resolve_tier, simulate
-
     _, sampling = resolve_tier("sampled", ctx.sampling)
-    configs = {
-        key: (descriptor.config_factory(8), descriptor.braided)
-        for key, descriptor in core_registry().items()
-    }
+    columns = _core_columns()
     result = ExperimentResult(
         experiment_id="SV",
         title="sampled / exact IPC ratio per core kind",
         paper_expectation="every point within ±2% of 1.00 at bench scale "
                           "(scale 64, stride 16)",
-        columns=list(configs),
+        columns=list(columns),
     )
-    worst = 0.0
-    fallbacks = 0
-    for name in ctx.benchmarks:
-        row: Dict[str, float] = {}
-        for label, (config, braided) in configs.items():
-            workload = ctx.workload(name, braided=braided)
-            exact = simulate(workload, config)
-            sampled = simulate(workload, config, sampling=sampling)
-            ratio = sampled.ipc / exact.ipc if exact.ipc else 0.0
-            worst = max(worst, abs(ratio - 1.0))
-            fallbacks += 0 if sampled.sampled else 1
-            row[label] = ratio
-        result.rows[name] = row
+    pairs = {
+        (name, label): [SweepPoint(name, fidelity=tier, **column)
+                        for tier in ("exact", "sampled")]
+        for name in ctx.benchmarks for label, column in columns.items()
+    }
+    results = ctx.run_many([point for pair in pairs.values()
+                            for point in pair])
+    worst, fallbacks = 0.0, 0
+    for (name, label), pair in pairs.items():
+        exact, sampled = (results[point] for point in pair)
+        ratio = sampled.ipc / exact.ipc if exact.ipc else 0.0
+        worst = max(worst, abs(ratio - 1.0))
+        fallbacks += 0 if sampled.sampled else 1
+        result.rows.setdefault(name, {})[label] = ratio
     result.finalize_averages()
     result.notes.append(
         f"max |IPC error| {100 * worst:.2f}% with sampling "
@@ -549,13 +556,6 @@ def cpi_stack_experiment(ctx: ExperimentContext) -> ExperimentResult:
     comparison visual: the braid core's residual over out-of-order should
     appear as data-dependence and FIFO-structural segments, not as base.
     """
-    from ..obs import STALL_CAUSES, Observer
-    from ..sim.run import simulate
-
-    configs = {
-        key: (descriptor.config_factory(8), descriptor.braided)
-        for key, descriptor in core_registry().items()
-    }
     result = ExperimentResult(
         experiment_id="CS",
         title="CPI stacks by stall cause (cycles per instruction)",
@@ -564,20 +564,19 @@ def cpi_stack_experiment(ctx: ExperimentContext) -> ExperimentResult:
         columns=list(STALL_CAUSES),
         stacked=True,
     )
-    for name in ctx.benchmarks:
-        for label, (config, braided) in configs.items():
-            workload = ctx.workload(name, braided=braided)
-            observe = Observer(cpi=True)
-            cell = simulate(
-                workload, config, fidelity=ctx.fidelity,
-                sampling=ctx.sampling, interval=ctx.interval,
-                observe=observe,
-            )
-            instructions = cell.instructions or 1
-            result.rows[f"{name}/{label}"] = {
-                cause: cell.cpi_stack.get(cause, 0.0) / instructions
-                for cause in STALL_CAUSES
-            }
+    points = {
+        f"{name}/{label}": SweepPoint(name, cpi=True, **column)
+        for name in ctx.benchmarks
+        for label, column in _core_columns().items()
+    }
+    results = ctx.run_many(list(points.values()))
+    for row, point in points.items():
+        cell = results[point]
+        instructions = cell.instructions or 1
+        result.rows[row] = {
+            cause: cell.cpi_stack.get(cause, 0.0) / instructions
+            for cause in STALL_CAUSES
+        }
     result.finalize_averages()
     result.notes.append(
         "each row sums to the cell's CPI; empty retirement slots are "

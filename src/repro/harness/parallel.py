@@ -12,13 +12,13 @@ The service supervisor runs one fleet per drain and feeds it through the
 ``refill`` callback: each worker that frees up gets the next claimed job,
 so one long job holds only its own worker.
 
-Sweeps call it through :func:`run_point_groups_parallel`.  Before the
-fleet starts, the pre-pass the service runs too,
+Sweeps call it through :func:`run_point_groups_parallel`, once per
+harness session: the session batches every selected figure's points.
+Before the fleet starts, the pre-pass the service runs too,
 :func:`~repro.harness.context.fill_workload_cache`, builds the missing
 phase one (programs, braid compilations, prepared workloads) into the
 artifact cache, and each worker loads what it runs.  With the cache
-disabled there is nowhere to put it, so the sweep's parent builds phase
-one and the workers inherit it with the fork.  Results
+disabled the worker that runs a group builds its workload.  Results
 come back in submission order, so a parallel sweep is deterministically
 equal to the serial one (``jobs=1`` never reaches the fleet — tests and
 debugging see the plain in-process path).  A sweep task that dies with
@@ -46,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..service.retry import PERMANENT, RETRYABLE, RetryPolicy
 from ..service.telemetry import describe_progress, heartbeat_age
 from ..sim.results import SimResult
-from .sweep import SweepPoint
+from .sweep import SweepPoint, run_point
 
 _NOTED: Set[str] = set()
 
@@ -110,16 +110,7 @@ def run_point_groups_parallel(
     groups = [list(group) for group in groups]
 
     def run_group(group: Sequence[SweepPoint]) -> List[SimResult]:
-        return [
-            context.run(
-                point.benchmark,
-                point.config,
-                braided=point.braided,
-                perfect=point.perfect,
-                internal_limit=point.internal_limit,
-            )
-            for point in group
-        ]
+        return [run_point(context, point) for point in group]
 
     parent = os.getpid()
 

@@ -16,7 +16,7 @@ No figure carries its own loop, parallelism or caching code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Optional, Union
 
 from ..sim.config import MachineConfig
 from .reporting import ExperimentResult
@@ -31,6 +31,16 @@ class SweepPoint:
     braided: bool = False
     perfect: bool = False
     internal_limit: int = 8
+    fidelity: Optional[str] = None  # the run's tier; None: the context's
+    cpi: bool = False  # attach a CPI-stack observer
+
+
+def run_point(context, point: SweepPoint):
+    """``context.run`` on ``point``'s fields."""
+    return context.run(point.benchmark, point.config, braided=point.braided,
+                       perfect=point.perfect,
+                       internal_limit=point.internal_limit,
+                       fidelity=point.fidelity, cpi=point.cpi)
 
 
 #: one column of a figure: the keyword arguments of :class:`SweepPoint`

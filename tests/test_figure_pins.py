@@ -1,6 +1,6 @@
 """Pinned sweep figures: every timing figure's table and point set.
 
-Each sweep figure (F1, F5-F14, D1, A1, A2) runs on the quick four at
+Each sweep figure (F1, F5-F14, D1, A1, A2, SV, CS) runs on the quick four at
 scale 0.2 with a 20 000-instruction cap, in-process and without the
 artifact cache.  For each one this stores:
 
@@ -8,8 +8,10 @@ artifact cache.  For each one this stores:
   cell value, average, column and note is pinned byte for byte;
 * ``points`` — the sorted, distinct ``benchmark/config name/braided/
   perfect/internal_limit`` sweep points the figure handed to
-  :meth:`ExperimentContext.run_many`, so a figure rewrite cannot move a
-  cache key or a run-log cell while keeping its table.
+  :meth:`ExperimentContext.run_many`, with ``/<fidelity>`` and ``/cpi``
+  appended when a point names a tier or asks for a CPI stack, so a
+  figure rewrite cannot move a cache key or a run-log cell while keeping
+  its table.
 
 If a change legitimately moves a figure, re-pin with
 ``PYTHONPATH=src python tests/test_figure_pins.py``.
@@ -29,7 +31,7 @@ from repro.workloads import QUICK_BENCHMARKS
 
 PINNED_PATH = Path(__file__).resolve().parent / "data" / "figure_pins.json"
 FIGURES = ("F1", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "F13",
-           "F14", "D1", "A1", "A2")
+           "F14", "D1", "A1", "A2", "SV", "CS")
 
 
 class RecordingContext(ExperimentContext):
@@ -44,6 +46,8 @@ class RecordingContext(ExperimentContext):
         self.requested.update(
             (p.benchmark, p.config.name, p.braided, p.perfect,
              p.internal_limit)
+            + ((p.fidelity,) if p.fidelity is not None else ())
+            + (("cpi",) if p.cpi else ())
             for p in points
         )
         return super().run_many(points)

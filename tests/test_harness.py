@@ -1,5 +1,6 @@
 """Tests for the experiment harness (context, experiments, reporting)."""
 
+import os
 from dataclasses import asdict
 
 import pytest
@@ -10,12 +11,15 @@ from repro.harness import (
 from repro.harness.context import WorkloadNeed, fill_workload_cache
 from repro.harness.experiments import (
     fig11_braid_window,
+    fig13_paradigms,
     fig14_equal_fus,
+    sampling_validation,
     tab1_braids_per_block,
 )
 from repro.harness.reporting import ExperimentResult
 from repro.obs.runlog import RunLog
 from repro.sim import braid_config, inorder_config, ooo_config
+from repro.sim.sampling import SamplingConfig
 from repro.workloads import (
     ALL_BENCHMARKS,
     QUICK_BENCHMARKS,
@@ -482,7 +486,8 @@ class TestSweepPrepare:
                 if event["event"] == "prepare"]
 
     @needs_two_workers
-    def test_forked_sweep_loads_phase_one_from_the_cache(self, cold):
+    def test_forked_sweep_loads_phase_one_from_the_cache(self, cold,
+                                                         monkeypatch):
         _, serial = self.sweep(ArtifactCache(enabled=False), jobs=1)
         context, forked = self.sweep(ArtifactCache(root=cold / "cache"), 2)
         assert forked == serial
@@ -496,10 +501,25 @@ class TestSweepPrepare:
         _, second = self.prepare_events(cold)
         assert (second["cached"], second["computed"]) == (4, 0)
 
-        # no cache to carry phase one: the parent builds it for the fork
+        # no cache to carry phase one: the worker that runs a workload's
+        # group builds it, once, and the parent builds none
+        from repro.harness import context as context_module
+
+        builds = cold / "builds"
+        real = context_module.prepare_workload
+
+        def prepare_workload(*args, **kwargs):
+            with builds.open("a") as log:
+                log.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(context_module, "prepare_workload",
+                            prepare_workload)
         context, uncached = self.sweep(ArtifactCache(enabled=False), 2)
         assert uncached == serial
-        assert len(context._workloads) == 4
+        assert context._workloads == {}
+        pids = builds.read_text().split()
+        assert len(pids) == 4 and str(os.getpid()) not in pids
         assert len(self.prepare_events(cold)) == 2
 
     @needs_two_workers
@@ -529,6 +549,85 @@ class TestSweepPrepare:
         assert [event["computed"] for event in self.prepare_events(cold)] == [
             2, 1, 2,
         ]
+
+
+class TestOneBatch:
+    """Every figure cell goes through ``run_many``, and a harness session
+    runs the points of all its figures as one batch."""
+
+    @staticmethod
+    def small_context(**kwargs):
+        return ExperimentContext(
+            benchmarks=("gcc",), scale=0.05, max_instructions=3000, jobs=1,
+            **kwargs,
+        )
+
+    def test_sampling_validation_reuses_exact_points(self):
+        """SV's exact points on an exact context are F13's 8-wide points."""
+        ctx = self.small_context(cache=ArtifactCache(enabled=False))
+        fig13_paradigms(ctx)
+        sampling_validation(ctx)
+        # F13 asks for 12 columns and each one's baseline: 12 coalesce
+        assert ctx.telemetry.counters == {"run_many.deduped": 12,
+                                          "run_many.memoized": 4}
+
+    def test_sampling_validation_uses_the_result_cache(self, tmp_path,
+                                                       monkeypatch):
+        runlog = RunLog(tmp_path / "runlog.jsonl")
+        monkeypatch.setenv("REPRO_RUNLOG", str(runlog.path))
+
+        def render():
+            return sampling_validation(self.small_context(
+                cache=ArtifactCache(root=tmp_path / "cache"),
+                sampling=SamplingConfig(stride=4), result_cache=True,
+            )).render()
+
+        first = render()
+        assert list((tmp_path / "cache").glob("result-*"))
+        logged = len(runlog.read())
+        assert render() == first
+        cells = [event for event in runlog.read()[logged:]
+                 if event["event"] == "cell"]
+        assert cells and all(event["result_cache_hit"] for event in cells)
+
+    @needs_two_workers
+    def test_session_runs_one_fleet(self, tmp_path, monkeypatch, capsys):
+        from repro.harness import context as context_module
+        from repro.harness.__main__ import main
+
+        calls = {"fleet": [], "pre-pass": 0}
+        fleet = context_module.run_point_groups_parallel
+        fill = context_module.fill_workload_cache
+
+        def run_point_groups_parallel(context, groups, jobs):
+            calls["fleet"].append([point for group in groups
+                                   for point in group])
+            return fleet(context, groups, jobs)
+
+        def fill_workload_cache(*args):
+            calls["pre-pass"] += 1
+            return fill(*args)
+
+        monkeypatch.setattr(context_module, "run_point_groups_parallel",
+                            run_point_groups_parallel)
+        monkeypatch.setattr(context_module, "fill_workload_cache",
+                            fill_workload_cache)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        def session(jobs):
+            assert main(["F9", "SV", "CS", "--benchmarks", "gcc,mcf",
+                         "--scale", "0.05", "--jobs", str(jobs)]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not (line.startswith("   [") and line.endswith("s]"))]
+
+        forked = session(2)
+        (points,) = calls["fleet"]
+        assert calls["pre-pass"] == 1
+        # F9's, SV's and CS's points all ran on the one fleet
+        assert {point.fidelity for point in points} == {None, "sampled"}
+        assert any(point.cpi for point in points)
+        assert session(1) == forked
+        assert len(calls["fleet"]) == 1
 
 
 class TestExperimentRegistry:

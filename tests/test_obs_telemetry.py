@@ -112,9 +112,15 @@ class TestRunLog:
         assert event["seconds"] >= 0
         assert "pid" in event and "ts" in event
         assert event["result_cache_hit"] is False
+        assert event["cpi"] is False
         # Memoized repeats must not add lines.
         context.run("gcc", ooo_config(8))
         assert len(RunLog(log_path).read()) == 1
+        # the same point with a CPI stack is its own cell
+        context.run("gcc", ooo_config(8), cpi=True)
+        assert [event["cpi"] for event in RunLog(log_path).read()] == [
+            False, True,
+        ]
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv(ENV_RUNLOG, "off")

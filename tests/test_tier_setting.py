@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.harness.context as context_module
 import repro.sim.run as run_module
 from repro.harness.__main__ import main
 from repro.harness.artifacts import ArtifactCache
@@ -65,7 +66,9 @@ def _context(**tier) -> ExperimentContext:
 
 @pytest.fixture
 def ran_fidelities(monkeypatch):
-    """The ``fidelity`` label of every result :func:`simulate` returns."""
+    """The ``fidelity`` label of every result :func:`simulate` returns,
+    called as ``repro.sim.run.simulate`` or through the name the
+    experiment context runs it by."""
     seen = []
     real = run_module.simulate
 
@@ -75,6 +78,7 @@ def ran_fidelities(monkeypatch):
         return result
 
     monkeypatch.setattr(run_module, "simulate", spy)
+    monkeypatch.setattr(context_module, "simulate", spy)
     return seen
 
 
