@@ -99,20 +99,19 @@ def characterize_values(
             distance = value.last_read_seq - value.producer_seq
             result.lifetime[distance] = result.lifetime.get(distance, 0) + 1
 
-    for dyn in executor.trace():
-        inst = dyn.inst
+    for seq, inst in enumerate(executor.trace().inst):
         for reg in inst.reads():
             value = open_values.get((reg.rclass.value, reg.index))
             if value is not None:
                 value.reads += 1
-                value.last_read_seq = dyn.seq
+                value.last_read_seq = seq
         written = inst.writes()
         if written is not None:
             key = (written.rclass.value, written.index)
             previous = open_values.get(key)
             if previous is not None:
                 close(previous)
-            open_values[key] = _OpenValue(producer_seq=dyn.seq)
+            open_values[key] = _OpenValue(producer_seq=seq)
 
     for value in open_values.values():
         close(value)

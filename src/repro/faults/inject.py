@@ -19,12 +19,12 @@ corrupted structure runs exactly as it would on the ticked loop.
 
 Two rules keep runs independent and deterministic:
 
-* **Never mutate trace-owned objects.**  The prepared workload (trace
-  ``DynInst`` records, the ``mispredicted`` set) is shared across runs
-  in one process; injectors that corrupt instruction payloads replace
-  ``winst.dyn`` with a *mutated copy*, and the branch-predictor injector
-  swaps in a copied set.  Per-run state (``WInst``, LSQ/checkpoint
-  entries, core counters) is mutated freely.
+* **Never mutate trace-owned objects.**  The prepared workload (the
+  trace columns, the ``mispredicted`` set) is shared across runs in one
+  process; injectors that corrupt instruction payloads replace
+  ``winst.dyn`` with a *mutated copy* of its row, and the
+  branch-predictor injector swaps in a copied set.  Per-run state
+  (``WInst``, LSQ/checkpoint entries, core counters) is mutated freely.
 * **All randomness flows from one ``random.Random``** seeded per task
   from a SHA-256 digest, so a campaign re-run with the same seed flips
   the same bit of the same entry at the same cycle.
@@ -138,24 +138,23 @@ def _inject_branchpred(core: TimingCore, rng: random.Random) -> Optional[str]:
     # whether one future branch is treated as mispredicted — a pure
     # timing perturbation, which is why predictor AVF is ~0 (its state is
     # un-ACE: Mukherjee et al.'s canonical example).
-    trace = core.trace
+    decoded = core.decoded
     start = core._next_fetch
-    if start >= len(trace):
+    if start >= len(decoded):
         return None
     for _ in range(8):
-        index = rng.randrange(start, len(trace))
-        dyn = trace[index]
-        if not dyn.is_branch:
+        seq = rng.randrange(start, len(decoded))
+        if not decoded[seq].is_branch:
             continue
         flipped = set(core.mispredicted)  # copy: the set is trace-owned
-        if dyn.seq in flipped:
-            flipped.discard(dyn.seq)
+        if seq in flipped:
+            flipped.discard(seq)
             action = "cleared"
         else:
-            flipped.add(dyn.seq)
+            flipped.add(seq)
             action = "set"
         core.mispredicted = flipped
-        return f"branch-predictor bit {action} for branch seq {dyn.seq}"
+        return f"branch-predictor bit {action} for branch seq {seq}"
     return None
 
 

@@ -60,14 +60,17 @@ import sys
 import tempfile
 import time
 
+from ..obs.runlog import RUNLOG_MAX_BYTES, rotated_path
 from . import ALL_EXPERIMENTS, ExperimentContext
 from .artifacts import ArtifactCache
 
 
-def _runlog_path(cache: ArtifactCache):
+def _runlog_paths(cache: ArtifactCache):
     """The run log :meth:`~repro.obs.runlog.RunLog.from_env` keeps beside
-    the cache; :meth:`ArtifactCache.entries` does not count it."""
-    return cache.root / "runlog.jsonl"
+    the cache, and its previous generation; :meth:`ArtifactCache.entries`
+    counts neither."""
+    runlog = cache.root / "runlog.jsonl"
+    return runlog, rotated_path(runlog)
 
 
 def _cache_info(args, parser) -> int:
@@ -83,10 +86,10 @@ def _cache_info(args, parser) -> int:
     for kind, bucket in sorted(stats["by_kind"].items()):
         print(f"  {kind:12s} {bucket['entries']:5d} entries  "
               f"{bucket['bytes'] / 1e6:8.1f} MB")
-    runlog = _runlog_path(cache)
-    size = runlog.stat().st_size if runlog.exists() else 0
-    print(f"run log:     {size / 1e6:.1f} MB ({runlog}; not under the "
-          f"size limit)")
+    for runlog in _runlog_paths(cache):
+        size = runlog.stat().st_size if runlog.exists() else 0
+        print(f"run log:     {size / 1e6:.1f} MB ({runlog}; rotates at "
+              f"{RUNLOG_MAX_BYTES / 1e6:.1f} MB)")
     return 0
 
 
@@ -95,10 +98,10 @@ def _cache_clear(args, parser) -> int:
     removed = cache.clear()
     print(f"removed {removed} cache entr{'y' if removed == 1 else 'ies'} "
           f"from {cache.root}")
-    runlog = _runlog_path(cache)
-    if runlog.exists():
-        runlog.unlink()
-        print(f"removed the run log {runlog}")
+    for runlog in _runlog_paths(cache):
+        if runlog.exists():
+            runlog.unlink()
+            print(f"removed the run log {runlog}")
     return 0
 
 

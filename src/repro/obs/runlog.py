@@ -14,7 +14,10 @@ a SIGKILL sees the old file or the new one, never a torn one.
 :class:`RunLog` appends one line per simulated sweep cell next to the
 artifact cache.  Each line is one ``os.write`` to an ``O_APPEND`` file,
 which POSIX keeps atomic for small writes, so concurrent pool workers
-interleave whole lines; logging failures are swallowed.
+interleave whole lines; logging failures are swallowed.  A line that
+would take the file past :data:`RUNLOG_MAX_BYTES` first rotates it to
+``<name>.1`` (replacing the previous generation), so the log keeps at
+most two generations.
 ``REPRO_RUNLOG``: unset → ``<cache-root>/runlog.jsonl`` when the cache
 is enabled; ``0``/``off``/``false``/``no`` → disabled; else that path.
 """
@@ -31,6 +34,11 @@ from typing import Any, Dict, List, Mapping, Optional
 ENV_RUNLOG = "REPRO_RUNLOG"
 
 _DISABLE_VALUES = {"0", "off", "false", "no", ""}
+
+#: size at which a run log rotates: one previous generation is kept as
+#: ``<name>.1``, so the log takes at most twice this on disk (a sweep
+#: cell's line is about 400 bytes; a full quick sweep logs ~100 KB)
+RUNLOG_MAX_BYTES = 4 * 2**20
 
 #: per-process serial in temp-file names: no two writers share one
 _TMP_SERIAL = itertools.count()
@@ -86,8 +94,19 @@ def read_snapshot(path: Path) -> Optional[Dict[str, Any]]:
     return state if isinstance(state, dict) else None
 
 
+def rotated_path(path: Path) -> Path:
+    """The previous generation of the run log at ``path``."""
+    return path.with_name(path.name + ".1")
+
+
+def _open_append(path: Path) -> int:
+    return os.open(str(path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+
+
 class RunLog:
-    """Append-only JSONL event log (``path=None`` disables it)."""
+    """Append-only JSONL event log (``path=None`` disables it), rotated
+    at :data:`RUNLOG_MAX_BYTES`; :meth:`read` reads the current
+    generation."""
 
     def __init__(self, path: Optional[Path]) -> None:
         self.path = Path(path) if path is not None else None
@@ -121,15 +140,21 @@ class RunLog:
             line = json.dumps(record, sort_keys=True, default=str) + "\n"
         except (TypeError, ValueError):
             return
+        data = line.encode("utf-8")
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(
-                str(self.path),
-                os.O_WRONLY | os.O_APPEND | os.O_CREAT,
-                0o644,
-            )
+            fd = _open_append(self.path)
             try:
-                os.write(fd, line.encode("utf-8"))
+                opened = os.fstat(fd)
+                if opened.st_size and \
+                        opened.st_size + len(data) > RUNLOG_MAX_BYTES:
+                    # Rotate only the file this writer opened: another
+                    # writer may have rotated it already.
+                    if os.stat(self.path).st_ino == opened.st_ino:
+                        os.replace(self.path, rotated_path(self.path))
+                    os.close(fd)
+                    fd = _open_append(self.path)
+                os.write(fd, data)
             finally:
                 os.close(fd)
         except OSError:

@@ -43,6 +43,7 @@ from .functional import (
     ExecutionStats,
     FunctionalExecutor,
     ProgramLayout,
+    Trace,
     execute,
     observably_equivalent,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "ExecutionStats",
     "FunctionalExecutor",
     "ProgramLayout",
+    "Trace",
     "execute",
     "observably_equivalent",
 ]

@@ -36,6 +36,7 @@ from ..uarch.checkpoint import CheckpointManager
 from ..uarch.funit import FunctionalUnitPool
 from ..uarch.lsq import LoadStoreQueue
 from .config import MachineConfig
+from .functional import DynInst, Trace
 from .results import SimResult, StallCounters
 from .workload import (
     INTERNAL_SLOTS, SCOREBOARD_SLOTS, DecodedInst, PreparedWorkload,
@@ -114,10 +115,18 @@ _NO_INTERNALS = _NO_PRODUCERS[INTERNAL_SLOTS]
 
 
 class WInst:
-    """One in-flight dynamic instruction."""
+    """One in-flight dynamic instruction.
+
+    It names its trace entry by position (``index``), kept apart from
+    the ``seq`` tag because a fault may flip the tag.  The entry's
+    :class:`~repro.sim.functional.DynInst` row is built only when
+    something reads :attr:`dyn` (lockstep, exporters), and assigning
+    ``dyn`` replaces it, as the ROB payload fault injector does.
+    """
 
     __slots__ = (
-        "dyn", "facts", "seq", "deps", "arch_reads", "waiters", "pending",
+        "trace", "index", "_dyn", "facts", "seq", "deps", "arch_reads",
+        "waiters", "pending",
         "fetch_cycle", "dispatch_ready", "dispatch_cycle", "issue_cycle",
         "complete_cycle", "writeback_cycle", "done", "retired", "captured",
         "dest_external", "dest_internal", "latency", "start",
@@ -126,12 +135,14 @@ class WInst:
         "issue_wake",
     )
 
-    def __init__(self, dyn, facts: DecodedInst, fetch_cycle: int,
-                 dispatch_ready: int, mispredicted: bool,
-                 mem_word: Optional[int] = None) -> None:
-        self.dyn = dyn
+    def __init__(self, trace: Trace, index: int, facts: DecodedInst,
+                 fetch_cycle: int, dispatch_ready: int, mispredicted: bool,
+                 mem_word: Optional[int]) -> None:
+        self.trace = trace
+        self.index = index
+        self._dyn = None
         self.facts = facts
-        self.seq = dyn.seq
+        self.seq = index
         #: ``(producer, internal)`` pairs; a list only once dispatch
         #: finds a source with a dispatched producer
         self.deps: Sequence[Tuple["WInst", bool]] = ()
@@ -158,10 +169,7 @@ class WInst:
         self.is_store = facts.is_store
         self.is_branch = facts.is_branch
         self.mispredicted = mispredicted
-        self.mem_word = (
-            mem_word if mem_word is not None
-            else (dyn.mem_addr & ~0x7) if dyn.mem_addr is not None else None
-        )
+        self.mem_word = mem_word
         self.cluster = -1
         self.ext_src_ops = facts.ext_src_ops
         self.ext_dest_ops = facts.ext_dest_ops
@@ -173,6 +181,17 @@ class WInst:
         #: calls that would have failed without touching any exported
         #: counter, so timing and fingerprints are unchanged.
         self.issue_wake = 0
+
+    @property
+    def dyn(self) -> DynInst:
+        """This instruction's trace row, built on first read."""
+        if self._dyn is None:
+            self._dyn = self.trace[self.index]
+        return self._dyn
+
+    @dyn.setter
+    def dyn(self, row: DynInst) -> None:
+        self._dyn = row
 
     def __repr__(self) -> str:
         def at(cycle: Optional[int]) -> str:
@@ -1140,6 +1159,7 @@ class TimingCore:
         depth = self._front_depth
         limit = self._fetch_limit
         trace = self.trace
+        outcomes = trace.taken
         decoded = self.decoded
         buffer = self._fetch_buffer
         append = buffer.append
@@ -1150,11 +1170,11 @@ class TimingCore:
         mispredicted = self.mispredicted
         index = self._next_fetch
         while budget > 0 and index < limit and len(buffer) < fetch_cap:
-            dyn = trace[index]
             facts = decoded[index]
-            mis = dyn.seq in mispredicted
+            mis = index in mispredicted
             append(WInst(
-                dyn,
+                trace,
+                index,
                 facts,
                 cycle,
                 cycle + depth + ifetch_extra[index],
@@ -1170,7 +1190,7 @@ class TimingCore:
                     # resumes only after the branch resolves.
                     self._fetch_blocked = True
                     break
-                if dyn.taken:
+                if outcomes[index - 1]:
                     break  # taken-branch redirect ends the fetch group
                 if branch_budget == 0:
                     break

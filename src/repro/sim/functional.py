@@ -4,10 +4,10 @@ Interprets a :class:`~repro.isa.program.Program` at the architectural level:
 register files, a word-granular memory, branch resolution.  It serves three
 roles in the reproduction:
 
-1. **Execution-driven traces.**  :meth:`FunctionalExecutor.trace` yields the
-   dynamic instruction stream (with branch outcomes and memory addresses)
-   that drives every timing core, mirroring the paper's execution-driven
-   simulator split.
+1. **Execution-driven traces.**  :meth:`FunctionalExecutor.trace` returns
+   the dynamic instruction stream (with branch outcomes and memory
+   addresses) that drives every timing core, mirroring the paper's
+   execution-driven simulator split.
 2. **Translation validation.**  Braid formation reorders instructions and
    re-allocates registers; property tests execute the original and the
    translated program and require identical architectural results.
@@ -29,7 +29,9 @@ through it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
@@ -85,10 +87,8 @@ class ProgramLayout:
 class DynInst:
     """One dynamic instruction: a static instruction plus run-time facts.
 
-    Slotted, and every instance of one static instruction holds that
-    instruction's own ``pc`` and fall-through ``next_pc`` int objects
-    (see :class:`FunctionalExecutor`), so beyond its slots a trace row
-    allocates only its ``seq`` and ``mem_addr`` ints.
+    A :class:`Trace` stores no rows; it builds one of these whenever an
+    entry is read by position, slice or iteration.
     """
 
     seq: int
@@ -110,6 +110,67 @@ class DynInst:
     @property
     def is_store(self) -> bool:
         return self.inst.is_store
+
+
+class Trace(SequenceABC):
+    """A dynamic instruction stream, stored one list per trace field.
+
+    ``inst``, ``block``, ``pc``, ``taken``, ``next_pc`` and ``mem_addr``
+    hold the :class:`DynInst` field of every entry, and an entry's
+    ``seq`` is its position.  Like braid hardware, which decodes the
+    static facts of an instruction once, the trace keeps only pointers
+    per entry: every instance of one static instruction shares that
+    instruction's ``pc`` and fall-through ``next_pc`` int objects, so
+    an entry allocates nothing beyond its ``mem_addr`` int.
+
+    ``len``, indexing, slicing and iteration read entries as
+    :class:`DynInst` rows, built on demand (a slice is a list of rows
+    numbered by their positions in the whole trace); a row is a copy,
+    so a change to the trace goes through its columns.  Hot readers
+    read the columns.
+    """
+
+    __slots__ = ("inst", "block", "pc", "taken", "next_pc", "mem_addr")
+
+    def __init__(self, inst: List[Instruction], block: List[int],
+                 pc: List[int], taken: List[Optional[bool]],
+                 next_pc: List[int], mem_addr: List[Optional[int]]) -> None:
+        self.inst = inst
+        self.block = block
+        self.pc = pc
+        self.taken = taken
+        self.next_pc = next_pc
+        self.mem_addr = mem_addr
+
+    def columns(self) -> Tuple[List, ...]:
+        """Every column, in :attr:`__slots__` order."""
+        return (self.inst, self.block, self.pc, self.taken, self.next_pc,
+                self.mem_addr)
+
+    def __len__(self) -> int:
+        return len(self.inst)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self.inst)))]
+        if index < 0:
+            index += len(self.inst)
+            if index < 0:
+                raise IndexError("trace index out of range")
+        return DynInst(index, self.inst[index], self.block[index],
+                       self.pc[index], self.taken[index],
+                       self.next_pc[index], self.mem_addr[index])
+
+    def __iter__(self) -> Iterator[DynInst]:
+        return map(DynInst, count(), *self.columns())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.columns() == other.columns()
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self.inst)} entries)"
 
 
 @dataclass
@@ -253,15 +314,22 @@ def apply_instruction(
     return None, addr
 
 
-def _kind_counts(rows) -> Tuple[int, int, int]:
-    """``(branches, loads, stores)`` among predecoded ``rows``."""
-    kinds = [op.kind for _, _, op, _ in rows]
+def _kind_counts(steps) -> Tuple[int, int, int]:
+    """``(branches, loads, stores)`` among predecoded ``steps``."""
+    kinds = [op.kind for _, op in steps]
     return (kinds.count(BRANCH), kinds.count(LOAD) + kinds.count(LOAD_FP),
             kinds.count(STORE))
 
 
 class FunctionalExecutor:
-    """Architectural interpreter producing dynamic instruction streams."""
+    """Architectural interpreter producing dynamic instruction streams.
+
+    :meth:`trace` runs the program once and fills the columns of a
+    :class:`Trace` as it goes, a basic block at a time: every column but
+    ``mem_addr`` is extended from per-block tuples built here once, and
+    only the memory address and the terminal branch's outcome (and so
+    its ``next_pc``) are per-instance facts.
+    """
 
     def __init__(
         self,
@@ -277,39 +345,44 @@ class FunctionalExecutor:
         self.strict_internal = strict_internal
         self.state = initial_state if initial_state is not None else ArchState()
         self.stats = ExecutionStats()
-        #: per block: ``(rows, fallthrough, taken target, target pc,
-        #: kind counts)``; a row is ``(instruction, pc, op, fall-through
-        #: pc)``, and a row's fall-through is the next row's pc object, so
-        #: every dynamic instance shares them instead of allocating its own
+        #: per block: ``(steps, columns, fallthrough, taken target,
+        #: target pc, kind counts)``.  A step is ``(instruction, op)``;
+        #: ``columns`` holds the block's entries of every trace column
+        #: but ``mem_addr``, as if its branch were not taken.  An entry's
+        #: fall-through is the next entry's pc object, so every dynamic
+        #: instance shares them instead of allocating its own.
         self._plan = []
         block_start = self.layout.block_start
         for block in program.blocks:
-            pc = block_start[block.index]
-            rows = []
-            for inst in block.instructions:
-                fallthrough_pc = pc + INSTRUCTION_BYTES
-                rows.append((inst, pc, predecode(inst), fallthrough_pc))
-                pc = fallthrough_pc
-            rows = tuple(rows)
+            steps = tuple((inst, predecode(inst))
+                          for inst in block.instructions)
+            size = len(steps)
+            start = block_start[block.index]
+            pcs = tuple(start + INSTRUCTION_BYTES * i for i in range(size + 1))
+            columns = (tuple(block.instructions), (block.index,) * size,
+                       pcs[:-1], (None,) * size, pcs[1:])
             target, fallthrough = program.successors(block)
             target_pc = block_start[target] if target is not None else None
-            self._plan.append(
-                (rows, fallthrough, target, target_pc, _kind_counts(rows))
-            )
+            self._plan.append((steps, columns, fallthrough, target,
+                               target_pc, _kind_counts(steps)))
 
     # ------------------------------------------------------------------ running
     def run(self) -> ExecutionStats:
         """Execute to completion (or the instruction cap); returns statistics."""
-        for _ in self.trace():
-            pass
+        self.trace()
         return self.stats
 
-    def trace(self) -> Iterator[DynInst]:
-        """Execute, yielding one :class:`DynInst` per retired instruction.
+    def trace(self) -> Trace:
+        """Execute, returning one :class:`Trace` entry per retired instruction.
 
         The run completes when control leaves the last block, even when
         that happens on exactly the ``max_instructions``-th instruction.
         """
+        trace = Trace([], [], [], [], [], [])
+        block_columns = trace.columns()[:5]
+        outcomes = trace.taken
+        next_pcs = trace.next_pc
+        append_addr = trace.mem_addr.append
         state = self.state
         strict = self.strict_internal
         stats = self.stats
@@ -319,31 +392,38 @@ class FunctionalExecutor:
         seq = 0
         index: Optional[int] = self.program.entry
         while index is not None and seq < cap:
-            rows, next_index, target, target_pc, counts = plan[index]
+            steps, columns, next_index, target, target_pc, counts = \
+                plan[index]
             block_counts[index] = block_counts.get(index, 0) + 1
-            if len(rows) > cap - seq:
+            size = len(steps)
+            if size > cap - seq:
                 # The cap lands inside this block: stop short of its end.
-                rows = rows[:cap - seq]
-                counts = _kind_counts(rows)
+                size = cap - seq
+                steps = steps[:size]
+                columns = tuple(column[:size] for column in columns)
+                counts = _kind_counts(steps)
                 next_index = index
             stats.dynamic_branches += counts[0]
             stats.loads += counts[1]
             stats.stores += counts[2]
-            for inst, pc, op, fallthrough_pc in rows:
+            taken = None
+            for inst, op in steps:
                 taken, mem_addr = apply_instruction(state, inst, strict, op)
+                append_addr(mem_addr)
+            for column, entries in zip(block_columns, columns):
+                column.extend(entries)
+            if taken is not None:
+                # Only a block's terminal instruction is a branch.
+                outcomes[-1] = taken
                 if taken:
                     stats.taken_branches += 1
                     next_index = target
-                    dyn = DynInst(seq, inst, index, pc, True, target_pc,
-                                  mem_addr)
-                else:
-                    dyn = DynInst(seq, inst, index, pc, taken,
-                                  fallthrough_pc, mem_addr)
-                seq += 1
-                yield dyn
+                    next_pcs[-1] = target_pc
+            seq += size
             index = next_index
         stats.dynamic_instructions = seq
         stats.completed = index is None
+        return trace
 
 
 def execute(program: Program, max_instructions: int = 5_000_000,

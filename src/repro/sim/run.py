@@ -163,7 +163,7 @@ def run_tier(
     if fidelity == "sampled":
         from .sampling import estimate_sampled, plan_windows
 
-        plan = plan_windows(workload.trace, tier)
+        plan = plan_windows(workload.trace.block, tier)
         estimate = estimate_sampled
     elif fidelity == "interval":
         from .interval import estimate_interval, plan_calibration

@@ -174,8 +174,10 @@ class SamplingConfig:
         return cls(**parse_spec(text, "sampling", keys))
 
 
-def detect_anchors(trace: Sequence) -> Optional[List[int]]:
+def detect_anchors(blocks: Sequence[int]) -> Optional[List[int]]:
     """Outer-iteration start positions, from basic-block recurrences.
+
+    ``blocks`` is the trace's ``block`` column.
 
     The generated benchmarks are an outer loop over inner regions, so the
     outer-loop head block recurs once per iteration at near-even spacing.
@@ -184,9 +186,9 @@ def detect_anchors(trace: Sequence) -> Optional[List[int]]:
     kernels, tiny traces) — callers then fall back to the fixed lattice.
     """
     positions: Dict[int, List[int]] = {}
-    for index, dyn in enumerate(trace):
-        positions.setdefault(dyn.block, []).append(index)
-    total = len(trace)
+    for index, block in enumerate(blocks):
+        positions.setdefault(block, []).append(index)
+    total = len(blocks)
     best: Optional[Tuple[Tuple[float, int], List[int]]] = None
     for occurrences in positions.values():
         if len(occurrences) < _MIN_ANCHORS:
@@ -236,16 +238,17 @@ class SamplePlan:
 
 
 def plan_windows(
-    trace: Sequence, sampling: SamplingConfig
+    blocks: Sequence[int], sampling: SamplingConfig
 ) -> Optional[SamplePlan]:
-    """Build the detailed-simulation plan for ``trace``.
+    """Build the detailed-simulation plan for the trace whose ``block``
+    column is ``blocks``.
 
     Returns ``None`` when the trace is too short to sample meaningfully
     (fewer than :data:`MIN_SAMPLED_INTERVALS` sampled windows) — the
     caller should fall back to exact simulation.
     """
-    total = len(trace)
-    anchors = detect_anchors(trace)
+    total = len(blocks)
+    anchors = detect_anchors(blocks)
     if anchors is not None:
         plan = _plan_anchored(total, anchors, sampling)
         if plan is not None:
@@ -471,22 +474,19 @@ def _unit_covariates(
     (mcf), where windows with identical event rates differ by 2x in
     CPI depending on whether their misses fit in one window reach.
     """
-    load_latency = workload.load_latency
+    replay = workload.replay()
+    load_latency = replay.load_latency
+    ifetch_extra = replay.ifetch_extra
     mispredicted = workload.mispredicted
-    ifetch_extra = workload.ifetch_extra
     analytic = _analytic_retire(workload)
     rows = []
     for start, end in units:
         span = end - start
-        load_excess = 0
-        mispredicts = 0
-        fetch_extra = 0
-        for dyn in workload.trace[start:end]:
-            if dyn.is_load:
-                load_excess += max(0, load_latency.get(dyn.seq, 0) - 1)
-            if dyn.is_branch and dyn.seq in mispredicted:
-                mispredicts += 1
-            fetch_extra += ifetch_extra.get(dyn.seq, 0)
+        load_excess = sum(latency - 1 for latency in load_latency[start:end]
+                          if latency is not None and latency > 1)
+        mispredicts = sum(1 for seq in range(start, end)
+                          if seq in mispredicted)
+        fetch_extra = sum(ifetch_extra[start:end])
         analytic_base = analytic[start - 1] if start else 0.0
         rows.append((
             1.0,

@@ -21,7 +21,7 @@ formulation); wrong-path cache pollution is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import count
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..isa.instruction import Instruction
@@ -29,7 +29,7 @@ from ..isa.program import Program
 from ..isa.registers import Space
 from ..uarch.branchpred import make_predictor
 from ..uarch.cache import MemoryHierarchy, MemoryHierarchyConfig
-from .functional import DynInst, FunctionalExecutor
+from .functional import FunctionalExecutor, Trace
 from .gcpause import collector_paused
 
 
@@ -85,17 +85,12 @@ class DecodedInst:
             setattr(self, name, value)
 
 
-def decode_trace(trace: List[DynInst]) -> List[DecodedInst]:
+def decode_trace(trace: Trace) -> List[DecodedInst]:
     """Per-trace-entry decode facts, shared across repeats of a static inst."""
-    memo: Dict[Instruction, DecodedInst] = {}
-    decoded: List[DecodedInst] = []
-    for dyn in trace:
-        inst = dyn.inst
-        facts = memo.get(inst)
-        if facts is None:
-            facts = memo[inst] = DecodedInst(inst)
-        decoded.append(facts)
-    return decoded
+    memo: Dict[Instruction, DecodedInst] = {
+        inst: DecodedInst(inst) for inst in dict.fromkeys(trace.inst)
+    }
+    return list(map(memo.__getitem__, trace.inst))
 
 
 class ReplayFacts:
@@ -171,21 +166,17 @@ def _scoreboard_form(facts: DecodedInst) -> Tuple:
     return sources, tuple(writes)
 
 
-def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
+def build_replay(trace: Trace, decoded: List[DecodedInst],
                  load_latency: Dict[int, int],
                  ifetch_extra: Dict[int, int]) -> ReplayFacts:
     """Build the :class:`ReplayFacts` of one trace.
 
-    The oracles flatten to position-indexed lists; one pass over the
-    memory accesses finds each load's store conflict, holding the store
-    row's own ``seq`` int rather than a fresh one.  That is sound because
-    the executor numbers rows from 0 in trace order (the timing cores
-    index these arrays by ``seq`` too).  An aligned address is its own
-    memory word.
+    The oracles flatten to position-indexed lists (a trace entry's
+    ``seq`` is its position, and the timing cores index these arrays by
+    it too); one pass over the ``mem_addr`` column finds each load's
+    store conflict.  An aligned address is its own memory word.
     """
     n = len(trace)
-    assert not trace or (trace[0].seq == 0 and trace[-1].seq == n - 1), \
-        "trace seq must equal trace position"
     ifetch = [0] * n
     for seq, extra in ifetch_extra.items():
         ifetch[seq] = extra
@@ -197,11 +188,9 @@ def build_replay(trace: List[DynInst], decoded: List[DecodedInst],
     store_conflict: List[Optional[int]] = [None] * n
     #: memory word -> trace position of its youngest store so far
     last_store: Dict[int, int] = {}
-    for dyn, facts in zip(trace, decoded):
-        addr = dyn.mem_addr
+    for i, addr, facts in zip(count(), trace.mem_addr, decoded):
         if addr is None:
             continue
-        i = dyn.seq
         word = addr & ~0x7 if addr & 0x7 else addr
         mem[i] = word
         if facts.is_load:
@@ -240,11 +229,19 @@ class WorkloadStats:
 
 @dataclass
 class PreparedWorkload:
-    """Everything a timing core needs to replay one benchmark."""
+    """Everything a timing core needs to replay one benchmark.
+
+    ``trace`` is a read-only :class:`~repro.sim.functional.Trace`: one
+    list per trace field, with an entry's ``seq`` being its position.
+    Timing cores and phase one read its columns; lockstep, pipeview,
+    the exporters and tests read ``DynInst`` rows that it builds on
+    demand.  A pickle carries the trace as the same columns (plus a
+    ``seq`` column), and loading one keeps the columns as they are.
+    """
 
     name: str
     program: Program
-    trace: List[DynInst]
+    trace: Trace
     #: sequence numbers of mispredicted branches
     mispredicted: Set[int]
     #: per-load total data-cache latency (seq -> cycles)
@@ -283,15 +280,14 @@ class PreparedWorkload:
         return self.replay_facts
 
     def __getstate__(self):
-        # The trace pickles as one list per DynInst field: lists of
-        # plain ints and memoized references take a third of the bytes
-        # of one state dict per row, and load in half the time.
+        # The trace pickles as one list per DynInst field, ``seq`` first:
+        # lists of plain ints and memoized references take a third of
+        # the bytes of one state dict per row, and load in half the time.
         state = self.__dict__.copy()
         del state["replay_facts"]
         trace = state.pop("trace")
-        state["trace_columns"] = tuple(
-            list(map(attrgetter(name), trace)) for name in DynInst.__slots__
-        )
+        state["trace_columns"] = (list(range(len(trace))),
+                                  *trace.columns())
         return state
 
     def __setstate__(self, state):
@@ -299,15 +295,15 @@ class PreparedWorkload:
         if columns is None:
             raise ValueError("workload pickle has no trace columns "
                              "(an older artifact format)")
-        seq, inst, block, pc, taken, next_pc, mem_addr = columns
+        _seq, inst, block, pc, taken, next_pc, mem_addr = columns
         # Unpickling makes one int object per occurrence; one dict
         # interns the addresses back, so every instance of a static
         # instruction shares its pc and next_pc as in a fresh trace.
         intern = {}.setdefault
-        state["trace"] = list(map(
-            DynInst, seq, inst, block, map(intern, pc, pc), taken,
-            map(intern, next_pc, next_pc), mem_addr,
-        ))
+        state["trace"] = Trace(
+            inst, block, list(map(intern, pc, pc)), taken,
+            list(map(intern, next_pc, next_pc)), mem_addr,
+        )
         state["replay_facts"] = None
         self.__dict__.update(state)
 
@@ -333,7 +329,7 @@ def prepare_workload(
     steady state instead of measuring cold-start aliasing.
     """
     executor = FunctionalExecutor(program, max_instructions=max_instructions)
-    trace = list(executor.trace())
+    trace = executor.trace()
 
     stats = WorkloadStats(
         dynamic_instructions=len(trace),
@@ -350,9 +346,9 @@ def prepare_workload(
     l1_hit = hierarchy.config.l1d_latency
 
     if perfect:
-        for dyn in trace:
-            if dyn.is_load:
-                load_latency[dyn.seq] = l1_hit
+        for seq, inst in enumerate(trace.inst):
+            if inst.is_load:
+                load_latency[seq] = l1_hit
         return PreparedWorkload(
             name=program.name,
             program=program,
@@ -366,8 +362,8 @@ def prepare_workload(
     # The predictor and the caches share no state, so each takes its own
     # pass: the predictor over the branches alone (a branch is the only
     # trace entry with an outcome), the caches over the whole trace.
-    branches = [(dyn.seq, dyn.pc, dyn.taken) for dyn in trace
-                if dyn.taken is not None]
+    branches = [(seq, pc, taken) for seq, pc, taken
+                in zip(count(), trace.pc, trace.taken) if taken is not None]
     branch_predictor = make_predictor(predictor)
     predict = branch_predictor.predict
     update = branch_predictor.update
@@ -385,17 +381,17 @@ def prepare_workload(
     l1i_latency = hierarchy.config.l1i_latency
     instruction_fetch = hierarchy.instruction_fetch
     data_access = hierarchy.data_access
-    for dyn in trace:
-        line = dyn.pc // line_bytes
+    for seq, pc, addr, inst in zip(count(), trace.pc, trace.mem_addr,
+                                   trace.inst):
+        line = pc // line_bytes
         if line != previous_line:
-            extra = instruction_fetch(dyn.pc) - l1i_latency
+            extra = instruction_fetch(pc) - l1i_latency
             if extra > 0:
-                ifetch_extra[dyn.seq] = extra
+                ifetch_extra[seq] = extra
             previous_line = line
-        addr = dyn.mem_addr
         if addr is not None:
-            if dyn.inst.opcode.is_load:
-                load_latency[dyn.seq] = data_access(addr)
+            if inst.opcode.is_load:
+                load_latency[seq] = data_access(addr)
             else:
                 data_access(addr)
 

@@ -93,7 +93,7 @@ class LockstepChecker:
         self._oracle = FunctionalExecutor(
             workload.program, max_instructions=len(workload.trace)
         )
-        self._iter = self._oracle.trace()
+        self._expected = self._oracle.trace()
         # Retirement-order replay through the shared semantics.
         self._replay = ArchState()
         #: predecoded replayed instructions, keyed by the instruction
@@ -127,28 +127,28 @@ class LockstepChecker:
 
     def on_retire(self, winst, cycle: int) -> None:
         """One instruction retired: the oracle must agree on everything."""
-        try:
-            expected = next(self._iter)
-        except StopIteration:
+        i = self._position
+        expected = self._expected
+        if i >= len(expected):
             self._diverge(cycle, "coverage",
                           "end of program", f"retired seq={winst.seq}")
             return
         actual = winst.dyn
-        if actual.seq != expected.seq:
-            self._diverge(cycle, "seq", expected.seq, actual.seq)
-        if actual.pc != expected.pc:
-            self._diverge(cycle, "pc", hex(expected.pc), hex(actual.pc))
-        if actual.inst.opcode.name != expected.inst.opcode.name:
-            self._diverge(cycle, "opcode",
-                          expected.inst.opcode.name, actual.inst.opcode.name)
-        if actual.taken != expected.taken:
-            self._diverge(cycle, "taken", expected.taken, actual.taken)
-        if actual.mem_addr != expected.mem_addr:
+        if actual.seq != i:
+            self._diverge(cycle, "seq", i, actual.seq)
+        if actual.pc != expected.pc[i]:
+            self._diverge(cycle, "pc", hex(expected.pc[i]), hex(actual.pc))
+        opcode = expected.inst[i].opcode.name
+        if actual.inst.opcode.name != opcode:
+            self._diverge(cycle, "opcode", opcode, actual.inst.opcode.name)
+        if actual.taken != expected.taken[i]:
+            self._diverge(cycle, "taken", expected.taken[i], actual.taken)
+        if actual.mem_addr != expected.mem_addr[i]:
             self._diverge(cycle, "mem_addr",
-                          expected.mem_addr, actual.mem_addr)
-        if actual.next_pc != expected.next_pc:
+                          expected.mem_addr[i], actual.mem_addr)
+        if actual.next_pc != expected.next_pc[i]:
             self._diverge(cycle, "next_pc",
-                          hex(expected.next_pc), hex(actual.next_pc))
+                          hex(expected.next_pc[i]), hex(actual.next_pc))
         # Independent replay of the *core's* instruction object: catches
         # semantic corruption the field comparison cannot see.
         self._apply(actual.inst)
@@ -162,14 +162,13 @@ class LockstepChecker:
         if new_index < self._position:
             self._diverge(-1, "skip_overlap", self._position, new_index)
             return
+        insts = self._expected.inst
         while self._position < new_index:
-            try:
-                dyn = next(self._iter)
-            except StopIteration:
+            if self._position >= len(insts):
                 self._diverge(-1, "coverage",
                               "end of program", f"skip to {new_index}")
                 return
-            self._apply(dyn.inst)
+            self._apply(insts[self._position])
             self._position += 1
             self.instructions_skipped += 1
 

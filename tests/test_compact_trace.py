@@ -1,16 +1,17 @@
-"""Compact phase-one artifacts: slotted trace rows that share their ints.
+"""Compact phase-one artifacts: trace columns that share their ints.
 
-A prepared workload holds one :class:`DynInst` per dynamic instruction,
-so the per-row cost decides phase one's memory and artifact size.  Rows
-are slotted; every instance of a static instruction holds that
-instruction's ``pc`` object, and every not-taken instance its
-fall-through ``next_pc`` object.  The replay facts hold no per-entry
-dependence rows: one scoreboard form per static instruction serves every
-dynamic instance, and a core's rename table resolves producers at
-dispatch.  A workload pickles its trace as per-field columns and interns
-the addresses again on load, so each property holds for a fresh workload
-and for one read back from a pickle, and the two are equal in every
-phase-one output.
+A prepared workload holds its trace as one list per field
+(:class:`Trace`), so the per-entry cost decides phase one's memory and
+artifact size.  Every instance of a static instruction holds that
+instruction's ``pc`` object in the ``pc`` column, and every not-taken
+instance its fall-through object in the ``next_pc`` column; rows read
+from the trace are slotted copies built on demand.  The replay facts
+hold no per-entry dependence rows: one scoreboard form per static
+instruction serves every dynamic instance, and a core's rename table
+resolves producers at dispatch.  A workload pickles the same columns
+and interns the addresses again on load, so each property holds for a
+fresh workload and for one read back from a pickle, and the two are
+equal in every phase-one output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core import braidify
 from repro.harness.artifacts import ArtifactCache
 from repro.harness.context import ExperimentContext
 from repro.sim.config import braid_config, ooo_config
-from repro.sim.functional import DynInst
+from repro.sim.functional import DynInst, Trace
 from repro.sim.run import MAX_CYCLES, build_core
 from repro.sim.workload import (
     INTERNAL_SLOTS, DecodedInst, PreparedWorkload, ReplayFacts,
@@ -92,19 +93,30 @@ def oracles(workload: PreparedWorkload):
 
 
 class TestSharing:
+    def test_trace_is_columns_not_rows(self, workload):
+        trace = workload.trace
+        assert type(trace) is Trace
+        assert not hasattr(trace, "__dict__")
+        assert [len(column) for column in trace.columns()] == \
+            [len(workload)] * len(Trace.__slots__)
+        assert all(type(column) is list for column in trace.columns())
+        assert not any(isinstance(value, DynInst)
+                       for column in trace.columns() for value in column)
+
     def test_rows_have_no_dict(self, workload):
         assert not any(hasattr(dyn, "__dict__") for dyn in workload.trace)
 
     def test_instances_share_pc_and_fallthrough(self, workload):
+        trace = workload.trace
         pc = {}
         fallthrough = {}
-        for dyn in workload.trace:
-            assert dyn.pc is pc.setdefault(dyn.inst, dyn.pc)
-            if not dyn.taken:
-                assert dyn.next_pc is fallthrough.setdefault(
-                    dyn.inst, dyn.next_pc
-                )
-        assert len(pc) < len(workload.trace)
+        for inst, address, taken, next_pc in zip(
+            trace.inst, trace.pc, trace.taken, trace.next_pc
+        ):
+            assert address is pc.setdefault(inst, address)
+            if not taken:
+                assert next_pc is fallthrough.setdefault(inst, next_pc)
+        assert len(pc) < len(trace)
 
     def test_replay_holds_no_dependence_rows(self, workload):
         replay = workload.replay()
@@ -119,9 +131,35 @@ class TestSharing:
             assert form == _scoreboard_form(facts)
 
 
+def test_rows_are_built_by_position():
+    trace = fresh("gcc", False).trace
+    n = len(trace)
+    last = trace[-1]
+    assert last == trace[n - 1] and last.seq == n - 1
+    assert (last.inst, last.pc, last.mem_addr) == \
+        (trace.inst[-1], trace.pc[-1], trace.mem_addr[-1])
+    assert [row.seq for row in trace[5:11:2]] == [5, 7, 9]
+    assert list(trace)[10] == trace[10]
+    assert list(reversed(trace))[0] == last
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+
+
+def trace_columns(workload: PreparedWorkload):
+    """Every trace column by value, an instruction as its program slot."""
+    slot = {inst: (block.index, position)
+            for block in workload.program.blocks
+            for position, inst in enumerate(block.instructions)}
+    trace = workload.trace
+    return ([slot[inst] for inst in trace.inst], trace.block, trace.pc,
+            trace.taken, trace.next_pc, trace.mem_addr)
+
+
 @pytest.mark.parametrize("name,braided", CASES, ids=CASE_IDS)
 def test_round_trip_equals_fresh(name, braided):
     before, after = fresh(name, braided), loaded(name, braided)
+    assert trace_columns(after) == trace_columns(before)
     assert trace_rows(after) == trace_rows(before)
     instructions = {id(inst) for block in after.program.blocks
                     for inst in block.instructions}

@@ -10,6 +10,7 @@ CLI command.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -41,7 +42,8 @@ from repro.sim.config import (
 )
 from repro.sim.registry import core_registry
 from repro.sim.core import SimulationHang
-from repro.sim.run import build_core
+from repro.sim.run import MAX_CYCLES, build_core
+from repro.validate.lockstep import LockstepChecker
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +191,59 @@ class TestRunInjection:
         result = run_injection(workload, config, "rob", 4, baseline)
         assert InjectionResult.from_json(result.to_json()) == result
         assert json.dumps(result.to_json())  # JSON-serializable end to end
+
+
+class ScriptedRng(random.Random):
+    """An injector RNG that picks ``option`` where it is offered (else the
+    first choice) and the lowest value of every range."""
+
+    def __init__(self, option: str) -> None:
+        super().__init__(0)
+        self.option = option
+
+    def choice(self, options):
+        return self.option if self.option in options else options[0]
+
+    def randrange(self, start, stop=None, step=1):
+        return start if stop is not None else 0
+
+
+class TestTraceRowFaults:
+    """The ROB injector corrupts an in-flight instruction's row or tag;
+    the trace it came from stays as it was."""
+
+    def mid_run(self, ctx):
+        workload = ctx.workload("gcc")
+        core = build_core(workload, ooo_config(8))
+        checker = LockstepChecker(workload, fail_fast=False).attach(core)
+        cycle = core._run_until(200, 0, MAX_CYCLES)
+        assert core._rob
+        return workload, core, checker, cycle
+
+    def test_payload_replacement_is_what_lockstep_reads(self, ctx):
+        workload, core, checker, cycle = self.mid_run(ctx)
+        detail = INJECTORS["rob"](core, ScriptedRng("payload"))
+        assert detail == "rob[0] payload bit 0 of pc"
+        winst = core._rob[0]
+        pc = workload.trace.pc[winst.index]
+        row = winst.dyn
+        assert row.pc == pc ^ 1 and row.seq == winst.index
+        assert workload.trace[winst.index].pc == pc  # the trace is intact
+        core._run_until(len(workload.trace), cycle, MAX_CYCLES)
+        divergences = checker.finish()
+        assert [(d.field, d.index, d.expected, d.actual)
+                for d in divergences] == \
+            [("pc", winst.index, hex(pc), hex(pc ^ 1))]
+
+    def test_seq_flip_keeps_the_row_at_the_trace_position(self, ctx):
+        workload, core, _checker, _cycle = self.mid_run(ctx)
+        winst = core._rob[0]
+        index = winst.index
+        detail = INJECTORS["rob"](core, ScriptedRng("tag"))
+        assert detail == f"rob[0] seq tag bit 0 -> {index ^ 1}"
+        assert winst.seq == index ^ 1 and winst.index == index
+        assert winst.dyn == workload.trace[index]
+        assert winst.dyn.seq == index
 
 
 def _small_spec(**overrides):

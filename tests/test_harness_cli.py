@@ -148,6 +148,26 @@ class TestCacheCommands:
         assert "removed the run log" in capsys.readouterr().out
         assert not runlog.path.exists()
 
+    def test_cache_commands_cover_the_rotated_run_log(self, capsys, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_RUNLOG", raising=False)
+        from repro.harness.artifacts import ArtifactCache
+        from repro.obs import runlog as runlog_module
+
+        monkeypatch.setattr(runlog_module, "RUNLOG_MAX_BYTES", 20_000)
+        runlog = runlog_module.RunLog.from_env(ArtifactCache(root=tmp_path))
+        for cell in range(500):
+            runlog.log(event="cell", cell=cell)
+        previous = runlog_module.rotated_path(runlog.path)
+        assert previous.exists()
+        assert main(["cache-info"]) == 0
+        out = capsys.readouterr().out
+        assert str(runlog.path) in out and str(previous) in out
+        assert main(["cache-clear"]) == 0
+        assert capsys.readouterr().out.count("removed the run log") == 2
+        assert not runlog.path.exists() and not previous.exists()
+
 
 COMMANDS = ("experiments", "validate", "faults", "trace", "cache-info",
             "cache-clear", "submit", "serve", "status", "events", "metrics")

@@ -198,8 +198,9 @@ class TestWInstRepr:
 
         workload = ctx.workload("gcc")
         winst = WInst(
-            workload.trace[0], workload.decode()[0],
+            workload.trace, 0, workload.decode()[0],
             fetch_cycle=3, dispatch_ready=3, mispredicted=False,
+            mem_word=workload.replay().mem_word[0],
         )
         text = repr(winst)
         assert "d=-" in text and "i=-" in text and "r=-" in text

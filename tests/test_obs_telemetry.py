@@ -23,7 +23,8 @@ from repro.obs import (
     maybe_profiled,
     profiling_into,
 )
-from repro.obs.runlog import ENV_RUNLOG
+from repro.obs import runlog as runlog_module
+from repro.obs.runlog import ENV_RUNLOG, rotated_path
 from repro.sim.config import braid_config, ooo_config
 from repro.sim.run import simulate
 
@@ -145,6 +146,27 @@ class TestRunLog:
             handle.write('{"event": "torn"')  # no newline, no close brace
         events = log.read()
         assert [event["event"] for event in events] == ["good"]
+
+    def test_rotates_at_the_bound_keeping_one_generation(self, tmp_path,
+                                                         monkeypatch):
+        bound = 4096
+        monkeypatch.setattr(runlog_module, "RUNLOG_MAX_BYTES", bound)
+        path = tmp_path / "runlog.jsonl"
+        log = RunLog(path)
+        for cell in range(200):  # ~80 bytes a line: several rotations
+            log.log(event="cell", cell=cell)
+        previous = rotated_path(path)
+        assert previous == tmp_path / "runlog.jsonl.1"
+        assert sorted(tmp_path.iterdir()) == [path, previous]
+        for generation in (path, previous):
+            assert 0 < generation.stat().st_size <= bound, generation
+        # The generations hold the newest lines, whole and in order.
+        older = [event["cell"] for event in RunLog(previous).read()]
+        newer = [event["cell"] for event in log.read()]
+        assert log.skipped == 0
+        assert older + newer == list(range(200 - len(older) - len(newer),
+                                           200))
+        assert newer[-1] == 199
 
 
 class TestProfiling:

@@ -72,8 +72,8 @@ class TestConfig:
 class TestPlan:
     def test_anchored_plan_structure(self, ctx):
         workload = ctx.workload("gcc")
-        assert detect_anchors(workload.trace) is not None
-        plan = plan_windows(workload.trace, SAMPLING)
+        assert detect_anchors(workload.trace.block) is not None
+        plan = plan_windows(workload.trace.block, SAMPLING)
         assert plan is not None
         total = len(workload.trace)
         assert len(plan.chosen) >= MIN_SAMPLED_INTERVALS
@@ -88,18 +88,15 @@ class TestPlan:
             assert detail <= measure_start < measure_end
 
     def test_lattice_fallback_without_anchors(self):
-        class Straight:
-            def __init__(self, block):
-                self.block = block
-
-        trace = [Straight(block) for block in range(40_000)]
-        assert detect_anchors(trace) is None
-        plan = plan_windows(trace, SamplingConfig())
+        blocks = list(range(40_000))
+        assert detect_anchors(blocks) is None
+        plan = plan_windows(blocks, SamplingConfig())
         assert plan is not None and len(plan.chosen) >= MIN_SAMPLED_INTERVALS
 
     def test_short_trace_has_no_plan(self, ctx):
         workload = ctx.workload("gcc")
-        assert plan_windows(workload.trace[:2_000], SamplingConfig()) is None
+        assert plan_windows(workload.trace.block[:2_000],
+                            SamplingConfig()) is None
 
 
 class TestEstimate:

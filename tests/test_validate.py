@@ -138,7 +138,7 @@ class TestLockstepClean:
 class TestLockstepCatches:
     def test_tampered_trace_pc(self, ctx):
         workload = copy.deepcopy(ctx.workload("gcc"))
-        workload.trace[40].pc += 4
+        workload.trace.pc[40] += 4
         core = build_core(workload, ooo_config())
         LockstepChecker(workload).attach(core)
         with pytest.raises(DivergenceError) as excinfo:
@@ -148,10 +148,9 @@ class TestLockstepCatches:
 
     def test_tampered_memory_address(self, ctx):
         workload = copy.deepcopy(ctx.workload("gcc"))
-        victim = next(
-            d for d in workload.trace if d.mem_addr is not None
-        )
-        victim.mem_addr += 8
+        addrs = workload.trace.mem_addr
+        victim = next(i for i, addr in enumerate(addrs) if addr is not None)
+        addrs[victim] += 8
         core = build_core(workload, ooo_config())
         LockstepChecker(workload).attach(core)
         with pytest.raises(DivergenceError) as excinfo:
@@ -166,7 +165,9 @@ class TestLockstepCatches:
             d for d in reversed(workload.trace)
             if d.inst.opcode.name in ("addqi", "lda") and d.inst.writes()
         )
-        victim.inst = dataclasses.replace(victim.inst, imm=victim.inst.imm + 8)
+        workload.trace.inst[victim.seq] = dataclasses.replace(
+            victim.inst, imm=victim.inst.imm + 8
+        )
         core = build_core(workload, ooo_config())
         checker = LockstepChecker(workload, fail_fast=False).attach(core)
         core.run()
@@ -198,8 +199,8 @@ class TestLockstepCatches:
 
     def test_collects_all_when_not_fail_fast(self, ctx):
         workload = copy.deepcopy(ctx.workload("gcc"))
-        workload.trace[5].pc += 4
-        workload.trace[6].pc += 4
+        workload.trace.pc[5] += 4
+        workload.trace.pc[6] += 4
         core = build_core(workload, ooo_config())
         checker = LockstepChecker(workload, fail_fast=False).attach(core)
         core.run()
@@ -299,14 +300,14 @@ class TestSimulateIntegration:
     def test_env_knob_attaches_lockstep(self, ctx, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE", "lockstep")
         workload = copy.deepcopy(ctx.workload("gcc"))
-        workload.trace[10].pc += 4
+        workload.trace.pc[10] += 4
         with pytest.raises(DivergenceError):
             simulate(workload, ooo_config())
 
     def test_env_knob_off_attaches_nothing(self, ctx, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE", "off")
         workload = copy.deepcopy(ctx.workload("gcc"))
-        workload.trace[10].pc += 4  # corrupt, but nobody is checking
+        workload.trace.pc[10] += 4  # corrupt, but nobody is checking
         result = simulate(workload, ooo_config())
         assert result.instructions == len(workload.trace)
 
@@ -408,7 +409,7 @@ class TestRunner:
 
     def test_divergence_is_reported_not_raised(self, ctx, monkeypatch):
         tampered = copy.deepcopy(ctx.workload("gcc"))
-        tampered.trace[10].pc += 4
+        tampered.trace.pc[10] += 4
         monkeypatch.setattr(
             ctx, "workload", lambda name, braided=False: tampered
         )

@@ -28,7 +28,7 @@ def _tampering_build_core(offset):
 
     def sabotaged(workload, config):
         tampered = copy.deepcopy(workload)
-        tampered.trace[offset].pc += 4
+        tampered.trace.pc[offset] += 4
         return build_core(tampered, config)
 
     return sabotaged

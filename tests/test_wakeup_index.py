@@ -155,9 +155,8 @@ def quiesce(core):
 
 
 def make_winst(core, index=0, fetch=0, ready=0):
-    dyn = core.trace[index]
-    return WInst(dyn, core.decoded[index], fetch, ready,
-                 dyn.seq in core.mispredicted)
+    return WInst(core.trace, index, core.decoded[index], fetch, ready,
+                 index in core.mispredicted, core._mem_word_row[index])
 
 
 class TestNextEventCorners:
