@@ -10,10 +10,13 @@ Prepares mcf at scale 64 (about 228k trace entries: the size the
   phase one less its RSS before it;
 * the trace's heap per entry, by tracemalloc, measured the way
   ``tests/test_replay_memory.py`` measures it (what freeing the trace
-  gives back), in a second, traced run of phase one.
+  gives back), in a second, traced run of phase one;
+* the replay facts' heap per entry, measured as that test measures it
+  (what building them allocates), on a third run of phase one.
 
-Exits 1 when the trace costs more per entry than that test's ceiling
-(``MAX_TRACE_BYTES_PER_ENTRY``).
+Exits 1 when the trace or the replay facts cost more per entry than
+that test's ceilings (``MAX_TRACE_BYTES_PER_ENTRY``,
+``MAX_BYTES_PER_ENTRY``).
 
 Usage::
 
@@ -34,7 +37,9 @@ sys.path.insert(0, str(ROOT))
 
 from repro.sim.workload import prepare_workload  # noqa: E402
 from repro.workloads import build_program  # noqa: E402
-from tests.test_replay_memory import MAX_TRACE_BYTES_PER_ENTRY  # noqa: E402
+from tests.test_replay_memory import (  # noqa: E402
+    MAX_BYTES_PER_ENTRY, MAX_TRACE_BYTES_PER_ENTRY, replay_heap,
+)
 
 BENCHMARK = "mcf"
 SCALE = 64.0
@@ -90,10 +95,23 @@ def main() -> int:
     per_entry = used / entries
     print(f"trace heap {used / 2**20:.1f} MiB: {per_entry:.1f} B per entry "
           f"(ceiling {MAX_TRACE_BYTES_PER_ENTRY} B)")
+
+    replay_used = replay_heap(
+        prepare_workload(program, max_instructions=MAX_INSTRUCTIONS)
+    )
+    replay_per_entry = replay_used / entries
+    print(f"replay facts heap {replay_used / 2**20:.1f} MiB: "
+          f"{replay_per_entry:.1f} B per entry "
+          f"(ceiling {MAX_BYTES_PER_ENTRY} B)")
+
+    failed = 0
     if per_entry > MAX_TRACE_BYTES_PER_ENTRY:
         print("FAIL: the trace costs more per entry than the ceiling")
-        return 1
-    return 0
+        failed = 1
+    if replay_per_entry > MAX_BYTES_PER_ENTRY:
+        print("FAIL: the replay facts cost more per entry than the ceiling")
+        failed = 1
+    return failed
 
 
 if __name__ == "__main__":

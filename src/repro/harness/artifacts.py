@@ -61,7 +61,9 @@ from ..sim.gcpause import collector_paused
 #: sweeps), so cached experiment tables can change column sets.
 #: v5: a workload pickles its trace as per-field columns, not one state
 #: dict per slotted ``DynInst`` row.
-CACHE_FORMAT_VERSION = 5
+#: v6: the trace pickles six columns (no ``seq``), the latency oracles
+#: are position lists, and decode facts carry their scoreboard form.
+CACHE_FORMAT_VERSION = 6
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_LIMIT = "REPRO_CACHE_LIMIT_MB"

@@ -52,13 +52,5 @@ class BraidExecutionUnit:
             return len(self.fifo) < self.config.cluster_entries
         return self.drained
 
-    def has_space(self) -> bool:
-        return len(self.fifo) < self.config.cluster_entries
-
-    def enqueue(self, winst) -> None:
-        if not self.has_space():
-            raise RuntimeError(f"BEU {self.beu_id}: FIFO overflow")
-        self.fifo.append(winst)
-
     def start_braid(self) -> None:
         self.braids_accepted += 1

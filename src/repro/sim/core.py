@@ -292,20 +292,13 @@ class TimingCore:
         self.trace = workload.trace
         self.decoded = workload.decode()
         self.mispredicted = workload.mispredicted
-        self.load_latency = workload.load_latency
-        self.ifetch_extra = workload.ifetch_extra
         self.l1d_latency = config.memory.l1d_latency
 
-        # Replay facts (shared, read-only; see
-        # repro.sim.workload.ReplayFacts): each static instruction's
-        # scoreboard form and the position-indexed oracle lists.  The
-        # per-seq dict oracles above stay exposed for introspection and
-        # fault injection; the hot loop reads only these.
+        # Position-indexed phase-one facts, shared read-only: the latency
+        # oracles and the replay facts (repro.sim.workload.ReplayFacts).
+        self._ifetch_extra_row = workload.ifetch_extra
+        self._load_latency_row = workload.load_latency
         replay = workload.replay()
-        self.replay = replay
-        self._forms = replay.forms
-        self._ifetch_extra_row = replay.ifetch_extra
-        self._load_latency_row = replay.load_latency
         self._mem_word_row = replay.mem_word
         self._store_conflict_row = replay.store_conflict
 
@@ -359,7 +352,7 @@ class TimingCore:
         self._fetch_resume = 0
 
         # Rename table: scoreboard slot -> last dispatched writer (64
-        # external slots, then 64 internal; see ReplayFacts.forms).
+        # external slots, then 64 internal; see DecodedInst).
         # Dispatch resolves each source with one index into it; a braid
         # start clears the internal slots, as the BEU-local internal file
         # is cleared, and a sampling gap clears them all.
@@ -1211,7 +1204,6 @@ class TimingCore:
         rf_entries = rf.entries
         checkpoints = self.checkpoints
         checkpoint_cap = checkpoints.capacity
-        forms = self._forms
         producers = self._producers
         lsq = self.lsq
         trace_log = self.trace_log
@@ -1256,7 +1248,7 @@ class TimingCore:
             if not winst.captured:
                 arch_reads = 0
                 deps = None
-                for slot, internal in forms[winst.facts][0]:
+                for slot, internal in winst.facts.sources:
                     producer = producers[slot]
                     if producer is None:
                         # No writer dispatched since the trace start, the
@@ -1292,7 +1284,7 @@ class TimingCore:
 
             if winst.start:
                 producers[INTERNAL_SLOTS] = _NO_INTERNALS
-            for slot, _internal in forms[winst.facts][1]:
+            for slot, _internal in winst.facts.writes:
                 producers[slot] = winst
 
             seq = winst.seq

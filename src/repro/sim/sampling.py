@@ -408,10 +408,9 @@ def _analytic_retire(workload: PreparedWorkload) -> List[float]:
     cached = replay.analytic_retire
     if cached is not None:
         return cached
-    forms = replay.forms
     decoded = workload.decode()
-    load_latency = replay.load_latency
-    ifetch_extra = replay.ifetch_extra
+    load_latency = workload.load_latency
+    ifetch_extra = workload.ifetch_extra
     mispredicted = workload.mispredicted
     n = len(decoded)
     #: scoreboard slot -> completion time of its last writer (0.0 when
@@ -433,8 +432,7 @@ def _analytic_retire(workload: PreparedWorkload) -> List[float]:
                 available = gate
         ready = available
         facts = decoded[i]
-        sources, writes = forms[facts]
-        for slot, _internal in sources:
+        for slot, _internal in facts.sources:
             produced = done_at[slot]
             if produced > ready:
                 ready = produced
@@ -442,7 +440,7 @@ def _analytic_retire(workload: PreparedWorkload) -> List[float]:
         done = ready + (latency if latency is not None else 1)
         if facts.start:
             done_at[INTERNAL_SLOTS] = no_internals
-        for slot, _internal in writes:
+        for slot, _internal in facts.writes:
             done_at[slot] = done
         previous = retire[i - 1] if i else 0.0
         retire[i] = previous if done <= previous else done
@@ -474,9 +472,8 @@ def _unit_covariates(
     (mcf), where windows with identical event rates differ by 2x in
     CPI depending on whether their misses fit in one window reach.
     """
-    replay = workload.replay()
-    load_latency = replay.load_latency
-    ifetch_extra = replay.ifetch_extra
+    load_latency = workload.load_latency
+    ifetch_extra = workload.ifetch_extra
     mispredicted = workload.mispredicted
     analytic = _analytic_retire(workload)
     rows = []

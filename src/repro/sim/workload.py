@@ -33,6 +33,22 @@ from .functional import FunctionalExecutor, Trace
 from .gcpause import collector_paused
 
 
+#: scoreboard slot of a register key; the internal file's slots follow
+#: the external file's 64, so one flat table holds both namespaces
+_EXTERNAL_SLOT = {("int", index): index for index in range(32)}
+_EXTERNAL_SLOT.update({("fp", index): 32 + index for index in range(32)})
+_INTERNAL_BASE = 64
+#: size of a rename table over both namespaces, and its internal half
+SCOREBOARD_SLOTS = 2 * _INTERNAL_BASE
+INTERNAL_SLOTS = slice(_INTERNAL_BASE, SCOREBOARD_SLOTS)
+
+
+def _slot(reg, internal: bool) -> Tuple[int, bool]:
+    """``(scoreboard slot, internal)`` of ``reg`` in one register file."""
+    slot = _EXTERNAL_SLOT[(reg.rclass.value, reg.index)]
+    return (slot + _INTERNAL_BASE if internal else slot), internal
+
+
 class DecodedInst:
     """Decode-stage facts of one static instruction, computed once.
 
@@ -41,12 +57,20 @@ class DecodedInst:
     (opcode, operands, braid annotation bits), so it is extracted once per
     static instruction instead of being re-derived from attribute chains on
     every dynamic dispatch of every sweep point.
+
+    ``sources`` and ``writes`` are its scoreboard form, each a tuple of
+    ``(scoreboard slot, internal)``: one per non-zero source, and one per
+    register file the destination writes (internal first).  Dispatch
+    resolves every source with one index into the core's 128-slot rename
+    table (64 external slots, then 64 internal) and binds the writes at
+    commit, so producers are named by static slot and no per-entry
+    dependence row exists.
     """
 
     __slots__ = (
         "is_load", "is_store", "is_branch", "latency", "start",
-        "dest_external", "dest_internal", "written_key",
-        "src_keys", "ext_src_ops", "ext_dest_ops",
+        "dest_external", "dest_internal", "sources", "writes",
+        "ext_src_ops", "ext_dest_ops",
     )
 
     def __init__(self, inst: Instruction) -> None:
@@ -56,23 +80,25 @@ class DecodedInst:
         self.is_branch = inst.is_branch
         self.latency = inst.opcode.latency
         self.start = annot.start
-        written = inst.writes()
-        self.dest_external = written is not None and annot.dest_external
-        self.dest_internal = written is not None and annot.dest_internal
-        self.written_key = (
-            (written.rclass.value, written.index) if written is not None else None
-        )
-        #: ((register key, reads internal file), ...) for each non-zero source
-        src_keys = []
+        sources = []
         ext_src_ops = 0
         for position, reg in enumerate(inst.srcs):
             if reg.is_zero:
                 continue
             internal = annot.src_space(position) is Space.INTERNAL
-            src_keys.append(((reg.rclass.value, reg.index), internal))
+            sources.append(_slot(reg, internal))
             if not internal:
                 ext_src_ops += 1
-        self.src_keys: Tuple = tuple(src_keys)
+        self.sources: Tuple = tuple(sources)
+        written = inst.writes()
+        self.dest_external = written is not None and annot.dest_external
+        self.dest_internal = written is not None and annot.dest_internal
+        writes = []
+        if self.dest_internal:
+            writes.append(_slot(written, True))
+        if self.dest_external:
+            writes.append(_slot(written, False))
+        self.writes: Tuple = tuple(writes)
         # Rename bandwidth accounting: only external operands are renamed.
         self.ext_src_ops = ext_src_ops
         self.ext_dest_ops = 1 if self.dest_external else 0
@@ -99,19 +125,10 @@ class ReplayFacts:
     Everything here is a pure function of the trace and its decode facts,
     so it is computed once per workload and shared read-only by every
     timing core replaying it — including every config of a sweep
-    simulated against the same workload.
+    simulated against the same workload.  None of it is pickled.
 
-    * ``forms`` — each distinct :class:`DecodedInst` of the trace mapped
-      to its ``(sources, writes)`` scoreboard form (see
-      :func:`_scoreboard_form`).  Dispatch resolves every source with one
-      index into the core's 128-slot rename table (64 external slots,
-      then 64 internal) and binds the writes at commit, so producers are
-      named by static slot and no per-entry dependence row exists.  The
-      forms live here rather than on the decode facts so the decoded
-      slots, and the pickled workload, stay as they are.
-    * ``ifetch_extra[i]`` / ``load_latency[i]`` / ``mem_word[i]`` — the
-      phase-one dict oracles flattened to position-indexed lists
-      (``None`` where absent) for O(1) un-hashed access.
+    * ``mem_word[i]`` — the aligned memory word entry ``i`` accesses
+      (``None`` for a non-memory entry).
     * ``store_conflict[i]`` — for a load, the trace position of the
       *youngest older* store to the same memory word (``None`` when no
       such store exists).  Because dispatch and retirement are both
@@ -123,16 +140,9 @@ class ReplayFacts:
       with one dict probe.
     """
 
-    __slots__ = (
-        "forms", "ifetch_extra", "load_latency", "mem_word",
-        "store_conflict", "analytic_retire",
-    )
+    __slots__ = ("mem_word", "store_conflict", "analytic_retire")
 
-    def __init__(self, forms, ifetch_extra, load_latency, mem_word,
-                 store_conflict) -> None:
-        self.forms = forms
-        self.ifetch_extra = ifetch_extra
-        self.load_latency = load_latency
+    def __init__(self, mem_word, store_conflict) -> None:
         self.mem_word = mem_word
         self.store_conflict = store_conflict
         #: lazily computed analytic retirement-time curve (see
@@ -141,49 +151,12 @@ class ReplayFacts:
         self.analytic_retire = None
 
 
-#: scoreboard slot of a register key; the internal file's slots follow
-#: the external file's 64, so one flat table holds both namespaces
-_EXTERNAL_SLOT = {("int", index): index for index in range(32)}
-_EXTERNAL_SLOT.update({("fp", index): 32 + index for index in range(32)})
-_INTERNAL_BASE = 64
-#: size of a rename table over both namespaces, and its internal half
-SCOREBOARD_SLOTS = 2 * _INTERNAL_BASE
-INTERNAL_SLOTS = slice(_INTERNAL_BASE, SCOREBOARD_SLOTS)
-
-
-def _scoreboard_form(facts: DecodedInst) -> Tuple:
-    """``(sources, writes)`` of one static instruction, each a tuple of
-    ``(scoreboard slot, internal)``."""
-    def slot(key, internal: bool) -> Tuple[int, bool]:
-        return _EXTERNAL_SLOT[key] + (_INTERNAL_BASE if internal else 0), internal
-
-    sources = tuple(slot(key, internal) for key, internal in facts.src_keys)
-    writes = []
-    if facts.dest_internal:
-        writes.append(slot(facts.written_key, True))
-    if facts.dest_external:
-        writes.append(slot(facts.written_key, False))
-    return sources, tuple(writes)
-
-
-def build_replay(trace: Trace, decoded: List[DecodedInst],
-                 load_latency: Dict[int, int],
-                 ifetch_extra: Dict[int, int]) -> ReplayFacts:
-    """Build the :class:`ReplayFacts` of one trace.
-
-    The oracles flatten to position-indexed lists (a trace entry's
-    ``seq`` is its position, and the timing cores index these arrays by
-    it too); one pass over the ``mem_addr`` column finds each load's
+def build_replay(trace: Trace, decoded: List[DecodedInst]) -> ReplayFacts:
+    """Build the :class:`ReplayFacts` of one trace: one pass over the
+    ``mem_addr`` column finds each entry's memory word and each load's
     store conflict.  An aligned address is its own memory word.
     """
     n = len(trace)
-    ifetch = [0] * n
-    for seq, extra in ifetch_extra.items():
-        ifetch[seq] = extra
-    loads: List[Optional[int]] = [None] * n
-    for seq, value in load_latency.items():
-        loads[seq] = value
-
     mem: List[Optional[int]] = [None] * n
     store_conflict: List[Optional[int]] = [None] * n
     #: memory word -> trace position of its youngest store so far
@@ -197,15 +170,7 @@ def build_replay(trace: Trace, decoded: List[DecodedInst],
             store_conflict[i] = last_store.get(word)
         else:
             last_store[word] = i
-
-    return ReplayFacts(
-        forms={facts: _scoreboard_form(facts)
-               for facts in dict.fromkeys(decoded)},
-        ifetch_extra=ifetch,
-        load_latency=loads,
-        mem_word=mem,
-        store_conflict=store_conflict,
-    )
+    return ReplayFacts(mem_word=mem, store_conflict=store_conflict)
 
 
 @dataclass
@@ -235,8 +200,9 @@ class PreparedWorkload:
     list per trace field, with an entry's ``seq`` being its position.
     Timing cores and phase one read its columns; lockstep, pipeview,
     the exporters and tests read ``DynInst`` rows that it builds on
-    demand.  A pickle carries the trace as the same columns (plus a
-    ``seq`` column), and loading one keeps the columns as they are.
+    demand.  The latency oracles are position lists of the trace's
+    length too.  A pickle carries the trace as the same six columns, and
+    loading one keeps the columns as they are.
     """
 
     name: str
@@ -244,10 +210,10 @@ class PreparedWorkload:
     trace: Trace
     #: sequence numbers of mispredicted branches
     mispredicted: Set[int]
-    #: per-load total data-cache latency (seq -> cycles)
-    load_latency: Dict[int, int]
-    #: per-instruction *extra* fetch latency beyond the L1I hit time
-    ifetch_extra: Dict[int, int]
+    #: per-entry total data-cache latency of a load (``None`` for others)
+    load_latency: List[Optional[int]]
+    #: per-entry *extra* fetch latency beyond the L1I hit time (0 for none)
+    ifetch_extra: List[int]
     stats: WorkloadStats = field(default_factory=WorkloadStats)
     #: lazily computed decode facts, aligned with ``trace`` (see :meth:`decode`)
     decoded: Optional[List[DecodedInst]] = field(
@@ -273,29 +239,24 @@ class PreparedWorkload:
         """Replay facts shared by every timing core driving this workload."""
         if self.replay_facts is None:
             with collector_paused():
-                self.replay_facts = build_replay(
-                    self.trace, self.decode(), self.load_latency,
-                    self.ifetch_extra,
-                )
+                self.replay_facts = build_replay(self.trace, self.decode())
         return self.replay_facts
 
     def __getstate__(self):
-        # The trace pickles as one list per DynInst field, ``seq`` first:
-        # lists of plain ints and memoized references take a third of
-        # the bytes of one state dict per row, and load in half the time.
+        # The trace pickles as one list per DynInst field: lists of plain
+        # ints and memoized references take a third of the bytes of one
+        # state dict per row, and load in half the time.
         state = self.__dict__.copy()
         del state["replay_facts"]
-        trace = state.pop("trace")
-        state["trace_columns"] = (list(range(len(trace))),
-                                  *trace.columns())
+        state["trace_columns"] = state.pop("trace").columns()
         return state
 
     def __setstate__(self, state):
         columns = state.pop("trace_columns", None)
-        if columns is None:
-            raise ValueError("workload pickle has no trace columns "
-                             "(an older artifact format)")
-        _seq, inst, block, pc, taken, next_pc, mem_addr = columns
+        if columns is None or len(columns) != len(Trace.__slots__):
+            raise ValueError("workload pickle is not the six-column trace "
+                             "format (an older artifact format)")
+        inst, block, pc, taken, next_pc, mem_addr = columns
         # Unpickling makes one int object per occurrence; one dict
         # interns the addresses back, so every instance of a static
         # instruction shares its pc and next_pc as in a fresh trace.
@@ -330,71 +291,66 @@ def prepare_workload(
     """
     executor = FunctionalExecutor(program, max_instructions=max_instructions)
     trace = executor.trace()
+    n = len(trace)
 
     stats = WorkloadStats(
-        dynamic_instructions=len(trace),
+        dynamic_instructions=n,
         branches=executor.stats.dynamic_branches,
         loads=executor.stats.loads,
         stores=executor.stats.stores,
     )
 
     mispredicted: Set[int] = set()
-    load_latency: Dict[int, int] = {}
-    ifetch_extra: Dict[int, int] = {}
-
+    load_latency: List[Optional[int]] = [None] * n
+    ifetch_extra = [0] * n
     hierarchy = MemoryHierarchy(memory)
-    l1_hit = hierarchy.config.l1d_latency
 
     if perfect:
+        l1_hit = hierarchy.config.l1d_latency
         for seq, inst in enumerate(trace.inst):
             if inst.is_load:
                 load_latency[seq] = l1_hit
-        return PreparedWorkload(
-            name=program.name,
-            program=program,
-            trace=trace,
-            mispredicted=mispredicted,
-            load_latency=load_latency,
-            ifetch_extra=ifetch_extra,
-            stats=stats,
-        )
-
-    # The predictor and the caches share no state, so each takes its own
-    # pass: the predictor over the branches alone (a branch is the only
-    # trace entry with an outcome), the caches over the whole trace.
-    branches = [(seq, pc, taken) for seq, pc, taken
-                in zip(count(), trace.pc, trace.taken) if taken is not None]
-    branch_predictor = make_predictor(predictor)
-    predict = branch_predictor.predict
-    update = branch_predictor.update
-    for _ in range(max(0, warmup_passes)):
-        for _, pc, taken in branches:
-            predict(pc)
+    else:
+        # The predictor and the caches share no state, so each takes its
+        # own pass: the predictor over the branches alone (a branch is
+        # the only trace entry with an outcome), the caches over the
+        # whole trace.
+        branches = [(seq, pc, taken) for seq, pc, taken
+                    in zip(count(), trace.pc, trace.taken)
+                    if taken is not None]
+        branch_predictor = make_predictor(predictor)
+        predict = branch_predictor.predict
+        update = branch_predictor.update
+        for _ in range(max(0, warmup_passes)):
+            for _, pc, taken in branches:
+                predict(pc)
+                update(pc, taken)
+        for seq, pc, taken in branches:
+            if predict(pc) != taken:
+                mispredicted.add(seq)
             update(pc, taken)
-    for seq, pc, taken in branches:
-        if predict(pc) != taken:
-            mispredicted.add(seq)
-        update(pc, taken)
 
-    previous_line = -1
-    line_bytes = hierarchy.config.line_bytes
-    l1i_latency = hierarchy.config.l1i_latency
-    instruction_fetch = hierarchy.instruction_fetch
-    data_access = hierarchy.data_access
-    for seq, pc, addr, inst in zip(count(), trace.pc, trace.mem_addr,
-                                   trace.inst):
-        line = pc // line_bytes
-        if line != previous_line:
-            extra = instruction_fetch(pc) - l1i_latency
-            if extra > 0:
-                ifetch_extra[seq] = extra
-            previous_line = line
-        if addr is not None:
-            if inst.opcode.is_load:
-                load_latency[seq] = data_access(addr)
-            else:
-                data_access(addr)
+        previous_line = -1
+        line_bytes = hierarchy.config.line_bytes
+        l1i_latency = hierarchy.config.l1i_latency
+        instruction_fetch = hierarchy.instruction_fetch
+        data_access = hierarchy.data_access
+        for seq, pc, addr, inst in zip(count(), trace.pc, trace.mem_addr,
+                                       trace.inst):
+            line = pc // line_bytes
+            if line != previous_line:
+                extra = instruction_fetch(pc) - l1i_latency
+                if extra > 0:
+                    ifetch_extra[seq] = extra
+                previous_line = line
+            if addr is not None:
+                if inst.opcode.is_load:
+                    load_latency[seq] = data_access(addr)
+                else:
+                    data_access(addr)
 
+    # A perfect front end leaves these at zero: nothing was predicted or
+    # accessed.
     stats.mispredicts = len(mispredicted)
     stats.l1d_miss_rate = hierarchy.l1d.stats.miss_rate
     stats.l1i_miss_rate = hierarchy.l1i.stats.miss_rate

@@ -14,34 +14,62 @@ what dispatch captures against an independent statement of the rule:
 * ``evictions[i]`` — producers whose last referenced binding instruction
   ``i`` overwrites or clears (``None`` when there are none);
 
-plus the four arrays :class:`repro.sim.workload.ReplayFacts` keeps
-(``ifetch_extra``, ``load_latency``, ``mem_word``, ``store_conflict``).
+plus the workload's two latency oracles (``ifetch_extra``,
+``load_latency``) and the two arrays
+:class:`repro.sim.workload.ReplayFacts` keeps (``mem_word``,
+``store_conflict``).
+
+The scoreboard slots are stated here from each :class:`Instruction`
+(:func:`reference_form`), not taken from the decode facts under test.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.workload import SCOREBOARD_SLOTS, _scoreboard_form
+from repro.isa.registers import RegClass, Space
 
 #: the eight arrays, in the order the phase-one pin digests them
 ARRAYS = (
     "deps", "arch_reads", "insertable", "evictions",
     "ifetch_extra", "load_latency", "mem_word", "store_conflict",
 )
+#: 32 integer then 32 floating-point external slots, then the same 64
+#: again for the braid-internal file
+INTERNAL_OFFSET = 64
+SLOTS = 2 * INTERNAL_OFFSET
+
+
+def reference_slot(reg, internal: bool) -> Tuple[int, bool]:
+    """``(scoreboard slot, internal)`` of ``reg`` in one register file."""
+    slot = reg.index + (32 if reg.rclass is RegClass.FP else 0)
+    return slot + (INTERNAL_OFFSET if internal else 0), internal
+
+
+def reference_form(inst) -> Tuple[Tuple, Tuple]:
+    """``(sources, writes)`` of one instruction, each a tuple of
+    ``(scoreboard slot, internal)``: every source but the zero register,
+    in the bank its braid annotation names, then the destination in
+    each bank its annotation writes, internal first."""
+    annot = inst.annot
+    sources = tuple(
+        reference_slot(reg, annot.src_space(position) is Space.INTERNAL)
+        for position, reg in enumerate(inst.srcs) if not reg.is_zero
+    )
+    written = inst.writes()
+    writes = []
+    if written is not None and annot.dest_internal:
+        writes.append(reference_slot(written, True))
+    if written is not None and annot.dest_external:
+        writes.append(reference_slot(written, False))
+    return sources, tuple(writes)
 
 
 def reference_replay(workload) -> Dict[str, list]:
     """The eight replay arrays of ``workload``, by name."""
     trace = workload.trace
-    decoded = workload.decode()
     n = len(trace)
-    ifetch = [0] * n
-    for seq, extra in workload.ifetch_extra.items():
-        ifetch[seq] = extra
-    loads: List[Optional[int]] = [None] * n
-    for seq, value in workload.load_latency.items():
-        loads[seq] = value
+    forms = {inst: reference_form(inst) for inst in dict.fromkeys(trace.inst)}
 
     mem: List[Optional[int]] = [None] * n
     store_conflict: List[Optional[int]] = [None] * n
@@ -53,7 +81,7 @@ def reference_replay(workload) -> Dict[str, list]:
     #: producer index -> number of scoreboard slots still binding it
     bindings = bytearray(n)
     #: scoreboard slot -> ``(trace position, internal)`` of its last writer
-    last: List[Optional[Tuple[int, bool]]] = [None] * SCOREBOARD_SLOTS
+    last: List[Optional[Tuple[int, bool]]] = [None] * SLOTS
     internal_live: List[int] = []
 
     def evict(i: int, producer: int) -> None:
@@ -62,14 +90,14 @@ def reference_replay(workload) -> Dict[str, list]:
             dying = evictions[i]
             evictions[i] = (producer,) if dying is None else dying + (producer,)
 
-    for dyn, facts in zip(trace, decoded):
+    for dyn in trace:
         i = dyn.seq
-        sources, writes = _scoreboard_form(facts)
+        sources, writes = forms[dyn.inst]
         addr = dyn.mem_addr
         if addr is not None:
             word = addr & ~0x7 if addr & 0x7 else addr
             mem[i] = word
-            if facts.is_load:
+            if dyn.inst.is_load:
                 store_conflict[i] = last_store.get(word)
             else:
                 last_store[word] = i
@@ -88,7 +116,7 @@ def reference_replay(workload) -> Dict[str, list]:
                 deps[i] = tuple(row)
             arch[i] = plain_reads
 
-        if facts.start and internal_live:
+        if dyn.inst.annot.start and internal_live:
             for slot in internal_live:
                 producer = last[slot][0]
                 last[slot] = None
@@ -109,8 +137,8 @@ def reference_replay(workload) -> Dict[str, list]:
         "arch_reads": arch,
         "insertable": referenced,
         "evictions": evictions,
-        "ifetch_extra": ifetch,
-        "load_latency": loads,
+        "ifetch_extra": list(workload.ifetch_extra),
+        "load_latency": list(workload.load_latency),
         "mem_word": mem,
         "store_conflict": store_conflict,
     }

@@ -27,25 +27,19 @@ class TestCapacityRules:
     def test_single_braid_policy_blocks_until_drained(self):
         beu = BraidExecutionUnit(0, braid_config(8))
         beu.start_braid()
-        beu.enqueue(_FakeInst())
+        beu.fifo.append(_FakeInst())
         assert not beu.can_accept_braid()
         beu.fifo.popleft()  # instruction issued
         assert beu.can_accept_braid()
 
     def test_queueing_policy_only_needs_space(self):
-        config = replace(braid_config(8), beu_queue_braids=True)
+        config = replace(braid_config(8), beu_queue_braids=True,
+                         cluster_entries=2)
         beu = BraidExecutionUnit(0, config)
-        beu.enqueue(_FakeInst())
+        beu.fifo.append(_FakeInst())
         assert beu.can_accept_braid()
-
-    def test_fifo_overflow_guard(self):
-        config = replace(braid_config(8), cluster_entries=2)
-        beu = BraidExecutionUnit(0, config)
-        beu.enqueue(_FakeInst())
-        beu.enqueue(_FakeInst())
-        assert not beu.has_space()
-        with pytest.raises(RuntimeError):
-            beu.enqueue(_FakeInst())
+        beu.fifo.append(_FakeInst())
+        assert not beu.can_accept_braid()
 
     def test_default_internal_regfile_spec(self):
         config = replace(braid_config(8), internal_regfile=None)

@@ -6,12 +6,12 @@ artifact size.  Every instance of a static instruction holds that
 instruction's ``pc`` object in the ``pc`` column, and every not-taken
 instance its fall-through object in the ``next_pc`` column; rows read
 from the trace are slotted copies built on demand.  The replay facts
-hold no per-entry dependence rows: one scoreboard form per static
-instruction serves every dynamic instance, and a core's rename table
-resolves producers at dispatch.  A workload pickles the same columns
-and interns the addresses again on load, so each property holds for a
-fresh workload and for one read back from a pickle, and the two are
-equal in every phase-one output.
+hold no per-entry dependence rows: each static instruction's decode
+facts carry its scoreboard form, which serves every dynamic instance,
+and a core's rename table resolves producers at dispatch.  A workload
+pickles the same columns and interns the addresses again on load, so
+each property holds for a fresh workload and for one read back from a
+pickle, and the two are equal in every phase-one output.
 """
 
 from __future__ import annotations
@@ -29,19 +29,18 @@ from repro.sim.functional import DynInst, Trace
 from repro.sim.run import MAX_CYCLES, build_core
 from repro.sim.workload import (
     INTERNAL_SLOTS, DecodedInst, PreparedWorkload, ReplayFacts,
-    _scoreboard_form, prepare_workload,
+    prepare_workload,
 )
 from repro.workloads import build_program
 
-from .replay_reference import reference_replay
+from .replay_reference import reference_form, reference_replay
 
 CASES = tuple((name, braided) for name in ("gcc", "swim")
               for braided in (False, True))
 CASE_IDS = tuple(f"{name}-{'braided' if braided else 'original'}"
                  for name, braided in CASES)
 REPLAY_ARRAYS = tuple(
-    name for name in ReplayFacts.__slots__
-    if name not in ("forms", "analytic_retire")
+    name for name in ReplayFacts.__slots__ if name != "analytic_retire"
 )
 
 
@@ -120,15 +119,18 @@ class TestSharing:
 
     def test_replay_holds_no_dependence_rows(self, workload):
         replay = workload.replay()
-        for name in ReplayFacts.__slots__:
+        assert ReplayFacts.__slots__ == \
+            ("mem_word", "store_conflict", "analytic_retire")
+        for name in REPLAY_ARRAYS:
             array = getattr(replay, name)
-            if isinstance(array, list) and len(array) == len(workload):
-                assert not any(isinstance(row, tuple) for row in array), name
-        distinct = {id(facts): facts for facts in workload.decoded}
-        assert len(replay.forms) == len(distinct) < len(workload)
-        assert {id(facts) for facts in replay.forms} == set(distinct)
-        for facts, form in replay.forms.items():
-            assert form == _scoreboard_form(facts)
+            assert type(array) is list and len(array) == len(workload)
+            assert not any(isinstance(row, tuple) for row in array), name
+        # One scoreboard form per static instruction, on its decode facts.
+        static = dict(zip(workload.trace.inst, workload.decoded))
+        assert len({id(facts) for facts in workload.decoded}) == \
+            len(static) < len(workload)
+        for inst, facts in static.items():
+            assert (facts.sources, facts.writes) == reference_form(inst)
 
 
 def test_rows_are_built_by_position():
@@ -169,11 +171,13 @@ def test_round_trip_equals_fresh(name, braided):
     assert after.replay() is not before.replay()
     for array in REPLAY_ARRAYS:
         assert getattr(after.replay(), array) == getattr(before.replay(), array)
-    # The forms are keyed by the loaded workload's own decode facts.
-    own = {id(facts) for facts in after.decoded}
-    assert {id(facts) for facts in after.replay().forms} == own
-    assert [after.replay().forms[facts] for facts in after.decoded] == \
-        [before.replay().forms[facts] for facts in before.decoded]
+    # The loaded decode facts are shared per static instruction as in a
+    # fresh decode, and carry the same scoreboard forms.
+    static = dict(zip(after.trace.inst, after.decoded))
+    assert all(static[inst] is facts
+               for inst, facts in zip(after.trace.inst, after.decoded))
+    assert [(facts.sources, facts.writes) for facts in after.decoded] == \
+        [(facts.sources, facts.writes) for facts in before.decoded]
 
 
 @pytest.mark.parametrize("name,braided", CASES, ids=CASE_IDS)
@@ -265,3 +269,40 @@ def test_old_format_entry_is_quarantined_and_recomputed(
     # The slot healed: it now holds an entry of the current format.
     assert trace_rows(ArtifactCache(root=tmp_path).get(key)) == \
         trace_rows(reference)
+
+
+def _v5_getstate(self):
+    """The format-5 pickle state: a ``seq`` column before the six trace
+    columns, and the latency oracles as seq -> cycles dicts."""
+    state = self.__dict__.copy()
+    del state["replay_facts"]
+    trace = state.pop("trace")
+    state["trace_columns"] = (list(range(len(trace))), *trace.columns())
+    state["load_latency"] = {seq: cycles for seq, cycles
+                             in enumerate(self.load_latency)
+                             if cycles is not None}
+    state["ifetch_extra"] = {seq: extra for seq, extra
+                             in enumerate(self.ifetch_extra) if extra}
+    return state
+
+
+def test_v5_layout_is_refused_and_quarantined(tmp_path, monkeypatch, capsys):
+    workload = fresh("gcc", False)
+    blank = PreparedWorkload.__new__(PreparedWorkload)
+    with pytest.raises(ValueError, match="six-column trace format"):
+        blank.__setstate__(_v5_getstate(workload))
+
+    cache = ArtifactCache(root=tmp_path)
+    key = cache.workload_key("gcc", 1.0, False, False, 8, "perceptron",
+                             len(workload))
+    with monkeypatch.context() as patch:
+        patch.setattr(PreparedWorkload, "__getstate__", _v5_getstate)
+        cache.put(key, workload)
+    assert cache.path_for(key).exists()
+    assert cache.get(key) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert cache.corruptions == 1 and cache.quarantined == 1
+    assert not cache.path_for(key).exists()
+    assert (tmp_path / "quarantine" / cache.path_for(key).name).exists()
+    err = capsys.readouterr().err
+    assert "quarantining corrupt cache entry" in err and "ValueError" in err

@@ -10,24 +10,28 @@ sha256 of:
   next_pc, mem_addr;
 * ``execution`` — :class:`ExecutionStats` and the final
   :meth:`ArchState.snapshot`;
-* ``oracles`` — ``mispredicted``, ``load_latency``, ``ifetch_extra`` and
-  :class:`WorkloadStats`;
+* ``oracles`` — ``mispredicted``, the ``(seq, cycles)`` rows of the
+  ``load_latency`` and ``ifetch_extra`` lists (loads; non-zero extras)
+  and :class:`WorkloadStats`;
 * ``decoded`` — every :class:`DecodedInst` slot;
 * ``replay`` — the eight per-entry replay arrays of the reference
   scoreboard walk (:mod:`tests.replay_reference`): the dependence rows,
   architectural reads, insertable flags and evictions the timing cores
-  no longer store, and the four arrays :class:`ReplayFacts` keeps;
+  no longer store, the two latency oracles and the two arrays
+  :class:`ReplayFacts` keeps;
 * ``pickle`` — the pickled, decoded :class:`PreparedWorkload` (the bytes
   the artifact cache stores).
 
-Each case also checks that the kept arrays equal the reference's, and
-that an exact ``ooo`` run (and, for a braided case, a ``braid`` run)
-dispatches every instruction with the producers and architectural reads
-the reference rows name: the rename table resolves sources the same way
-the old rows did.
+Each case also checks that the kept arrays and every decode fact's
+scoreboard form equal the reference's, that the oracles are lists of the
+trace's length with a latency for exactly the loads, and that an exact
+``ooo`` run (and, for a braided case, a ``braid`` run) dispatches every
+instruction with the producers and architectural reads the reference
+rows name: the rename table resolves sources the same way the old rows
+did.
 
 If a change legitimately moves phase one, re-pin with
-``PYTHONPATH=src python tests/test_phase_one_pinned.py`` (and bump
+``PYTHONPATH=src python -m tests.test_phase_one_pinned`` (and bump
 ``CACHE_FORMAT_VERSION`` when the pickle moves).
 """
 
@@ -50,13 +54,13 @@ from repro.sim.workload import DecodedInst, prepare_workload
 from repro.workloads import build_program
 from repro.workloads.profiles import ALL_BENCHMARKS
 
-from .replay_reference import ARRAYS, reference_replay
+from .replay_reference import ARRAYS, reference_form, reference_replay
 
 PINNED_PATH = Path(__file__).resolve().parent / "data" / "phase_one_pinned.json"
 #: the default ``prepare_workload`` cap; every scale-1 benchmark completes
 MAX_INSTRUCTIONS = 200_000
 #: the arrays :class:`ReplayFacts` keeps from the reference's eight
-KEPT_ARRAYS = ("ifetch_extra", "load_latency", "mem_word", "store_conflict")
+KEPT_ARRAYS = ("mem_word", "store_conflict")
 
 
 def _sha(rows) -> str:
@@ -101,8 +105,10 @@ def phase_one_digests(program, workload=None) -> Dict[str, str]:
         "execution": _sha([sorted(stats.items()), executor.state.snapshot()]),
         "oracles": _sha([
             sorted(workload.mispredicted),
-            sorted(workload.load_latency.items()),
-            sorted(workload.ifetch_extra.items()),
+            [(seq, cycles) for seq, cycles in enumerate(workload.load_latency)
+             if cycles is not None],
+            [(seq, extra) for seq, extra in enumerate(workload.ifetch_extra)
+             if extra],
             sorted(dataclasses.asdict(workload.stats).items()),
         ]),
         "decoded": _sha(
@@ -155,6 +161,13 @@ def test_phase_one_matches_pin(case, pinned):
     replay = workload.replay()
     for name in KEPT_ARRAYS:
         assert getattr(replay, name) == reference[name], name
+    trace = workload.trace
+    assert len(workload.load_latency) == len(workload.ifetch_extra) == \
+        len(trace)
+    assert [cycles is not None for cycles in workload.load_latency] == \
+        [inst.is_load for inst in trace.inst]
+    for inst, facts in dict(zip(trace.inst, workload.decode())).items():
+        assert (facts.sources, facts.writes) == reference_form(inst), inst
     assert_dispatch_matches(workload, ooo_config(8), reference)
     if case.endswith("-braided"):
         assert_dispatch_matches(workload, braid_config(8), reference)

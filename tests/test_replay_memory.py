@@ -5,12 +5,13 @@ A prepared workload's trace is one list per field
 memory address int where there is one.  One ``DynInst`` object per
 entry cost more than twice that, and no timing core builds one during
 an exact run: fetch reads the columns.  The timing cores resolve
-producers through a 128-slot rename table, so
-:class:`repro.sim.workload.ReplayFacts` keeps only the flattened oracles,
-the store conflicts and one scoreboard form per static instruction.
-Their heap, measured with tracemalloc while the cyclic collector is off
-(as it is whenever phase one runs), stays near four list pointers per
-trace entry; per-entry producer rows cost about four times that.
+producers through a 128-slot rename table from the scoreboard form on
+each static instruction's decode facts, and read the latency oracles
+from the workload, so :class:`repro.sim.workload.ReplayFacts` keeps only
+the memory words and the store conflicts.  Their heap, measured with
+tracemalloc while the cyclic collector is off (as it is whenever phase
+one runs), stays near two list pointers per trace entry; per-entry
+producer rows cost about eight times that.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from repro.sim.workload import SCOREBOARD_SLOTS, prepare_workload
 from repro.workloads import build_program
 from repro.workloads.suite import QUICK_BENCHMARKS
 
-#: ceiling on the replay facts' heap per trace entry
-MAX_BYTES_PER_ENTRY = 48
+#: ceiling on the replay facts' heap per trace entry: two list pointers
+#: and a memory word int where there is one come to 16-17 B on the
+#: quick benchmarks
+MAX_BYTES_PER_ENTRY = 24
 #: ceiling on a prepared trace's heap per entry: six list pointers and
 #: the list growth slack come to ~51 B, memory address ints to 3-7 B
 #: more on the quick benchmarks
@@ -100,6 +103,14 @@ def test_exact_run_builds_no_rows(key, monkeypatch):
 @pytest.mark.parametrize("name", QUICK_BENCHMARKS)
 def test_replay_facts_fit_the_budget(name, braided):
     workload = prepare_workload(quick_program(name, braided))
+    used = replay_heap(workload)
+    assert used <= MAX_BYTES_PER_ENTRY * len(workload), \
+        f"{used / len(workload):.1f} B per entry"
+
+
+def replay_heap(workload) -> int:
+    """The heap that building ``workload``'s replay facts allocates, its
+    decode facts already built."""
     workload.decode()
     enabled = gc.isenabled()
     gc.disable()
@@ -107,13 +118,11 @@ def test_replay_facts_fit_the_budget(name, braided):
     try:
         before = tracemalloc.get_traced_memory()[0]
         workload.replay()
-        used = tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
         if enabled:
             gc.enable()
-    assert used <= MAX_BYTES_PER_ENTRY * len(workload), \
-        f"{used / len(workload):.1f} B per entry"
 
 
 def live_winsts() -> int:

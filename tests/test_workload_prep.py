@@ -33,11 +33,12 @@ class TestPreparation:
 
     def test_load_latencies_cover_all_loads(self, gcc):
         workload = prepare_workload(gcc)
-        loads = [d for d in workload.trace if d.is_load]
-        assert len(loads) == len(workload.load_latency)
+        assert len(workload.load_latency) == len(workload.trace)
+        assert [latency is not None for latency in workload.load_latency] \
+            == [d.is_load for d in workload.trace]
         l1 = 3
-        for latency in workload.load_latency.values():
-            assert latency >= l1
+        for latency in workload.load_latency:
+            assert latency is None or latency >= l1
 
     def test_stats_populated(self, gcc):
         workload = prepare_workload(gcc)
@@ -57,8 +58,9 @@ class TestPerfectMode:
 
     def test_flat_l1_latencies(self, gcc):
         workload = prepare_workload(gcc, perfect=True)
-        assert set(workload.load_latency.values()) <= {3}
-        assert workload.ifetch_extra == {}
+        assert {latency for latency in workload.load_latency
+                if latency is not None} <= {3}
+        assert workload.ifetch_extra == [0] * len(workload.trace)
 
 
 class TestPredictorChoice:
@@ -92,8 +94,8 @@ class TestSerialization:
         assert clone.decoded is not None
         for ours, theirs in zip(workload.decoded, clone.decoded):
             assert ours.latency == theirs.latency
-            assert ours.src_keys == theirs.src_keys
-            assert ours.written_key == theirs.written_key
+            assert ours.sources == theirs.sources
+            assert ours.writes == theirs.writes
 
     def test_decode_trace_shares_static_facts(self, gcc):
         workload = prepare_workload(gcc, max_instructions=5_000)
@@ -119,4 +121,5 @@ class TestMemoryBehaviour:
     def test_icache_warm_after_first_touch(self, gcc):
         workload = prepare_workload(gcc)
         # Static code is tiny vs 64KB L1I: only cold misses.
-        assert len(workload.ifetch_extra) < len(workload.trace) * 0.02
+        misses = sum(1 for extra in workload.ifetch_extra if extra)
+        assert misses < len(workload.trace) * 0.02
