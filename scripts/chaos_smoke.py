@@ -8,7 +8,7 @@ twice from two clients, so dedup is exercised end to end):
 * a **reference** run: one uninterrupted in-process supervisor;
 * a **chaos** run: the supervisor as a subprocess with a deterministic
   fault plan armed — one job's worker is SIGKILLed mid-batch, one job's
-  result-store write fails with ENOSPC (simulated disk-quota
+  durable ``done`` append fails with ENOSPC (simulated disk-quota
   exhaustion), and the supervisor itself is SIGKILLed after its K-th
   settled job.  The driver restarts the supervisor until it drains.
 

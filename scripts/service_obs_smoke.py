@@ -23,7 +23,10 @@ second writable handle submits one more job, as a ``submit`` during
    bit-identical result payloads;
 5. **Live submissions** — the job the second handle submitted finishes
    ``done`` in the same drain, with a seq no other job has, and the
-   follower skipped no line and saw no rotation.
+   follower skipped no line and saw no rotation;
+6. **Results from a fresh process** — ``python -m repro.harness status
+   --store S --job J --json``, run as a subprocess, reports for every
+   job the result payload the serving handle holds.
 
 Exits non-zero with a diagnostic on any violation.
 
@@ -36,13 +39,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.obs.metrics import parse_prometheus, prometheus_errors
 from repro.service import JobRequest, JobStore
@@ -236,6 +241,31 @@ def check_metrics(store, jobs):
     )
 
 
+def check_fresh_process_results(store, jobs):
+    """``status --job --json`` in a new process reads each job's result
+    from the journal alone."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    )}
+    for job_id in jobs:
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.harness", "status",
+             "--store", str(store.root), "--job", job_id, "--json"],
+            env=env, capture_output=True, text=True,
+        )
+        if completed.returncode != 0:
+            fail(f"status --job {job_id} exited {completed.returncode}: "
+                 f"{completed.stderr.strip()}")
+        result = json.loads(completed.stdout)["result"]
+        if result is None or result != store.result(job_id):
+            fail(f"status --job {job_id} in a fresh process read "
+                 f"{result!r}, not the serving handle's result")
+    print(
+        f"service_obs_smoke: {len(jobs)} result(s) read back by a fresh "
+        f"status process"
+    )
+
+
 def check_non_interference(base):
     """Heartbeats off vs aggressive: result payloads bit-identical."""
     payloads = []
@@ -274,6 +304,7 @@ def main() -> int:
     check_heartbeats(store, jobs, live_beats)
     check_event_ordering(store, jobs, followed)
     check_metrics(store, jobs)
+    check_fresh_process_results(store, jobs)
     store.close()
     check_non_interference(base)
     print(f"service_obs_smoke: OK ({polls} live polls)")

@@ -30,11 +30,13 @@ registry as ``metrics.prom`` and a ``health.json`` snapshot as jobs
 settle.
 
 Light modules (:mod:`~repro.service.retry`, :mod:`~repro.service.journal`,
-:mod:`~repro.service.jobstore`, :mod:`~repro.service.chaos`) are imported
-eagerly; the supervisor and executors — which pull in the whole harness —
-load lazily on first attribute access so that
-``repro.harness.parallel`` can import :class:`RetryPolicy` without a
-cycle.
+:mod:`~repro.service.jobstore`, :mod:`~repro.service.chaos`,
+:mod:`~repro.service.telemetry`) are imported eagerly and load nothing
+of the harness or the simulator — a job's result rides in its journaled
+``done`` event, so the store needs no result cache; the supervisor and
+executors — which pull in the whole harness — load lazily on first
+attribute access, which also lets ``repro.harness.parallel`` import
+:class:`RetryPolicy` without a cycle.
 """
 
 from __future__ import annotations

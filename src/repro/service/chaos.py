@@ -3,9 +3,10 @@
 :mod:`repro.faults` proves the *microarchitecture* recovers from bit
 flips; this module proves the *service* recovers from infrastructure
 death.  A :class:`ChaosSpec` names exact fault points — "SIGKILL the
-worker running job X on its first N executions", "fail the result-store
-write for job Y once", "SIGKILL the supervisor after its K-th settled
-job" — and the service consults :func:`chaos_point` at those points.
+worker running job X on its first N executions", "fail the durable
+``done`` append for job Y once", "SIGKILL the supervisor after its K-th
+settled job" — and the service consults :func:`chaos_point` at those
+points.
 
 Determinism comes from two pieces:
 
@@ -24,7 +25,7 @@ production runs pay nothing.
 Spec grammar (``;``-separated clauses)::
 
     kill-worker:<job_id>@<times>     SIGKILL the worker at job start
-    fail-write:<job_id>@<times>      OSError(ENOSPC) publishing the result
+    fail-write:<job_id>@<times>      OSError(ENOSPC) journaling ``done``
     kill-supervisor:<k>              SIGKILL self after k settled jobs
 
 Example::
@@ -59,7 +60,7 @@ class ChaosSpec:
 
     #: job_id -> number of executions that die at the kill-worker point
     kill_worker: Dict[str, int] = field(default_factory=dict)
-    #: job_id -> number of result publications that raise ENOSPC
+    #: job_id -> number of ``done`` appends that raise ENOSPC
     fail_write: Dict[str, int] = field(default_factory=dict)
     #: SIGKILL the supervisor once, after this many settled jobs
     kill_supervisor_after: Optional[int] = None
@@ -186,7 +187,7 @@ def chaos_point(point: str, key: str) -> None:
     * ``kill-worker`` — SIGKILL the calling process (no cleanup, no
       atexit: exactly the failure mode the hardened runner must survive);
     * ``fail-write`` — raise ``OSError(ENOSPC)``, simulating disk-quota
-      exhaustion at the result-store boundary;
+      exhaustion on the durable ``done`` append that publishes a result;
     * ``kill-supervisor`` — SIGKILL the calling process when ``key``
       (the settled-job count) has reached the configured threshold.
     """

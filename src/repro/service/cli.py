@@ -136,11 +136,8 @@ def _cmd_serve(args, parser) -> int:
         f"{counters['coalesced']} coalesced, {counters['active']} pending"
     )
     recovery = summary["recovery"]
-    if recovery["interrupted"] or recovery["lost_results"]:
-        print(
-            f"recovered {len(recovery['interrupted'])} interrupted job(s), "
-            f"healed {len(recovery['lost_results'])} lost result(s)"
-        )
+    if recovery["interrupted"]:
+        print(f"recovered {len(recovery['interrupted'])} interrupted job(s)")
     return 0
 
 
@@ -197,7 +194,7 @@ def _cmd_status(args, parser) -> int:
             except ServiceError as error:
                 parser.error(str(error))
             doc = store.summaries()[job.job_id]
-            result = store.result(args.job) if job.status == "done" else None
+            result = store.result(args.job)
             if args.json:
                 doc["timeline"] = {
                     key: value
@@ -209,11 +206,7 @@ def _cmd_status(args, parser) -> int:
                 return 0
             print(json.dumps(doc, indent=1, sort_keys=True))
             if job.status == "done":
-                if result is None:
-                    print("result: unreadable (will heal on next serve)",
-                          file=sys.stderr)
-                else:
-                    print(json.dumps(result, indent=1, sort_keys=True))
+                print(json.dumps(result, indent=1, sort_keys=True))
             return 0
         if args.json:
             print(json.dumps(_status_document(store), indent=1,

@@ -3,8 +3,7 @@
 A store is one directory::
 
     store/
-      journal.jsonl      append-only fsynced event log (source of truth)
-      results/           ArtifactCache holding finished result payloads
+      journal.jsonl      append-only fsynced event log (the only job store)
       chaos-marks/       chaos-occurrence marks (chaos runs only)
 
 Every state change is one durably-appended event — ``submit``,
@@ -23,17 +22,12 @@ never hand out one ``seq`` or queue one request twice.
 Request identity is content-addressed: :func:`request_key` hashes the
 canonicalized ``(kind, params)``, so two clients submitting the same
 configuration coalesce onto one job and one result (counted — the dedup
-counters are part of the chaos harness's pinned invariants).  Results
-live in a :class:`~repro.harness.artifacts.ArtifactCache` keyed by the
-same request key: identical work is stored once, corrupt entries are
-quarantined by the cache and healed by :meth:`JobStore.recover`, and a
-``done`` journal record is only ever written *after* its result file has
-been renamed into place.  The rename is atomic but not fsynced, so a
-journaled result survives a process kill; after an OS crash a ``done``
-job's result may be missing, and :meth:`JobStore.recover` (through
-:meth:`JobStore.verify_results`) requeues any ``done`` job whose result
-does not load.  The reverse — a result with no journal record — costs
-one idempotent re-run.
+counters are part of the chaos harness's pinned invariants).  A job's
+result payload rides in its ``done`` event, so a result is durable
+exactly when that fsynced append returns: there is no second store to
+publish first, to lose in an OS crash, or to verify at open.  A ``done``
+line whose bytes are damaged is skipped and counted like any other, so
+its job folds as ``running`` and :meth:`JobStore.recover` requeues it.
 
 The store root defaults to ``$REPRO_SERVICE_DIR`` (a deployment path),
 else ``~/.cache/repro/service``; the per-client quota is the ``quota``
@@ -50,13 +44,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..harness.artifacts import ArtifactCache
 from ..obs.runlog import event_stamp, read_snapshot
 from .journal import JournalError, JsonlJournal
 from .telemetry import job_timeline, progress_path
 
 #: bump when event semantics or the result payload layout change
-SERVICE_FORMAT_VERSION = 1
+SERVICE_FORMAT_VERSION = 2
 
 _ENV_STORE = "REPRO_SERVICE_DIR"
 
@@ -163,6 +156,8 @@ class JobRecord:
     recovered: int = 0
     #: later submissions coalesced onto this job
     coalesced: int = 0
+    #: the result payload of a ``done`` job (from its ``done`` event)
+    result: Any = None
 
     @property
     def active(self) -> bool:
@@ -196,7 +191,6 @@ class JobStore:
         root: Path,
         quota: Optional[int] = None,
         readonly: bool = False,
-        result_cache_limit_mb: Optional[float] = None,
     ) -> None:
         self.root = Path(root)
         self.quota = quota
@@ -212,13 +206,6 @@ class JobStore:
             )
         except JournalError as error:
             raise ServiceError(str(error)) from None
-        limit = (
-            int(result_cache_limit_mb * 1024 * 1024)
-            if result_cache_limit_mb else None
-        )
-        self.results = ArtifactCache(
-            root=self.root / "results", enabled=True, limit_bytes=limit,
-        )
         self._reset()
 
     # ------------------------------------------------------------------ fold
@@ -299,6 +286,7 @@ class JobStore:
             job.attempts = int(record.get("attempts", job.attempts))
             job.error = None
             job.permanent = False
+            job.result = record.get("result")
             self._counters["completed"] += 1
         elif event == "failed":
             job.status = FAILED
@@ -424,43 +412,21 @@ class JobStore:
         return job
 
     # --------------------------------------------------------------- results
-    def _result_key(self, key: str) -> Tuple:
-        return ("jobresult", SERVICE_FORMAT_VERSION, key)
-
     @_mutation
     def complete(self, job_id: str, result: Any, attempts: int) -> None:
-        """Publish a result file, then journal ``done``.
-
-        Order matters: result file first (atomic rename), journal record
-        second.  A kill between the two leaves a result file with no
-        record — the job replays as interrupted and reruns, overwriting
-        the file with bit-identical content.  The reverse order could
-        journal a result that does not exist.  The result file is not
-        fsynced: it survives a process kill, and a result lost to an OS
-        crash is requeued by :meth:`recover`.
-        """
-        job = self.job(job_id)
-        payload = _canonical(result)
-        self.results.put(self._result_key(job.key), payload)
-        if self.results.get(self._result_key(job.key)) is None:
-            # ArtifactCache.put is advisory (silent on OSError); the
-            # service store is not — surface the loss as the infra
-            # failure it is so the retry policy can classify it.
-            raise OSError(
-                f"result store write failed for job {job_id} "
-                f"under {self.results.root}"
-            )
+        """Journal ``done`` with the result payload in the event: the
+        result is durable when this append returns."""
         self._append({
             "event": "done",
             "job": job_id,
             "attempts": attempts,
-            "key": job.key,
+            "result": _canonical(result),
         })
 
     def result(self, job_id: str) -> Optional[Any]:
-        """The stored result payload, or None (missing/corrupt/evicted)."""
+        """A ``done`` job's result payload, else None."""
         job = self.job(job_id)
-        return self.results.get(self._result_key(job.key))
+        return job.result if job.status == DONE else None
 
     @_mutation
     def fail(
@@ -493,37 +459,21 @@ class JobStore:
             if job.status == RUNNING
         )
 
-    def verify_results(self) -> List[str]:
-        """``done`` jobs whose stored result is missing or corrupt."""
-        broken = []
-        for job_id in sorted(self.jobs):
-            job = self.jobs[job_id]
-            if job.status == DONE and self.result(job_id) is None:
-                broken.append(job_id)
-        return broken
-
     @_mutation
     def recover(self) -> Dict[str, List[str]]:
-        """Reclaim interrupted jobs and heal lost results; journaled.
+        """Requeue the jobs a dead supervisor left ``running``; journaled.
 
-        Called by the supervisor at startup.  Two invariant repairs:
-
-        * jobs ``running`` in the journal (their supervisor died between
-          ``start`` and a terminal event) go back to ``queued``;
-        * jobs ``done`` whose result payload no longer loads (corrupt
-          entry quarantined by the cache, evicted, or deleted) also go
-          back to ``queued`` — simulations are deterministic, so the
-          re-run reproduces the identical payload.
+        Called by the supervisor at startup: a job ``running`` in the
+        journal (its supervisor died between ``start`` and a terminal
+        event, or its ``done`` line was damaged) goes back to ``queued``.
+        Simulations are deterministic, so the re-run reproduces the
+        identical payload.
         """
         interrupted = self.interrupted()
         for job_id in interrupted:
             self._append({"event": "recover", "job": job_id,
                           "reason": "supervisor died mid-job"})
-        lost = self.verify_results()
-        for job_id in lost:
-            self._append({"event": "recover", "job": job_id,
-                          "reason": "stored result unreadable"})
-        return {"interrupted": interrupted, "lost_results": lost}
+        return {"interrupted": interrupted}
 
     # --------------------------------------------------------- introspection
     def job(self, job_id: str) -> JobRecord:

@@ -26,11 +26,10 @@ Durability protocol per job (each step is one fsynced journal event):
    supervisor killed mid-dispatch leaves the job ``running``, and
    :meth:`~repro.service.jobstore.JobStore.recover` requeues it on the
    next start;
-2. on success the result payload is renamed into place *before*
-   ``done`` is journaled — a journaled result survives a process kill,
-   and one lost to an OS crash is requeued by ``recover``;
+2. on success ``done`` is journaled with the result payload in the
+   event — the result is durable when that append returns;
 3. failures journal ``failed`` with the classified permanence, or
-   ``requeue`` when the result-store write itself failed transiently
+   ``requeue`` when the ``done`` append itself failed transiently
    (simulated disk-quota exhaustion in the chaos harness).
 
 SIGTERM/SIGINT request a graceful drain: nothing more is claimed, the

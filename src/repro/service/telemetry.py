@@ -15,8 +15,8 @@ Built on the shared records of :mod:`repro.obs.runlog`:
 * **latency and the registry** — :func:`job_timeline` and
   :func:`latency_histograms` fold the stamped journal into per-job
   timelines and queue-wait / run-time / retry-latency digests, and
-  :func:`service_registry` joins them to the store and result-cache
-  counters for ``metrics.prom``.
+  :func:`service_registry` joins them to the store counters for
+  ``metrics.prom``.
 """
 
 from __future__ import annotations
@@ -141,15 +141,14 @@ def latency_histograms(
 
 def service_registry(store, rounds: Optional[int] = None) -> MetricsRegistry:
     """The service's one registry: the store's fold counters (``active``,
-    a level, as a gauge), its result-cache counters, the supervisor's
-    fleet ``rounds`` when one publishes, and the latency histograms."""
+    a level, as a gauge), the supervisor's fleet ``rounds`` when one
+    publishes, and the latency histograms."""
     registry = MetricsRegistry()
     for name, value in store.counters().items():
         if name == "active":
             registry.gauge("service.active", value)
         else:
             registry.counter(f"service.{name}", value)
-    store.results.publish_metrics(registry, prefix="service.results")
     if rounds is not None:
         registry.counter("service.supervisor_rounds", rounds)
     registry.histograms.update(latency_histograms(store.journal.records))

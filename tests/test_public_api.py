@@ -69,11 +69,27 @@ class TestVersion:
         assert repro.__version__.count(".") == 2
 
 
+def fresh_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on this tree; its stdout.
+
+    A fresh interpreter keeps the test suite's own imports out of what
+    the script observes in ``sys.modules``."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return completed.stdout
+
+
 class TestNoUndeclaredDependency:
     def test_no_module_imports_numpy(self):
         # pyproject.toml declares no runtime dependency, so importing
-        # every module of the package must pull in no numpy; a fresh
-        # interpreter keeps the test suite's own imports out of it.
+        # every module of the package must pull in no numpy.
         script = (
             "import importlib, pkgutil, sys, repro\n"
             "names = [m.name for m in pkgutil.walk_packages("
@@ -82,15 +98,22 @@ class TestNoUndeclaredDependency:
             "    importlib.import_module(name)\n"
             "print(len(names), 'numpy' in sys.modules)\n"
         )
-        source = str(Path(repro.__file__).resolve().parents[1])
-        path = os.pathsep.join(
-            filter(None, [source, os.environ.get("PYTHONPATH")])
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, check=True,
-        )
-        modules, numpy_loaded = completed.stdout.split()
+        modules, numpy_loaded = fresh_python(script).split()
         assert int(modules) > 50
         assert numpy_loaded == "False"
+
+    def test_service_imports_no_simulator(self):
+        # The job store, its journal and the service CLI read and write
+        # the journal only: loading them must not load the harness, the
+        # simulator, the braid compiler or the workloads.
+        script = (
+            "import sys, repro.service, repro.service.cli\n"
+            "print(' '.join(sorted(m for m in sys.modules"
+            " if m.startswith('repro'))))\n"
+        )
+        loaded = fresh_python(script).split()
+        assert "repro.service.jobstore" in loaded
+        heavy = ("repro.harness", "repro.sim", "repro.core",
+                 "repro.workloads")
+        assert [name for name in loaded
+                if ".".join(name.split(".")[:2]) in heavy] == []

@@ -243,9 +243,14 @@ class TestResultsAndRecovery:
         store.complete(job_id, {"ipc": 1.25}, attempts=1)
         assert store.job(job_id).status == DONE
         assert store.result(job_id) == {"ipc": 1.25}
-        # The journal's done record refers to a result that exists.
-        events = [r["event"] for r in store.journal.records]
-        assert events[-1] == "done"
+        # The result rides in the journal's done record, and a fresh
+        # fold of the journal alone reads it back.
+        done = store.journal.records[-1]
+        assert set(done) == {"event", "job", "attempts", "result",
+                             "ts", "mono", "pid"}
+        assert done["event"] == "done" and done["result"] == {"ipc": 1.25}
+        assert fresh_store(tmp_path, readonly=True).result(job_id) == {
+            "ipc": 1.25}
         store.close()
 
     def test_recover_requeues_interrupted_jobs(self, tmp_path):
@@ -266,16 +271,25 @@ class TestResultsAndRecovery:
         job_id, _ = submit_sim(store)
         store.claim(job_id)
         store.complete(job_id, {"ipc": 1.0}, attempts=1)
-        # Corrupt the stored payload behind the store's back.
-        key = store._result_key(store.job(job_id).key)
-        store.results.path_for(key).write_bytes(b"not a pickle")
-        assert store.verify_results() == [job_id]
-        recovery = store.recover()
-        assert recovery["lost_results"] == [job_id]
-        assert store.job(job_id).status == QUEUED
-        # The corrupt entry went to quarantine, not silently vanished.
-        assert store.results.stats()["quarantined"] == 1
         store.close()
+        # Corrupt the done line, which holds the payload, behind the
+        # store's back.
+        journal = tmp_path / "store" / "journal.jsonl"
+        lines = journal.read_bytes().split(b"\n")
+        [at] = [i for i, line in enumerate(lines) if b'"done"' in line]
+        lines[at] = b"\x00 corrupt \x00" + lines[at][11:]
+        journal.write_bytes(b"\n".join(lines))
+        reopened = fresh_store(tmp_path)
+        # The damaged line was skipped and counted, not silently lost:
+        # the job reads as running with no result.
+        assert reopened.counters()["torn_lines"] == 1
+        assert reopened.job(job_id).status == RUNNING
+        assert reopened.result(job_id) is None
+        recovery = reopened.recover()
+        assert recovery["interrupted"] == [job_id]
+        job = reopened.job(job_id)
+        assert job.status == QUEUED and job.recovered == 1
+        reopened.close()
 
     def test_requeue_and_fail_track_attempts(self, tmp_path):
         store = fresh_store(tmp_path)
@@ -399,7 +413,7 @@ class TestTornTailProperty:
         journal.write_bytes(data[:cut])
         store = fresh_store(tmp_path)
         recovery = store.recover()
-        assert recovery == {"interrupted": [], "lost_results": []}
+        assert recovery == {"interrupted": []}
         store.claim(j2)
         store.complete(j2, {"ipc": 0.9}, attempts=1)
         assert store.result(j2) == {"ipc": 0.9}

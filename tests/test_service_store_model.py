@@ -2,13 +2,13 @@
 
 A hypothesis state machine interleaves submit (duplicates included),
 claim, complete, fail, refresh, and a writer killed mid-append (a torn
-tail, then that handle reopens) over two :class:`JobStore` handles on
-one directory.  The writers refresh only when the refresh rule says so,
-so a mutation usually starts from a stale fold and must catch up under
-the journal lock.  A refreshed fold must equal a small reference model
-(jobs by key, status and seq; the submitted and coalesced counters):
-a writer's after its refresh rule, a read-only follower's after every
-step.
+``start`` or ``done`` record, then that handle reopens) over two
+:class:`JobStore` handles on one directory.  The writers refresh only
+when the refresh rule says so, so a mutation usually starts from a stale
+fold and must catch up under the journal lock.  A refreshed fold must
+equal a small reference model (jobs by key, status and seq; each done
+job's result payload; the submitted and coalesced counters): a writer's
+after its refresh rule, a read-only follower's after every step.
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ from repro.service import JobRequest, JobStore, request_key
 from repro.service.jobstore import DONE, FAILED, QUEUED, RUNNING
 
 BENCHMARKS = ("gcc", "mcf", "swim")
-TORN = b'{"event": "start", "job": "j000001-deadbeef", "attempt": 1}'
+TORN = (
+    b'{"event": "start", "job": "j000001-deadbeef", "attempt": 1}',
+    b'{"attempts": 1, "event": "done", "job": "j000001-deadbeef", '
+    b'"result": {"cycles": 1234, "ipc": 0.75}}',
+)
 
 
 class Model:
@@ -39,6 +43,7 @@ class Model:
     def __init__(self) -> None:
         self.jobs = {}  # job id -> [key, status, seq, permanent]
         self.by_key = {}
+        self.results = {}  # job id -> the payload its complete published
         self.submitted = self.coalesced = 0
 
     def submit(self, key: str) -> None:
@@ -90,8 +95,10 @@ class TwoHandles(RuleBasedStateMachine):
     def complete(self, side, pick):
         running = self.model.with_status(RUNNING)
         job_id = running[pick % len(running)]
-        self.handles[side].complete(job_id, {"job": job_id}, attempts=1)
+        payload = {"job": job_id, "n": len(self.model.results)}
+        self.handles[side].complete(job_id, payload, attempts=1)
         self.model.jobs[job_id][1] = DONE
+        self.model.results[job_id] = payload
 
     @precondition(lambda self: self.model.with_status(RUNNING))
     @rule(side=st.integers(0, 1), pick=st.integers(0, 8),
@@ -103,12 +110,13 @@ class TwoHandles(RuleBasedStateMachine):
         self.model.jobs[job_id][1] = FAILED
         self.model.jobs[job_id][3] = permanent
 
-    @rule(side=st.integers(0, 1), keep=st.integers(1, len(TORN) - 1))
-    def torn_tail_then_reopen(self, side, keep):
+    @rule(side=st.integers(0, 1), torn=st.sampled_from(TORN),
+          cut=st.floats(0, 1, exclude_max=True))
+    def torn_tail_then_reopen(self, side, torn, cut):
         # The writer dies partway through an append: part of a record,
         # no newline.  The event is lost; nothing else may be.
         with open(self.root / "journal.jsonl", "ab") as handle:
-            handle.write(TORN[:keep])
+            handle.write(torn[:1 + int(cut * (len(torn) - 1))])
         self.handles[side].close()
         self.handles[side] = JobStore(self.root)
 
@@ -121,6 +129,8 @@ class TwoHandles(RuleBasedStateMachine):
             job_id: (key, status, seq)
             for job_id, (key, status, seq, _) in self.model.jobs.items()
         }
+        for job_id in handle.jobs:
+            assert handle.result(job_id) == self.model.results.get(job_id)
         counters = handle.counters()
         assert counters["submitted"] == self.model.submitted
         assert counters["coalesced"] == self.model.coalesced
